@@ -195,6 +195,49 @@ int main(int argc, char** argv) {
   std::printf("  never coarser than intraprocedural pruning: %s\n",
               summary_ok ? "HOLDS" : "VIOLATED");
 
+  // Interpreter throughput: cost per executed assignment of one model run
+  // (cam_init + 9 cam_step over the shared compiled Program), unwatched and
+  // with 10 runtime-sampling watches, then whole runs per second when
+  // members fan out over 1 and 4 pool workers.
+  auto time_run = [&model](const std::vector<interp::WatchKey>& watches) {
+    interp::Interpreter run(model.program());
+    for (const auto& w : watches) run.add_watch(w);
+    Stopwatch run_sw;
+    run.call("cam_driver", "cam_init");
+    for (int step = 0; step < 9; ++step) run.call("cam_driver", "cam_step");
+    return run_sw.seconds() * 1e9 /
+           static_cast<double>(std::max<std::uint64_t>(
+               1, run.assignments_executed()));
+  };
+  auto median_ns = [&time_run](const std::vector<interp::WatchKey>& watches) {
+    std::vector<double> ns;
+    for (int rep = 0; rep < 15; ++rep) ns.push_back(time_run(watches));
+    std::sort(ns.begin(), ns.end());
+    return ns[ns.size() / 2];
+  };
+  std::vector<interp::WatchKey> watches;
+  for (graph::NodeId v = 0; v < mg.node_count() && watches.size() < 10; ++v) {
+    watches.push_back(mg.watch_key(v));
+  }
+  const double ns_plain = median_ns({});
+  const double ns_watched = median_ns(watches);
+  std::printf("\ninterpreter (shared Program, one run = init + 9 steps):\n");
+  std::printf("  ns per assignment: %.1f unwatched, %.1f with %zu watches\n",
+              ns_plain, ns_watched, watches.size());
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool run_pool(workers);
+    constexpr std::size_t kRuns = 32;
+    Stopwatch runs_sw;
+    run_pool.parallel_for(kRuns, [&model](std::size_t i) {
+      model::RunConfig config;
+      config.member_seed = i + 1;
+      model.run(config);
+    });
+    std::printf("  runs/s at %zu worker%s: %.0f\n", workers,
+                workers == 1 ? "" : "s",
+                static_cast<double>(kRuns) / runs_sw.seconds());
+  }
+
   // Observability overhead: the same experiment with the metrics sink
   // disabled (instrumentation compiled in, branches off) and enabled. The
   // disabled-sink run must stay within noise of uninstrumented speed.

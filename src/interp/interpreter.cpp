@@ -2,23 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
-#include "interp/intrinsics.hpp"
+#include "interp/compiled.hpp"
+#include "interp/program.hpp"
 #include "support/strings.hpp"
 
 namespace rca::interp {
 
-using lang::Expr;
-using lang::ExprKind;
-using lang::Module;
+using detail::Actual;
+using detail::Alloc;
+using detail::Builtin;
+using detail::Code;
+using detail::Init;
+using detail::Intrinsic;
+using detail::Node;
+using detail::NodeKind;
+using detail::Proc;
+using detail::Range;
+using detail::Stmt;
+using detail::StmtKind;
+using detail::Where;
 using lang::Op;
-using lang::RefSegment;
-using lang::Stmt;
-using lang::StmtKind;
-using lang::Subprogram;
-using lang::TypeKind;
-using lang::VarDecl;
+using Kind = Value::Kind;
 
 double WatchStats::rms() const {
   if (count == 0) return 0.0;
@@ -50,547 +55,594 @@ void CoverageRecorder::clear() {
   subprograms_.clear();
 }
 
-bool is_intrinsic_function(const std::string& name) {
-  static const std::unordered_map<std::string, int> kSet = {
-      {"abs", 0},   {"sqrt", 0},  {"exp", 0},    {"log", 0},  {"log10", 0},
-      {"sin", 0},   {"cos", 0},   {"tan", 0},    {"tanh", 0}, {"min", 0},
-      {"max", 0},   {"mod", 0},   {"sign", 0},   {"floor", 0}, {"nint", 0},
-      {"aint", 0},  {"int", 0},   {"real", 0},   {"sum", 0},  {"minval", 0},
-      {"maxval", 0}, {"size", 0}, {"merge", 0},
-  };
-  return kSet.count(name) != 0;
-}
-
 namespace {
 
 enum class Flow { kNormal, kReturn, kExit, kCycle };
-
-bool is_slice_marker(const Expr& e) {
-  return e.is_ref() && e.segments.size() == 1 &&
-         e.segments[0].name == "__slice__" && !e.segments[0].has_args;
-}
 
 [[noreturn]] void fail(const std::string& msg, int line = 0) {
   if (line > 0) throw EvalError(strfmt("line %d: %s", line, msg.c_str()));
   throw EvalError(msg);
 }
 
+/// An expression result: a scalar held inline, or (array, character and
+/// derived values) the index of a temporary on the run's value stack.
+struct Num {
+  Kind kind = Kind::kReal;
+  union {
+    double r;
+    long long i;
+    bool b;
+    std::size_t big;
+  };
+  Num() : r(0.0) {}
+};
+
+Num real_num(double v) {
+  Num n;
+  n.r = v;
+  return n;
+}
+
+Num int_num(long long v) {
+  Num n;
+  n.kind = Kind::kInt;
+  n.i = v;
+  return n;
+}
+
+Num bool_num(bool v) {
+  Num n;
+  n.kind = Kind::kLogical;
+  n.b = v;
+  return n;
+}
+
+bool is_scalar(Kind k) {
+  return k == Kind::kReal || k == Kind::kInt || k == Kind::kLogical;
+}
+
+// Conversions with Value::as_real/as_int/as_logical semantics.
+double num_real(const Num& n) {
+  switch (n.kind) {
+    case Kind::kReal: return n.r;
+    case Kind::kInt: return static_cast<double>(n.i);
+    case Kind::kLogical: return n.b ? 1.0 : 0.0;
+    default: throw EvalError("expected a numeric scalar value");
+  }
+}
+
+long long num_int(const Num& n) {
+  switch (n.kind) {
+    case Kind::kInt: return n.i;
+    case Kind::kReal: return static_cast<long long>(n.r);
+    case Kind::kLogical: return n.b ? 1 : 0;
+    default: throw EvalError("expected an integer value");
+  }
+}
+
+bool num_logical(const Num& n) {
+  switch (n.kind) {
+    case Kind::kLogical: return n.b;
+    case Kind::kInt: return n.i != 0;
+    default: throw EvalError("expected a logical value");
+  }
+}
+
+/// Resets `v` to a fresh value of kind `k` (keeping buffer capacity, so
+/// frame slots reused across calls do not reallocate their arrays).
+void reset(Value& v, Kind k) {
+  v.kind = k;
+  v.real = 0.0;
+  v.integer = 0;
+  v.logical = false;
+  v.chars.clear();
+  v.array.clear();
+  v.dims.clear();
+  v.derived.reset();
+}
+
+/// Small inline buffer for per-call argument lists.
+template <typename T, std::size_t N>
+class SmallVec {
+ public:
+  explicit SmallVec(std::size_t n) : n_(n) {
+    if (n > N) heap_.resize(n);
+  }
+  T* data() { return n_ > N ? heap_.data() : inline_; }
+  T& operator[](std::size_t i) { return data()[i]; }
+  std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_;
+  T inline_[N];
+  std::vector<T> heap_;
+};
+
 }  // namespace
 
 // ===========================================================================
-// Impl
+// Run state and executor.
 // ===========================================================================
 
 struct Interpreter::Impl {
-  struct ModuleCtx;
-
-  struct Callable {
-    const Subprogram* sp = nullptr;
-    ModuleCtx* home = nullptr;
-  };
-
-  struct TypeEntry {
-    const lang::DerivedTypeDef* def = nullptr;
-    ModuleCtx* home = nullptr;
-  };
-
-  struct ImportedVar {
-    ModuleCtx* home = nullptr;
-    std::string remote_name;
-  };
-
-  struct ModuleCtx {
-    const Module* ast = nullptr;
-    bool fma = false;
-    bool reassoc = false;
-    std::unordered_map<std::string, ValueSlot> vars;
-    std::unordered_map<std::string, Value> params;
-    std::unordered_map<std::string, ImportedVar> imported_vars;
-    std::unordered_map<std::string, std::vector<Callable>> callables;
-    std::unordered_map<std::string, TypeEntry> types;
-  };
-
   struct Frame {
-    ModuleCtx* module = nullptr;
-    const Subprogram* sub = nullptr;
-    std::unordered_map<std::string, ValueSlot> locals;
+    Value** slots = nullptr;  // null for module scope
+    int module = 0;
   };
 
-  explicit Impl(Interpreter* owner) : owner_(owner) {}
+  explicit Impl(const Code& code)
+      : code_(code),
+        fma_(code.modules.size(), 0),
+        reassoc_(code.modules.size(), 0),
+        covered_(code.procs.size(), 0),
+        prng_(std::make_unique<KissRng>()) {}
 
-  Interpreter* owner_;
-  std::vector<const Module*> module_asts_;
-  std::unordered_map<std::string, std::unique_ptr<ModuleCtx>> modules_;
-  std::unordered_map<std::string, BuiltinSubroutine> builtins_;
+  const Code& code_;
+  std::vector<Value> globals_;
+  std::size_t globals_live_ = 0;
+  // Set only while the load-time fixpoint evaluates parameter constants.
+  const std::vector<char>* params_ready_ = nullptr;
+
+  std::vector<char> fma_;
+  std::vector<char> reassoc_;
+  std::vector<char> covered_;  // per Proc id
+  mutable CoverageRecorder coverage_;
+  std::unique_ptr<Prng> prng_;
+
+  // Temporaries: the value stack (truncated after every statement) and
+  // pooled slots for frames and argument temporaries (released on return).
+  std::vector<Value> big_;
+  std::vector<std::unique_ptr<Value>> pool_;
+  std::size_t pool_top_ = 0;
+
+  std::unordered_map<WatchKey, WatchStats, WatchKeyHash> watch_stats_;
+  std::vector<WatchStats*> key_watch_;  // per interned key; null = unwatched
   bool any_watches_ = false;
+  bool watches_dirty_ = false;
+  bool record_assignments_ = false;
+  std::vector<char> recorded_;
+  std::unordered_set<WatchKey, WatchKeyHash> assigned_keys_;
+  std::vector<std::pair<std::string, double>> outputs_;
+  std::uint64_t assignments_executed_ = 0;
+
+  struct PoolMark {
+    Impl* impl;
+    std::size_t top;
+    explicit PoolMark(Impl* i) : impl(i), top(i->pool_top_) {}
+    ~PoolMark() { impl->pool_top_ = top; }
+  };
+
+  Value* acquire() {
+    if (pool_top_ == pool_.size()) pool_.push_back(std::make_unique<Value>());
+    return pool_[pool_top_++].get();
+  }
 
   // -------------------------------------------------------------------------
-  // Initialization.
+  // Setup.
   // -------------------------------------------------------------------------
 
-  void load(std::vector<const Module*> mods) {
-    module_asts_ = std::move(mods);
-    // Pass 1: create contexts, register own subprograms/types.
-    for (const Module* m : module_asts_) {
-      if (modules_.count(m->name)) {
-        fail("duplicate module '" + m->name + "'");
-      }
-      auto ctx = std::make_unique<ModuleCtx>();
-      ctx->ast = m;
-      for (const auto& sp : m->subprograms) {
-        ctx->callables[sp.name].push_back(Callable{&sp, ctx.get()});
-      }
-      for (const auto& t : m->types) {
-        ctx->types[t.name] = TypeEntry{&t, ctx.get()};
-      }
-      modules_[m->name] = std::move(ctx);
-    }
-    // Pass 1b: expand interface blocks (after own subprograms exist).
-    for (const Module* m : module_asts_) {
-      ModuleCtx* ctx = modules_[m->name].get();
-      for (const auto& iface : m->interfaces) {
-        for (const auto& proc : iface.procedures) {
-          auto it = ctx->callables.find(proc);
-          if (it == ctx->callables.end()) {
-            fail("interface '" + iface.name + "' names unknown procedure '" +
-                 proc + "' in module " + m->name);
-          }
-          for (const auto& c : it->second) {
-            ctx->callables[iface.name].push_back(c);
-          }
-        }
-      }
-    }
-    // Pass 2: resolve use-imports (module-level plus hoisted
-    // subprogram-level uses; chained use is intentionally not followed,
-    // matching the paper's §4.2 treatment).
-    for (const Module* m : module_asts_) {
-      ModuleCtx* ctx = modules_[m->name].get();
-      auto process_use = [this, ctx, m](const lang::UseStmt& use) {
-        auto src_it = modules_.find(use.module);
-        if (src_it == modules_.end()) {
-          fail("module '" + m->name + "' uses unknown module '" + use.module +
-               "'", use.line);
-        }
-        ModuleCtx* src = src_it->second.get();
-        if (use.has_only) {
-          for (const auto& r : use.renames) {
-            import_entity(ctx, src, r.local, r.remote, use.line);
-          }
-        } else {
-          // Import-all: every declaration, subprogram, interface, type.
-          for (const auto& d : src->ast->decls) {
-            import_entity(ctx, src, d.name, d.name, use.line);
-          }
-          for (const auto& sp : src->ast->subprograms) {
-            import_entity(ctx, src, sp.name, sp.name, use.line);
-          }
-          for (const auto& iface : src->ast->interfaces) {
-            import_entity(ctx, src, iface.name, iface.name, use.line);
-          }
-          for (const auto& t : src->ast->types) {
-            import_entity(ctx, src, t.name, t.name, use.line);
-          }
-        }
-      };
-      for (const auto& use : m->uses) process_use(use);
-      for (const auto& sp : m->subprograms) {
-        for (const auto& use : sp.uses) process_use(use);
-      }
-    }
-    // Pass 3: evaluate parameter constants to a fixpoint (they may reference
-    // imported parameters that are themselves not yet evaluated).
-    for (;;) {
-      bool progress = false;
-      bool pending = false;
-      for (const Module* m : module_asts_) {
-        ModuleCtx* ctx = modules_[m->name].get();
-        for (const auto& d : m->decls) {
-          if (!d.is_parameter || ctx->params.count(d.name)) continue;
-          if (!d.init) fail("parameter '" + d.name + "' lacks a value", d.line);
-          Frame f;
-          f.module = ctx;
-          try {
-            ctx->params[d.name] = eval(*d.init, f);
-            progress = true;
-          } catch (const EvalError&) {
-            pending = true;  // dependency not ready yet; retry next round
-          }
-        }
-      }
-      if (!pending) break;
-      if (!progress) fail("circular or unresolvable parameter definitions");
-    }
-    // Pass 4: allocate module variables.
-    for (const Module* m : module_asts_) {
-      ModuleCtx* ctx = modules_[m->name].get();
-      Frame f;
-      f.module = ctx;
-      for (const auto& d : m->decls) {
-        if (d.is_parameter) continue;
-        ctx->vars[d.name] = std::make_shared<Value>(allocate(d, f));
-      }
+  void allocate_globals() {
+    globals_.resize(code_.globals.size());
+    for (std::size_t g = 0; g < code_.globals.size(); ++g) {
+      Frame mf{nullptr, code_.globals[g]->module};
+      allocate(globals_[g], *code_.globals[g], mf);
+      globals_live_ = g + 1;
+      big_.clear();
     }
   }
 
-  void import_entity(ModuleCtx* dst, ModuleCtx* src, const std::string& local,
-                     const std::string& remote, int line) {
-    const lang::VarDecl* decl = src->ast->find_decl(remote);
-    if (decl) {
-      if (decl->is_parameter) {
-        // Imported parameters are resolved lazily (pass 3 fixpoint) via the
-        // imported_vars indirection as well; record both.
-        dst->imported_vars[local] = ImportedVar{src, remote};
-      } else {
-        dst->imported_vars[local] = ImportedVar{src, remote};
-      }
-      return;
+  /// Binds watches to interned assignment keys; run once per change, so no
+  /// key is hashed per executed assignment.
+  void prepare() {
+    big_.clear();
+    if (record_assignments_ && recorded_.size() != code_.keys.size()) {
+      recorded_.assign(code_.keys.size(), 0);
     }
-    auto cit = src->callables.find(remote);
-    if (cit != src->callables.end()) {
-      auto& vec = dst->callables[local];
-      vec.insert(vec.end(), cit->second.begin(), cit->second.end());
-      return;
+    if (!watches_dirty_) return;
+    watches_dirty_ = false;
+    key_watch_.assign(code_.keys.size(), nullptr);
+    for (auto& [key, stats] : watch_stats_) {
+      const std::int32_t id = code_.find_key(key);
+      if (id >= 0) key_watch_[id] = &stats;
     }
-    auto tit = src->types.find(remote);
-    if (tit != src->types.end()) {
-      dst->types[local] = tit->second;
-      return;
-    }
-    fail("use of unknown entity '" + remote + "' from module '" +
-         src->ast->name + "'", line);
   }
 
-  /// Allocate a value per declaration, evaluating array extents in `frame`.
-  Value allocate(const VarDecl& d, Frame& frame) {
-    if (d.type.kind == TypeKind::kDerived) {
-      auto tit = frame.module->types.find(d.type.derived_name);
-      if (tit == frame.module->types.end()) {
-        fail("unknown derived type '" + d.type.derived_name + "'", d.line);
-      }
-      Value v;
-      v.kind = Value::Kind::kDerived;
+  void allocate(Value& v, const Alloc& a, Frame& frame) {
+    const lang::VarDecl& d = *a.decl;
+    if (a.error) fail(code_.texts[a.error], d.line);
+    if (a.layout) {
+      reset(v, Kind::kDerived);
       v.derived = std::make_shared<DerivedValue>();
-      v.derived->type_name = d.type.derived_name;
-      Frame type_frame;
-      type_frame.module = tit->second.home;
-      for (const auto& comp : tit->second.def->components) {
-        v.derived->components[comp.name] =
-            std::make_shared<Value>(allocate(comp, type_frame));
+      DerivedValue& dv = *v.derived;
+      dv.type_name = d.type.derived_name;
+      dv.def = a.layout->def;
+      for (const Alloc* comp : a.layout->components) {
+        auto slot = std::make_shared<Value>();
+        Frame type_frame{nullptr, comp->module};
+        allocate(*slot, *comp, type_frame);
+        dv.components[comp->decl->name] = std::move(slot);
       }
-      return v;
+      dv.fields.reserve(a.layout->components.size());
+      for (const Alloc* comp : a.layout->components) {
+        dv.fields.push_back(dv.components[comp->decl->name].get());
+      }
+      return;
     }
     if (d.is_array()) {
-      std::vector<long long> dims;
-      for (const auto& dim : d.dims) {
-        dims.push_back(eval(*dim, frame).as_int());
+      reset(v, Kind::kArray);
+      long long total = 1;
+      for (std::uint32_t k = 0; k < a.dims.count; ++k) {
+        const long long extent = num_int(eval(arg(a.dims, k), frame));
+        RCA_CHECK_MSG(extent >= 0, "negative array extent");
+        v.dims.push_back(extent);
+        total *= extent;
       }
-      Value v = Value::make_array(std::move(dims));
-      if (d.init) {
-        const Value init = eval(*d.init, frame);
-        std::fill(v.array.begin(), v.array.end(), init.as_real());
+      v.array.assign(static_cast<std::size_t>(total), 0.0);
+      if (a.init) {
+        const double init = num_real(eval(*a.init, frame));
+        std::fill(v.array.begin(), v.array.end(), init);
       }
-      return v;
+      return;
     }
-    Value v;
     switch (d.type.kind) {
-      case TypeKind::kReal: v = Value::make_real(0.0); break;
-      case TypeKind::kInteger: v = Value::make_int(0); break;
-      case TypeKind::kLogical: v = Value::make_logical(false); break;
-      case TypeKind::kCharacter: v = Value::make_char(""); break;
-      case TypeKind::kDerived: break;  // handled above
+      case lang::TypeKind::kReal: reset(v, Kind::kReal); break;
+      case lang::TypeKind::kInteger: reset(v, Kind::kInt); break;
+      case lang::TypeKind::kLogical: reset(v, Kind::kLogical); break;
+      case lang::TypeKind::kCharacter: reset(v, Kind::kChar); break;
+      case lang::TypeKind::kDerived: break;  // handled above
     }
-    if (d.init) {
-      const Value init = eval(*d.init, frame);
-      switch (v.kind) {
-        case Value::Kind::kReal: v.real = init.as_real(); break;
-        case Value::Kind::kInt: v.integer = init.as_int(); break;
-        case Value::Kind::kLogical: v.logical = init.as_logical(); break;
-        case Value::Kind::kChar: v.chars = init.chars; break;
-        default: break;
+    if (!a.init) return;
+    const Num init = eval(*a.init, frame);
+    switch (v.kind) {
+      case Kind::kReal: v.real = num_real(init); break;
+      case Kind::kInt: v.integer = num_int(init); break;
+      case Kind::kLogical: v.logical = num_logical(init); break;
+      case Kind::kChar:
+        v.chars = init.kind == Kind::kChar ? big_[init.big].chars : "";
+        break;
+      default: break;
+    }
+  }
+
+  // -------------------------------------------------------------------------
+  // Values.
+  // -------------------------------------------------------------------------
+
+  Num num_of(Value&& v) {
+    switch (v.kind) {
+      case Kind::kReal: return real_num(v.real);
+      case Kind::kInt: return int_num(v.integer);
+      case Kind::kLogical: return bool_num(v.logical);
+      default: {
+        Num n;
+        n.kind = v.kind;
+        big_.push_back(std::move(v));
+        n.big = big_.size() - 1;
+        return n;
+      }
+    }
+  }
+
+  /// Scalars are read in place; other values are copied to the stack.
+  Num num_of(const Value& v) {
+    switch (v.kind) {
+      case Kind::kReal: return real_num(v.real);
+      case Kind::kInt: return int_num(v.integer);
+      case Kind::kLogical: return bool_num(v.logical);
+      default: return num_of(Value(v));
+    }
+  }
+
+  Value to_value(const Num& n) {
+    switch (n.kind) {
+      case Kind::kReal: return Value::make_real(n.r);
+      case Kind::kInt: return Value::make_int(n.i);
+      case Kind::kLogical: return Value::make_logical(n.b);
+      default: return std::move(big_[n.big]);
+    }
+  }
+
+  const Node& arg(const Range& r, std::uint32_t k) const {
+    return *code_.arg_nodes[r.first + k];
+  }
+
+  const Value& param(const Node& n) {
+    if (params_ready_ && !(*params_ready_)[n.index]) {
+      fail("unknown name '" + code_.params[n.index].decl->name + "'", n.line);
+    }
+    return code_.param_values[n.index];
+  }
+
+  /// The variable a kVar/kIndexed/kComponent node names. Parameters come
+  /// back as a pooled copy (writes to it are discarded), so callers that
+  /// may see one hold a PoolMark.
+  Value* slot(const Node& n, Frame& f) {
+    switch (n.where()) {
+      case Where::kLocal: return f.slots[n.index];
+      case Where::kGlobalAtLoad:
+        if (static_cast<std::size_t>(n.index) >= globals_live_) {
+          fail("unknown name '" + code_.globals[n.index]->decl->name + "'",
+               n.line);
+        }
+        return &globals_[n.index];
+      case Where::kGlobal: return &globals_[n.index];
+      case Where::kParam: {
+        Value* t = acquire();
+        *t = param(n);
+        return t;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Walks a component chain to its final component.
+  Value* component(const Node& n, Frame& f) {
+    Value* v = slot(n, f);
+    for (std::uint32_t i = 0; i < n.steps.count; ++i) {
+      const detail::CompStep& step = code_.steps[n.steps.first + i];
+      if (v->kind != Kind::kDerived) {
+        fail("'%" + *step.name + "' applied to non-derived value", n.line);
+      }
+      DerivedValue& dv = *v->derived;
+      if (step.index >= 0 && dv.def == step.expect) {
+        v = dv.fields[step.index];
+      } else {
+        auto it = dv.components.find(*step.name);
+        if (it == dv.components.end()) {
+          fail("derived type '" + dv.type_name + "' has no component '" +
+                   *step.name + "'",
+               n.line);
+        }
+        v = it->second.get();
+      }
+      if (i + 1 < n.steps.count && step.has_args) {
+        fail("indexed intermediate derived-type components are not supported",
+             n.line);
       }
     }
     return v;
   }
 
-  // -------------------------------------------------------------------------
-  // Name resolution.
-  // -------------------------------------------------------------------------
-
-  /// Variable slot for `name` in scope, or nullptr. Sets `owner_module` /
-  /// `owner_sub` to the owning scope for watch identity.
-  ValueSlot resolve_var(Frame& frame, const std::string& name,
-                        std::string* owner_module = nullptr,
-                        std::string* owner_sub = nullptr) {
-    auto lit = frame.locals.find(name);
-    if (lit != frame.locals.end()) {
-      if (owner_module) *owner_module = frame.module->ast->name;
-      if (owner_sub) *owner_sub = frame.sub ? frame.sub->name : "";
-      return lit->second;
+  /// Location of an assignment target or aliased actual argument.
+  Value* locate(const Node& n, Frame& f) {
+    switch (n.kind) {
+      case NodeKind::kVar:
+      case NodeKind::kIndexed: return slot(n, f);
+      case NodeKind::kComponent: return component(n, f);
+      default: fail(code_.texts[n.text], n.line);
     }
-    auto mit = frame.module->vars.find(name);
-    if (mit != frame.module->vars.end()) {
-      if (owner_module) *owner_module = frame.module->ast->name;
-      if (owner_sub) owner_sub->clear();
-      return mit->second;
-    }
-    auto iit = frame.module->imported_vars.find(name);
-    if (iit != frame.module->imported_vars.end()) {
-      ModuleCtx* home = iit->second.home;
-      auto hit = home->vars.find(iit->second.remote_name);
-      if (hit != home->vars.end()) {
-        if (owner_module) *owner_module = home->ast->name;
-        if (owner_sub) owner_sub->clear();
-        return hit->second;
-      }
-      // Might be an imported parameter — expose as a temporary slot.
-      auto pit = home->params.find(iit->second.remote_name);
-      if (pit != home->params.end()) {
-        if (owner_module) *owner_module = home->ast->name;
-        if (owner_sub) owner_sub->clear();
-        return std::make_shared<Value>(pit->second);
-      }
-    }
-    auto pit = frame.module->params.find(name);
-    if (pit != frame.module->params.end()) {
-      if (owner_module) *owner_module = frame.module->ast->name;
-      if (owner_sub) owner_sub->clear();
-      return std::make_shared<Value>(pit->second);
-    }
-    return nullptr;
   }
 
-  const std::vector<Callable>* resolve_callable(ModuleCtx* ctx,
-                                                const std::string& name) {
-    auto it = ctx->callables.find(name);
-    if (it == ctx->callables.end()) return nullptr;
-    return &it->second;
+  /// True when the last step of a component chain carries subscripts.
+  bool last_step_indexed(const Node& n) const {
+    return code_.steps[n.steps.first + n.steps.count - 1].has_args;
+  }
+
+  bool indexed(const Node& n) const {
+    return n.kind == NodeKind::kIndexed ||
+           (n.kind == NodeKind::kComponent && last_step_indexed(n));
   }
 
   // -------------------------------------------------------------------------
-  // Expression evaluation.
+  // Expressions.
   // -------------------------------------------------------------------------
 
-  Value eval(const Expr& e, Frame& frame) {
-    switch (e.kind) {
-      case ExprKind::kNumber:
-        return e.is_int ? Value::make_int(static_cast<long long>(e.number))
-                        : Value::make_real(e.number);
-      case ExprKind::kString:
-        return Value::make_char(e.text);
-      case ExprKind::kLogical:
-        return Value::make_logical(e.bool_value);
-      case ExprKind::kRef:
-        return eval_ref(e, frame);
-      case ExprKind::kUnary: {
-        Value v = eval(*e.rhs, frame);
-        return apply_unary(e.op, std::move(v), e.line);
+  Num eval(const Node& n, Frame& f) {
+    switch (n.kind) {
+      case NodeKind::kNumber:
+        return n.has(detail::kIsInt) ? int_num(static_cast<long long>(n.num))
+                                     : real_num(n.num);
+      case NodeKind::kLogical:
+        return bool_num(n.has(detail::kFlag));
+      case NodeKind::kString:
+        return num_of(Value::make_char(code_.texts[n.text]));
+      case NodeKind::kVar:
+        if (n.where() == Where::kParam) return num_of(param(n));
+        return num_of(*slot(n, f));
+      case NodeKind::kIndexed: {
+        if (n.where() == Where::kParam) return index(param(n), n, f);
+        return index(*slot(n, f), n, f);
       }
-      case ExprKind::kBinary:
-        return eval_binary(e, frame);
+      case NodeKind::kComponent: {
+        PoolMark mark(this);
+        const Value* v = component(n, f);
+        if (!last_step_indexed(n)) return num_of(*v);
+        return index(*v, n, f);
+      }
+      case NodeKind::kUnary:
+        return unary(n.binary_op(), eval(*n.rhs, f), n.line);
+      case NodeKind::kBinary:
+        return binary(n, f);
+      case NodeKind::kIntrinsic:
+        return intrinsic(n, f);
+      case NodeKind::kCall:
+        return invoke(*n.callee, n.args, f);
+      case NodeKind::kError:
+        fail(code_.texts[n.text], n.line);
     }
-    fail("unreachable expression kind", e.line);
+    fail("unreachable expression kind", n.line);
   }
 
-  Value eval_binary(const Expr& e, Frame& frame) {
+  Num binary(const Node& n, Frame& f) {
     // FMA contraction: when the module is compiled with FMA enabled,
     // a*b + c (either order) and a*b - c are evaluated with one rounding,
     // as AVX2/FMA codegen would do.
-    if (frame.module->fma && (e.op == Op::kAdd || e.op == Op::kSub)) {
-      const Expr* mul = nullptr;
-      const Expr* addend = nullptr;
-      bool mul_on_left = false;
-      if (e.lhs->kind == ExprKind::kBinary && e.lhs->op == Op::kMul) {
-        mul = e.lhs.get();
-        addend = e.rhs.get();
-        mul_on_left = true;
-      } else if (e.op == Op::kAdd && e.rhs->kind == ExprKind::kBinary &&
-                 e.rhs->op == Op::kMul) {
-        mul = e.rhs.get();
-        addend = e.lhs.get();
+    if ((n.flags & (detail::kFmaLeft | detail::kFmaRight)) && fma_[f.module]) {
+      const bool left = n.has(detail::kFmaLeft);
+      const Node& mul = left ? *n.lhs : *n.rhs;
+      const Num a = eval(*mul.lhs, f);
+      const Num b = eval(*mul.rhs, f);
+      const Num c = eval(left ? *n.rhs : *n.lhs, f);
+      const double sign =
+          (left && n.binary_op() == Op::kSub) ? -1.0 : 1.0;
+      const bool any_array = a.kind == Kind::kArray ||
+                             b.kind == Kind::kArray || c.kind == Kind::kArray;
+      if (!any_array && (a.kind == Kind::kReal || b.kind == Kind::kReal ||
+                         c.kind == Kind::kReal)) {
+        return real_num(std::fma(num_real(a), num_real(b), sign * num_real(c)));
       }
-      if (mul) {
-        Value a = eval(*mul->lhs, frame);
-        Value b = eval(*mul->rhs, frame);
-        Value c = eval(*addend, frame);
-        // a*b + c ; a*b - c (mul left) ; c + a*b.
-        const double sign = (e.op == Op::kSub && mul_on_left) ? -1.0 : 1.0;
-        const double msign = 1.0;
-        (void)msign;
-        if (!a.is_array() && !b.is_array() && !c.is_array() &&
-            (a.kind == Value::Kind::kReal || b.kind == Value::Kind::kReal ||
-             c.kind == Value::Kind::kReal)) {
-          return Value::make_real(std::fma(a.as_real(), b.as_real(),
-                                           sign * c.as_real()));
-        }
-        if (a.is_array() || b.is_array() || c.is_array()) {
-          return broadcast_fma(a, b, c, sign, e.line);
-        }
-        // Integer-only falls through to exact arithmetic below.
-      }
+      if (any_array) return broadcast_fma(a, b, c, sign, n.line);
+      // Integer-only falls through to exact arithmetic below.
     }
-
     // Reassociation: when the module is compiled with aggressive FP
     // reassociation, a left-associated chain of three or more +/- terms is
     // summed right-to-left instead of the source's left-to-right order —
     // the association change -Ofast-style codegen is allowed to make. Only
     // the left spine is flattened, matching analysis/fpsense's site shape;
     // operands are still evaluated in source order.
-    if (frame.module->reassoc && (e.op == Op::kAdd || e.op == Op::kSub) &&
-        e.lhs->kind == ExprKind::kBinary &&
-        (e.lhs->op == Op::kAdd || e.lhs->op == Op::kSub)) {
-      return eval_reassociated(e, frame);
+    if (n.has(detail::kReassocSite) && reassoc_[f.module]) {
+      return reassociated(n, f);
     }
-
-    Value lhs = eval(*e.lhs, frame);
-    Value rhs = eval(*e.rhs, frame);
-    return apply_binary(e.op, std::move(lhs), std::move(rhs), e.line);
+    const Num lhs = eval(*n.lhs, f);
+    const Num rhs = eval(*n.rhs, f);
+    return apply_binary(n.binary_op(), lhs, rhs, n.line);
   }
 
-  // Collects the left-spine terms of a +/- chain in source order, with the
-  // sign each term carries in the left-associated sum.
-  static void flatten_sum(const Expr& e,
-                          std::vector<std::pair<const Expr*, int>>* terms) {
-    if (e.kind == ExprKind::kBinary && (e.op == Op::kAdd || e.op == Op::kSub)) {
-      flatten_sum(*e.lhs, terms);
-      terms->emplace_back(e.rhs.get(), e.op == Op::kSub ? -1 : 1);
+  /// Left-spine terms of a +/- chain in source order, with the sign each
+  /// term carries in the left-associated sum.
+  static void flatten_sum(const Node& n,
+                          std::vector<std::pair<const Node*, int>>* terms) {
+    if (n.kind == NodeKind::kBinary &&
+        (n.binary_op() == Op::kAdd || n.binary_op() == Op::kSub)) {
+      flatten_sum(*n.lhs, terms);
+      terms->emplace_back(n.rhs, n.binary_op() == Op::kSub ? -1 : 1);
       return;
     }
-    terms->emplace_back(&e, 1);
+    terms->emplace_back(&n, 1);
   }
 
-  Value eval_reassociated(const Expr& e, Frame& frame) {
-    std::vector<std::pair<const Expr*, int>> terms;
-    flatten_sum(e, &terms);
+  Num reassociated(const Node& n, Frame& f) {
     // Evaluate every term in source order (left-to-right), then fold the
     // signed sum right-to-left: s0*v0 + (s1*v1 + (... + sn*vn)). Integer-only
     // chains are exact either way; FP chains round differently.
-    std::vector<Value> values;
-    values.reserve(terms.size());
-    for (const auto& [expr, sign] : terms) {
-      Value v = eval(*expr, frame);
-      if (sign < 0) v = apply_unary(Op::kNeg, std::move(v), e.line);
-      values.push_back(std::move(v));
+    std::vector<std::pair<const Node*, int>> terms;
+    flatten_sum(n, &terms);
+    SmallVec<Num, 8> values(terms.size());
+    for (std::size_t k = 0; k < terms.size(); ++k) {
+      Num v = eval(*terms[k].first, f);
+      if (terms[k].second < 0) v = unary(Op::kNeg, v, n.line);
+      values[k] = v;
     }
-    Value acc = std::move(values.back());
-    for (std::size_t i = values.size() - 1; i-- > 0;) {
-      acc = apply_binary(Op::kAdd, std::move(values[i]), std::move(acc),
-                         e.line);
+    Num acc = values[values.size() - 1];
+    for (std::size_t k = values.size() - 1; k-- > 0;) {
+      acc = apply_binary(Op::kAdd, values[k], acc, n.line);
     }
     return acc;
   }
 
-  Value broadcast_fma(const Value& a, const Value& b, const Value& c,
-                      double sign, int line) {
-    const std::size_t n = std::max({a.is_array() ? a.array.size() : 0,
-                                    b.is_array() ? b.array.size() : 0,
-                                    c.is_array() ? c.array.size() : 0});
-    auto at = [n, line](const Value& v, std::size_t i) {
-      if (!v.is_array()) return v.as_real();
-      if (v.array.size() != n) fail("array size mismatch in expression", line);
-      return v.array[i];
-    };
-    Value out = Value::make_array({static_cast<long long>(n)});
-    if (a.is_array()) out.dims = a.dims;
-    else if (b.is_array()) out.dims = b.dims;
-    else out.dims = c.dims;
-    out.array.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.array[i] = std::fma(at(a, i), at(b, i), sign * at(c, i));
-    }
-    return out;
+  /// Element `i` of an operand broadcast against arrays of `n` elements.
+  double element(const Num& v, std::size_t i, std::size_t n, int line) {
+    if (v.kind != Kind::kArray) return num_real(v);
+    const std::vector<double>& a = big_[v.big].array;
+    if (a.size() != n) fail("array size mismatch in expression", line);
+    return a[i];
   }
 
-  Value apply_unary(Op op, Value v, int line) {
+  Num broadcast_fma(const Num& a, const Num& b, const Num& c, double sign,
+                    int line) {
+    auto size = [this](const Num& v) {
+      return v.kind == Kind::kArray ? big_[v.big].array.size() : 0;
+    };
+    const std::size_t n = std::max({size(a), size(b), size(c)});
+    Value out = Value::make_array({static_cast<long long>(n)});
+    const Num& shape = a.kind == Kind::kArray   ? a
+                       : b.kind == Kind::kArray ? b
+                                                : c;
+    out.dims = big_[shape.big].dims;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.array[i] = std::fma(element(a, i, n, line), element(b, i, n, line),
+                              sign * element(c, i, n, line));
+    }
+    return num_of(std::move(out));
+  }
+
+  Num unary(Op op, const Num& v, int line) {
     switch (op) {
       case Op::kNeg:
-        if (v.is_array()) {
-          for (double& x : v.array) x = -x;
+        if (v.kind == Kind::kArray) {
+          for (double& x : big_[v.big].array) x = -x;
           return v;
         }
-        if (v.kind == Value::Kind::kInt) return Value::make_int(-v.integer);
-        return Value::make_real(-v.as_real());
+        if (v.kind == Kind::kInt) return int_num(-v.i);
+        return real_num(-num_real(v));
       case Op::kPlusSign:
         return v;
       case Op::kNot:
-        return Value::make_logical(!v.as_logical());
+        return bool_num(!num_logical(v));
       default:
         fail("bad unary operator", line);
     }
   }
 
-  Value apply_binary(Op op, Value lhs, Value rhs, int line) {
+  Num apply_binary(Op op, const Num& lhs, const Num& rhs, int line) {
     switch (op) {
       case Op::kAnd:
-        return Value::make_logical(lhs.as_logical() && rhs.as_logical());
+        return bool_num(num_logical(lhs) && num_logical(rhs));
       case Op::kOr:
-        return Value::make_logical(lhs.as_logical() || rhs.as_logical());
+        return bool_num(num_logical(lhs) || num_logical(rhs));
       default:
         break;
     }
-    if (lhs.is_array() || rhs.is_array()) {
+    if (lhs.kind == Kind::kArray || rhs.kind == Kind::kArray) {
       return broadcast_arith(op, lhs, rhs, line);
     }
-    const bool both_int =
-        lhs.kind == Value::Kind::kInt && rhs.kind == Value::Kind::kInt;
+    const bool both_int = lhs.kind == Kind::kInt && rhs.kind == Kind::kInt;
     switch (op) {
       case Op::kAdd:
-        return both_int ? Value::make_int(lhs.integer + rhs.integer)
-                        : Value::make_real(lhs.as_real() + rhs.as_real());
+        return both_int ? int_num(lhs.i + rhs.i)
+                        : real_num(num_real(lhs) + num_real(rhs));
       case Op::kSub:
-        return both_int ? Value::make_int(lhs.integer - rhs.integer)
-                        : Value::make_real(lhs.as_real() - rhs.as_real());
+        return both_int ? int_num(lhs.i - rhs.i)
+                        : real_num(num_real(lhs) - num_real(rhs));
       case Op::kMul:
-        return both_int ? Value::make_int(lhs.integer * rhs.integer)
-                        : Value::make_real(lhs.as_real() * rhs.as_real());
+        return both_int ? int_num(lhs.i * rhs.i)
+                        : real_num(num_real(lhs) * num_real(rhs));
       case Op::kDiv:
         if (both_int) {
-          if (rhs.integer == 0) fail("integer division by zero", line);
-          return Value::make_int(lhs.integer / rhs.integer);
+          if (rhs.i == 0) fail("integer division by zero", line);
+          return int_num(lhs.i / rhs.i);
         }
-        return Value::make_real(lhs.as_real() / rhs.as_real());
+        return real_num(num_real(lhs) / num_real(rhs));
       case Op::kPow:
-        if (both_int && rhs.integer >= 0) {
-          long long result = 1, base = lhs.integer, exp = rhs.integer;
+        if (both_int && rhs.i >= 0) {
+          long long result = 1, base = lhs.i, exp = rhs.i;
           while (exp > 0) {
             if (exp & 1) result *= base;
             base *= base;
             exp >>= 1;
           }
-          return Value::make_int(result);
+          return int_num(result);
         }
-        return Value::make_real(std::pow(lhs.as_real(), rhs.as_real()));
+        return real_num(std::pow(num_real(lhs), num_real(rhs)));
       case Op::kEq:
-        return Value::make_logical(lhs.as_real() == rhs.as_real());
+        return bool_num(num_real(lhs) == num_real(rhs));
       case Op::kNe:
-        return Value::make_logical(lhs.as_real() != rhs.as_real());
+        return bool_num(num_real(lhs) != num_real(rhs));
       case Op::kLt:
-        return Value::make_logical(lhs.as_real() < rhs.as_real());
+        return bool_num(num_real(lhs) < num_real(rhs));
       case Op::kLe:
-        return Value::make_logical(lhs.as_real() <= rhs.as_real());
+        return bool_num(num_real(lhs) <= num_real(rhs));
       case Op::kGt:
-        return Value::make_logical(lhs.as_real() > rhs.as_real());
+        return bool_num(num_real(lhs) > num_real(rhs));
       case Op::kGe:
-        return Value::make_logical(lhs.as_real() >= rhs.as_real());
+        return bool_num(num_real(lhs) >= num_real(rhs));
       default:
         fail("bad binary operator", line);
     }
   }
 
-  Value broadcast_arith(Op op, const Value& lhs, const Value& rhs, int line) {
-    const Value* arr = lhs.is_array() ? &lhs : &rhs;
-    const std::size_t n = arr->array.size();
-    if (lhs.is_array() && rhs.is_array() &&
-        lhs.array.size() != rhs.array.size()) {
+  /// Elementwise op; the array operand is a temporary, so it takes the
+  /// result in place.
+  Num broadcast_arith(Op op, const Num& lhs, const Num& rhs, int line) {
+    const Num& arr = lhs.kind == Kind::kArray ? lhs : rhs;
+    const std::size_t n = big_[arr.big].array.size();
+    if (lhs.kind == Kind::kArray && rhs.kind == Kind::kArray &&
+        big_[rhs.big].array.size() != n) {
       fail("array size mismatch in expression", line);
     }
-    auto at = [](const Value& v, std::size_t i) {
-      return v.is_array() ? v.array[i] : v.as_real();
-    };
-    Value out = *arr;  // copy shape
     for (std::size_t i = 0; i < n; ++i) {
-      const double a = at(lhs, i);
-      const double b = at(rhs, i);
+      const double a = element(lhs, i, n, line);
+      const double b = element(rhs, i, n, line);
       double r = 0.0;
       switch (op) {
         case Op::kAdd: r = a + b; break;
@@ -601,100 +653,37 @@ struct Interpreter::Impl {
         default:
           fail("operator not supported on arrays", line);
       }
-      out.array[i] = r;
+      big_[arr.big].array[i] = r;
     }
-    return out;
+    return arr;
   }
 
-  // Reference evaluation: variable access, array element/slice, derived-type
-  // chains, intrinsic calls and user function calls.
-  Value eval_ref(const Expr& e, Frame& frame) {
-    const RefSegment& head = e.segments.front();
-
-    if (e.segments.size() == 1) {
-      ValueSlot slot = resolve_var(frame, head.name);
-      if (slot) {
-        if (!head.has_args) return *slot;
-        return index_or_slice(*slot, head.args, frame, e.line);
+  /// Element read or slice gather of `v` with the node's subscripts.
+  Num index(const Value& v, const Node& n, Frame& f) {
+    if (!v.is_array()) fail("subscripts applied to a scalar", n.line);
+    const std::size_t rank = n.args.count;
+    const Node* const* args = &code_.arg_nodes[n.args.first];
+    if (!n.has(detail::kAnySlice)) {
+      SmallVec<long long, 4> subs(rank);
+      for (std::size_t k = 0; k < rank; ++k) {
+        subs[k] = num_int(eval(*args[k], f));
       }
-      if (head.has_args) {
-        const std::vector<Callable>* cands =
-            resolve_callable(frame.module, head.name);
-        if (cands) return call_function(*cands, head.args, frame, e.line);
-        if (is_intrinsic_function(head.name)) {
-          return call_intrinsic(head.name, head.args, frame, e.line);
-        }
-      }
-      fail("unknown name '" + head.name + "' in module '" +
-           frame.module->ast->name + "'", e.line);
+      return real_num(v.array[v.flat_index(subs.data(), rank)]);
     }
-
-    // Derived-type chain: resolve through components.
-    ValueSlot slot = resolve_component_slot(e, frame);
-    const RefSegment& last = e.segments.back();
-    if (!last.has_args) return *slot;
-    return index_or_slice(*slot, last.args, frame, e.line);
-  }
-
-  /// Resolves a multi-segment reference chain down to the final component
-  /// slot (not applying the last segment's indices).
-  ValueSlot resolve_component_slot(const Expr& e, Frame& frame) {
-    const RefSegment& head = e.segments.front();
-    if (head.has_args) {
-      fail("indexed derived-type bases are not supported ('" + head.name +
-           "(...)%...')", e.line);
-    }
-    ValueSlot slot = resolve_var(frame, head.name);
-    if (!slot) fail("unknown name '" + head.name + "'", e.line);
-    for (std::size_t i = 1; i < e.segments.size(); ++i) {
-      if (slot->kind != Value::Kind::kDerived) {
-        fail("'%" + e.segments[i].name + "' applied to non-derived value",
-             e.line);
-      }
-      auto cit = slot->derived->components.find(e.segments[i].name);
-      if (cit == slot->derived->components.end()) {
-        fail("derived type '" + slot->derived->type_name +
-             "' has no component '" + e.segments[i].name + "'", e.line);
-      }
-      if (i + 1 < e.segments.size() && e.segments[i].has_args) {
-        fail("indexed intermediate derived-type components are not supported",
-             e.line);
-      }
-      slot = cit->second;
-    }
-    return slot;
-  }
-
-  Value index_or_slice(const Value& v,
-                       const std::vector<lang::ExprPtr>& args, Frame& frame,
-                       int line) {
-    if (!v.is_array()) fail("subscripts applied to a scalar", line);
-    // Full-slice / mixed-slice gather.
-    bool any_slice = false;
-    for (const auto& a : args) {
-      if (is_slice_marker(*a)) any_slice = true;
-    }
-    if (!any_slice) {
-      std::vector<long long> subs;
-      subs.reserve(args.size());
-      for (const auto& a : args) subs.push_back(eval(*a, frame).as_int());
-      return Value::make_real(v.array[v.flat_index(subs)]);
-    }
-    if (args.size() != v.dims.size()) fail("rank mismatch in slice", line);
-    // Gather over sliced dimensions.
-    std::vector<long long> fixed(args.size(), -1);
+    if (rank != v.dims.size()) fail("rank mismatch in slice", n.line);
+    std::vector<long long> fixed(rank, -1);
     std::vector<std::size_t> slice_dims;
-    for (std::size_t k = 0; k < args.size(); ++k) {
-      if (is_slice_marker(*args[k])) {
+    for (std::size_t k = 0; k < rank; ++k) {
+      if (!args[k]) {
         slice_dims.push_back(k);
       } else {
-        fixed[k] = eval(*args[k], frame).as_int();
+        fixed[k] = num_int(eval(*args[k], f));
       }
     }
     long long total = 1;
     for (std::size_t k : slice_dims) total *= v.dims[k];
     Value out = Value::make_array({total});
-    std::vector<long long> subs(args.size());
+    std::vector<long long> subs(rank);
     for (long long flat = 0; flat < total; ++flat) {
       long long rem = flat;
       for (std::size_t si = slice_dims.size(); si-- > 0;) {
@@ -702,326 +691,291 @@ struct Interpreter::Impl {
         subs[k] = rem % v.dims[k] + 1;
         rem /= v.dims[k];
       }
-      for (std::size_t k = 0; k < args.size(); ++k) {
+      for (std::size_t k = 0; k < rank; ++k) {
         if (fixed[k] >= 0) subs[k] = fixed[k];
       }
       out.array[static_cast<std::size_t>(flat)] = v.array[v.flat_index(subs)];
     }
-    return out;
+    return num_of(std::move(out));
   }
 
   // -------------------------------------------------------------------------
   // Intrinsics.
   // -------------------------------------------------------------------------
 
-  Value call_intrinsic(const std::string& name,
-                       const std::vector<lang::ExprPtr>& arg_exprs,
-                       Frame& frame, int line) {
-    std::vector<Value> args;
-    args.reserve(arg_exprs.size());
-    for (const auto& a : arg_exprs) args.push_back(eval(*a, frame));
-    auto need = [&](std::size_t n) {
-      if (args.size() != n) {
-        fail(strfmt("intrinsic %s expects %zu arguments", name.c_str(), n),
+  Num intrinsic(const Node& n, Frame& f) {
+    const auto which = static_cast<Intrinsic>(n.aux);
+    SmallVec<Num, 4> args(n.args.count);
+    for (std::size_t k = 0; k < args.size(); ++k) {
+      args[k] = eval(arg(n.args, static_cast<std::uint32_t>(k)), f);
+    }
+    const int line = n.line;
+    auto need = [&](std::size_t count) {
+      if (args.size() != count) {
+        fail(strfmt("intrinsic %s expects %zu arguments",
+                    detail::intrinsic_name(which), count),
              line);
       }
     };
     auto elemental1 = [&](double (*fn)(double)) {
       need(1);
-      if (args[0].is_array()) {
-        Value out = args[0];
-        for (double& x : out.array) x = fn(x);
-        return out;
+      if (args[0].kind == Kind::kArray) {
+        for (double& x : big_[args[0].big].array) x = fn(x);
+        return args[0];
       }
-      return Value::make_real(fn(args[0].as_real()));
+      return real_num(fn(num_real(args[0])));
     };
+    auto is_array = [&](std::size_t k) { return args[k].kind == Kind::kArray; };
 
-    if (name == "abs") {
-      need(1);
-      if (args[0].is_array()) {
-        Value out = args[0];
-        for (double& x : out.array) x = std::abs(x);
-        return out;
+    switch (which) {
+      case Intrinsic::kAbs:
+        need(1);
+        if (is_array(0)) {
+          for (double& x : big_[args[0].big].array) x = std::abs(x);
+          return args[0];
+        }
+        if (args[0].kind == Kind::kInt) return int_num(std::llabs(args[0].i));
+        return real_num(std::abs(num_real(args[0])));
+      case Intrinsic::kSqrt:
+        return elemental1(+[](double x) { return std::sqrt(x); });
+      case Intrinsic::kExp:
+        return elemental1(+[](double x) { return std::exp(x); });
+      case Intrinsic::kLog:
+        return elemental1(+[](double x) { return std::log(x); });
+      case Intrinsic::kLog10:
+        return elemental1(+[](double x) { return std::log10(x); });
+      case Intrinsic::kSin:
+        return elemental1(+[](double x) { return std::sin(x); });
+      case Intrinsic::kCos:
+        return elemental1(+[](double x) { return std::cos(x); });
+      case Intrinsic::kTan:
+        return elemental1(+[](double x) { return std::tan(x); });
+      case Intrinsic::kTanh:
+        return elemental1(+[](double x) { return std::tanh(x); });
+      case Intrinsic::kAint:
+        return elemental1(+[](double x) { return std::trunc(x); });
+      case Intrinsic::kMin:
+      case Intrinsic::kMax:
+        return min_max(which == Intrinsic::kMin, args.data(),
+                       args.size(), line);
+      case Intrinsic::kMod:
+        need(2);
+        if (args[0].kind == Kind::kInt && args[1].kind == Kind::kInt) {
+          if (args[1].i == 0) fail("mod by zero", line);
+          return int_num(args[0].i % args[1].i);
+        }
+        return real_num(std::fmod(num_real(args[0]), num_real(args[1])));
+      case Intrinsic::kSign: {
+        need(2);
+        const double mag = std::abs(num_real(args[0]));
+        return real_num(num_real(args[1]) >= 0.0 ? mag : -mag);
       }
-      if (args[0].kind == Value::Kind::kInt) {
-        return Value::make_int(std::llabs(args[0].integer));
+      case Intrinsic::kFloor:
+        need(1);
+        return int_num(static_cast<long long>(std::floor(num_real(args[0]))));
+      case Intrinsic::kNint:
+        need(1);
+        return int_num(std::llround(num_real(args[0])));
+      case Intrinsic::kInt:
+        need(1);
+        return int_num(num_int(args[0]));
+      case Intrinsic::kReal:
+        need(1);
+        return real_num(num_real(args[0]));
+      case Intrinsic::kSum: {
+        need(1);
+        if (!is_array(0)) return args[0];
+        double s = 0.0;
+        for (double x : big_[args[0].big].array) s += x;
+        return real_num(s);
       }
-      return Value::make_real(std::abs(args[0].as_real()));
+      case Intrinsic::kMinval:
+      case Intrinsic::kMaxval: {
+        need(1);
+        if (!is_array(0) || big_[args[0].big].array.empty()) {
+          fail(std::string(detail::intrinsic_name(which)) +
+                   " requires a non-empty array",
+               line);
+        }
+        const std::vector<double>& a = big_[args[0].big].array;
+        auto [mn, mx] = std::minmax_element(a.begin(), a.end());
+        return real_num(which == Intrinsic::kMinval ? *mn : *mx);
+      }
+      case Intrinsic::kSize:
+        need(1);
+        if (!is_array(0)) return int_num(1);
+        return int_num(static_cast<long long>(big_[args[0].big].array.size()));
+      case Intrinsic::kMerge:
+        need(3);
+        return num_logical(args[2]) ? args[0] : args[1];
     }
-    if (name == "sqrt") return elemental1(+[](double x) { return std::sqrt(x); });
-    if (name == "exp") return elemental1(+[](double x) { return std::exp(x); });
-    if (name == "log") return elemental1(+[](double x) { return std::log(x); });
-    if (name == "log10") return elemental1(+[](double x) { return std::log10(x); });
-    if (name == "sin") return elemental1(+[](double x) { return std::sin(x); });
-    if (name == "cos") return elemental1(+[](double x) { return std::cos(x); });
-    if (name == "tan") return elemental1(+[](double x) { return std::tan(x); });
-    if (name == "tanh") return elemental1(+[](double x) { return std::tanh(x); });
-    if (name == "aint") return elemental1(+[](double x) { return std::trunc(x); });
+    fail(std::string("unknown intrinsic '") + detail::intrinsic_name(which) +
+             "'",
+         line);
+  }
 
-    if (name == "min" || name == "max") {
-      if (args.size() < 2) fail("min/max need at least 2 arguments", line);
-      bool any_array = false;
-      std::size_t n = 0;
-      for (const auto& a : args) {
-        if (a.is_array()) {
-          any_array = true;
-          n = a.array.size();
-        }
+  Num min_max(bool is_min, const Num* args, std::size_t count, int line) {
+    if (count < 2) fail("min/max need at least 2 arguments", line);
+    const Num* first_array = nullptr;
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      if (args[k].kind == Kind::kArray) {
+        if (!first_array) first_array = &args[k];
+        n = big_[args[k].big].array.size();
       }
-      const bool is_min = (name == "min");
-      if (!any_array) {
-        bool all_int = true;
-        for (const auto& a : args) all_int &= (a.kind == Value::Kind::kInt);
-        double best = args[0].as_real();
-        for (const auto& a : args) {
-          best = is_min ? std::min(best, a.as_real())
-                        : std::max(best, a.as_real());
-        }
-        return all_int ? Value::make_int(static_cast<long long>(best))
-                       : Value::make_real(best);
+    }
+    auto pick = [is_min](double best, double x) {
+      return is_min ? std::min(best, x) : std::max(best, x);
+    };
+    if (!first_array) {
+      bool all_int = true;
+      for (std::size_t k = 0; k < count; ++k) {
+        all_int &= (args[k].kind == Kind::kInt);
       }
-      Value out = Value::make_array({static_cast<long long>(n)});
-      for (const auto& a : args) {
-        if (a.is_array()) {
-          out.dims = a.dims;
-          break;
-        }
+      double best = num_real(args[0]);
+      for (std::size_t k = 0; k < count; ++k) {
+        best = pick(best, num_real(args[k]));
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        double best = args[0].is_array() ? args[0].array[i] : args[0].as_real();
-        for (const auto& a : args) {
-          const double x = a.is_array() ? a.array[i] : a.as_real();
-          best = is_min ? std::min(best, x) : std::max(best, x);
-        }
-        out.array[i] = best;
-      }
-      return out;
+      return all_int ? int_num(static_cast<long long>(best)) : real_num(best);
     }
-    if (name == "mod") {
-      need(2);
-      if (args[0].kind == Value::Kind::kInt &&
-          args[1].kind == Value::Kind::kInt) {
-        if (args[1].integer == 0) fail("mod by zero", line);
-        return Value::make_int(args[0].integer % args[1].integer);
-      }
-      return Value::make_real(std::fmod(args[0].as_real(), args[1].as_real()));
+    Value out = Value::make_array({static_cast<long long>(n)});
+    out.dims = big_[first_array->big].dims;
+    auto at = [this](const Num& v, std::size_t i) {
+      return v.kind == Kind::kArray ? big_[v.big].array[i] : num_real(v);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      double best = at(args[0], i);
+      for (std::size_t k = 0; k < count; ++k) best = pick(best, at(args[k], i));
+      out.array[i] = best;
     }
-    if (name == "sign") {
-      need(2);
-      const double mag = std::abs(args[0].as_real());
-      return Value::make_real(args[1].as_real() >= 0.0 ? mag : -mag);
-    }
-    if (name == "floor") {
-      need(1);
-      return Value::make_int(
-          static_cast<long long>(std::floor(args[0].as_real())));
-    }
-    if (name == "nint") {
-      need(1);
-      return Value::make_int(std::llround(args[0].as_real()));
-    }
-    if (name == "int") {
-      need(1);
-      return Value::make_int(args[0].as_int());
-    }
-    if (name == "real") {
-      need(1);
-      return Value::make_real(args[0].as_real());
-    }
-    if (name == "sum") {
-      need(1);
-      if (!args[0].is_array()) return args[0];
-      double s = 0.0;
-      for (double x : args[0].array) s += x;
-      return Value::make_real(s);
-    }
-    if (name == "minval" || name == "maxval") {
-      need(1);
-      if (!args[0].is_array() || args[0].array.empty()) {
-        fail(name + " requires a non-empty array", line);
-      }
-      auto [mn, mx] =
-          std::minmax_element(args[0].array.begin(), args[0].array.end());
-      return Value::make_real(name == "minval" ? *mn : *mx);
-    }
-    if (name == "size") {
-      need(1);
-      if (!args[0].is_array()) return Value::make_int(1);
-      return Value::make_int(static_cast<long long>(args[0].array.size()));
-    }
-    if (name == "merge") {
-      need(3);
-      return args[2].as_logical() ? args[0] : args[1];
-    }
-    fail("unknown intrinsic '" + name + "'", line);
+    return num_of(std::move(out));
   }
 
   // -------------------------------------------------------------------------
   // Calls.
   // -------------------------------------------------------------------------
 
-  struct Binding {
-    ValueSlot slot;
-    // Copy-out target for array-element / slice / component-element actuals.
-    const Expr* writeback = nullptr;
-  };
-
-  const Callable* pick_overload(const std::vector<Callable>& cands,
-                                std::size_t nargs, int line) {
-    for (const auto& c : cands) {
-      if (c.sp->params.size() == nargs) return &c;
-    }
-    fail(strfmt("no procedure overload accepts %zu arguments", nargs), line);
+  /// Binds one actual argument in `caller`: the aliased variable, or a
+  /// pooled temporary holding the actual's value.
+  Value* bind(const Actual& a, Frame& caller) {
+    if (a.mode == Actual::Mode::kAlias) return locate(*a.expr, caller);
+    Value* t = acquire();
+    *t = to_value(eval(*a.expr, caller));
+    return t;
   }
 
-  Value call_function(const std::vector<Callable>& cands,
-                      const std::vector<lang::ExprPtr>& args, Frame& frame,
-                      int line) {
-    const Callable* c = pick_overload(cands, args.size(), line);
-    if (!c->sp->is_function()) {
-      fail("subroutine '" + c->sp->name + "' used as a function", line);
+  /// Copies element/slice temporaries back to their actuals.
+  void copy_out(const Range& actuals, Value* const* bound, Frame& caller) {
+    for (std::uint32_t i = 0; i < actuals.count; ++i) {
+      const Actual& a = code_.actuals[actuals.first + i];
+      if (a.mode != Actual::Mode::kCopyInOut) continue;
+      store(*a.expr, num_of(*bound[i]), caller);
     }
-    ValueSlot result = invoke(*c, args, frame, line);
-    return *result;
   }
 
-  /// Invokes a callable with actual-argument expressions evaluated in
-  /// `caller`. Returns the result slot (function) or empty slot.
-  ValueSlot invoke(const Callable& c, const std::vector<lang::ExprPtr>& args,
-                   Frame& caller, int line) {
-    const Subprogram& sp = *c.sp;
-    Frame frame;
-    frame.module = c.home;
-    frame.sub = &sp;
-
-    owner_->coverage_.record(c.home->ast->name, sp.name);
-
-    // Bind dummies.
-    std::vector<Binding> bindings;
-    bindings.reserve(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      bindings.push_back(bind_argument(*args[i], caller, line));
-      frame.locals[sp.params[i]] = bindings.back().slot;
-    }
-    // Allocate locals (skip dummies; allocate the function result).
-    for (const auto& d : sp.decls) {
-      if (frame.locals.count(d.name)) continue;  // dummy argument
-      if (d.is_parameter) {
-        Frame pf;
-        pf.module = c.home;
-        frame.locals[d.name] = std::make_shared<Value>(Value());
-        *frame.locals[d.name] = eval(*d.init, pf);
-        continue;
-      }
-      frame.locals[d.name] = std::make_shared<Value>(allocate(d, frame));
-    }
-    if (sp.is_function() && !frame.locals.count(sp.result_name)) {
-      frame.locals[sp.result_name] =
-          std::make_shared<Value>(Value::make_real(0.0));
-    }
-
-    // Execute.
-    for (const auto& st : sp.body) {
-      if (exec(*st, frame) == Flow::kReturn) break;
-    }
-
-    // Copy-out for element/slice actuals.
-    for (std::size_t i = 0; i < bindings.size(); ++i) {
-      if (bindings[i].writeback) {
-        assign_to_ref(*bindings[i].writeback, *bindings[i].slot, caller,
-                      /*record_watch=*/false);
-      }
-    }
-    if (sp.is_function()) return frame.locals[sp.result_name];
-    return {};
-  }
-
-  /// Fortran-style argument association: whole variables (including derived
-  /// components) alias; element/slice/expression actuals get a temp with
-  /// copy-out for the writable cases.
-  Binding bind_argument(const Expr& actual, Frame& caller, int line) {
-    (void)line;
-    if (actual.is_ref()) {
-      const RefSegment& last = actual.segments.back();
-      if (!last.has_args) {
-        // Whole variable or whole derived component: alias directly.
-        std::string om, os;
-        ValueSlot slot;
-        if (actual.segments.size() == 1) {
-          slot = resolve_var(caller, actual.base_name(), &om, &os);
-        } else {
-          slot = resolve_component_slot(actual, caller);
+  void init_locals(const Proc& p, Frame& f) {
+    for (std::uint32_t k = 0; k < p.inits.count; ++k) {
+      const Init& init = code_.inits[p.inits.first + k];
+      Value* v = acquire();
+      switch (init.how) {
+        case Init::How::kParameter: {
+          Frame mf{nullptr, p.module};
+          *v = to_value(eval(*init.value, mf));
+          break;
         }
-        if (slot) return Binding{slot, nullptr};
-        // Fall through: may be a zero-arg function reference — treat as
-        // expression below.
-      } else if (actual.segments.size() > 1 ||
-                 resolve_var(caller, actual.base_name())) {
-        // Array element or slice of a real variable: copy-in/copy-out.
-        Value v = eval(actual, caller);
-        auto slot = std::make_shared<Value>(std::move(v));
-        return Binding{slot, &actual};
+        case Init::How::kAllocate:
+          allocate(*v, *init.alloc, f);
+          break;
+        case Init::How::kResult:
+          reset(*v, Kind::kReal);
+          break;
       }
-      // Otherwise `name(...)` is a function call: plain expression binding.
+      f.slots[init.slot] = v;
     }
-    Value v = eval(actual, caller);
-    return Binding{std::make_shared<Value>(std::move(v)), nullptr};
+  }
+
+  void run_body(const Proc& p, Frame& f) {
+    for (std::uint32_t k = 0; k < p.body.count; ++k) {
+      if (exec(*code_.stmt_lists[p.body.first + k], f) == Flow::kReturn) {
+        break;
+      }
+    }
+  }
+
+  /// Invokes a subprogram with actual arguments evaluated in `caller`.
+  /// Returns the function result (unspecified for subroutines).
+  Num invoke(const Proc& p, const Range& actuals, Frame& caller) {
+    covered_[p.id] = 1;
+    PoolMark mark(this);
+    SmallVec<Value*, 16> slots(static_cast<std::size_t>(p.slots));
+    SmallVec<Value*, 8> bound(actuals.count);
+    for (std::uint32_t i = 0; i < actuals.count; ++i) {
+      bound[i] = bind(code_.actuals[actuals.first + i], caller);
+      slots[code_.ints[p.param_slots.first + i]] = bound[i];
+    }
+    Frame f{slots.data(), p.module};
+    init_locals(p, f);
+    run_body(p, f);
+    copy_out(actuals, bound.data(), caller);
+    if (p.result_slot < 0) return Num();
+    return num_of(*slots[p.result_slot]);
   }
 
   // -------------------------------------------------------------------------
   // Statements.
   // -------------------------------------------------------------------------
 
-  Flow exec(const Stmt& s, Frame& frame) {
+  Flow exec(const Stmt& s, Frame& f) {
+    const std::size_t mark = big_.size();
+    const Flow flow = exec_stmt(s, f);
+    if (big_.size() != mark) big_.resize(mark);
+    return flow;
+  }
+
+  Flow exec_stmt(const Stmt& s, Frame& f) {
     switch (s.kind) {
-      case StmtKind::kAssign: {
-        Value rhs = eval(*s.rhs, frame);
-        assign_to_ref(*s.lhs, rhs, frame, /*record_watch=*/true);
-        ++owner_->assignments_executed_;
+      case StmtKind::kAssign:
+        assign(s, f);
         return Flow::kNormal;
-      }
       case StmtKind::kCall:
-        return exec_call(s, frame);
+        call(s, f);
+        return Flow::kNormal;
       case StmtKind::kIf: {
-        if (eval(*s.cond, frame).as_logical()) {
-          return exec_block(s.body, frame);
+        if (num_logical(eval(*s.a, f))) return exec_block(s.list, f);
+        for (std::uint32_t k = 0; k < s.elseifs.count; ++k) {
+          const detail::ElseIf& ei = code_.elseifs[s.elseifs.first + k];
+          if (num_logical(eval(*ei.cond, f))) return exec_block(ei.body, f);
         }
-        for (const auto& ei : s.elseifs) {
-          if (eval(*ei.cond, frame).as_logical()) {
-            return exec_block(ei.body, frame);
-          }
-        }
-        return exec_block(s.else_body, frame);
+        return exec_block(s.else_body, f);
       }
       case StmtKind::kDo: {
-        const long long from = eval(*s.from, frame).as_int();
-        const long long to = eval(*s.to, frame).as_int();
-        const long long step = s.step ? eval(*s.step, frame).as_int() : 1;
+        const long long from = num_int(eval(*s.b, f));
+        const long long to = num_int(eval(*s.c, f));
+        const long long step = s.d ? num_int(eval(*s.d, f)) : 1;
         if (step == 0) fail("zero do-loop step", s.line);
-        auto it = frame.locals.find(s.do_var);
-        ValueSlot var;
-        if (it != frame.locals.end()) {
-          var = it->second;
-        } else {
-          var = resolve_var(frame, s.do_var);
-          if (!var) fail("undeclared do variable '" + s.do_var + "'", s.line);
-        }
+        if (!s.a) fail(code_.texts[s.error], s.line);
+        PoolMark mark(this);
+        Value* var = slot(*s.a, f);
         for (long long i = from; step > 0 ? i <= to : i >= to; i += step) {
-          *var = Value::make_int(i);
-          const Flow f = exec_block(s.body, frame);
-          if (f == Flow::kReturn) return Flow::kReturn;
-          if (f == Flow::kExit) break;
+          if (var->kind == Kind::kInt) {
+            var->integer = i;
+          } else {
+            *var = Value::make_int(i);
+          }
+          const Flow flow = exec_block(s.list, f);
+          if (flow == Flow::kReturn) return Flow::kReturn;
+          if (flow == Flow::kExit) break;
           // kCycle falls through to the next iteration.
         }
         return Flow::kNormal;
       }
       case StmtKind::kDoWhile: {
         std::uint64_t guard = 0;
-        while (eval(*s.cond, frame).as_logical()) {
+        while (num_logical(eval(*s.a, f))) {
           if (++guard > 100000000ull) fail("runaway do-while loop", s.line);
-          const Flow f = exec_block(s.body, frame);
-          if (f == Flow::kReturn) return Flow::kReturn;
-          if (f == Flow::kExit) break;
+          const Flow flow = exec_block(s.list, f);
+          if (flow == Flow::kReturn) return Flow::kReturn;
+          if (flow == Flow::kExit) break;
           // kCycle continues the loop.
         }
         return Flow::kNormal;
@@ -1032,198 +986,44 @@ struct Interpreter::Impl {
         return Flow::kExit;
       case StmtKind::kCycle:
         return Flow::kCycle;
+      case StmtKind::kError:
+        fail(code_.texts[s.error], s.line);
     }
     return Flow::kNormal;
   }
 
   // Control flow (return/exit/cycle) propagates up through nested blocks;
   // only the enclosing loop consumes exit/cycle.
-  Flow exec_block(const std::vector<lang::StmtPtr>& body, Frame& frame) {
-    for (const auto& st : body) {
-      const Flow f = exec(*st, frame);
-      if (f != Flow::kNormal) return f;
+  Flow exec_block(const Range& body, Frame& f) {
+    for (std::uint32_t k = 0; k < body.count; ++k) {
+      const Flow flow = exec(*code_.stmt_lists[body.first + k], f);
+      if (flow != Flow::kNormal) return flow;
     }
     return Flow::kNormal;
   }
 
-  Flow exec_call(const Stmt& s, Frame& frame) {
-    const std::vector<Callable>* cands =
-        resolve_callable(frame.module, s.callee);
-    if (cands) {
-      invoke(*pick_overload(*cands, s.args.size(), s.line), s.args, frame,
-             s.line);
-      return Flow::kNormal;
-    }
-    auto bit = builtins_.find(s.callee);
-    if (bit != builtins_.end()) {
-      std::vector<ValueSlot> slots;
-      std::vector<Binding> bindings;
-      slots.reserve(s.args.size());
-      for (const auto& a : s.args) {
-        bindings.push_back(bind_argument(*a, frame, s.line));
-        slots.push_back(bindings.back().slot);
-      }
-      bit->second(slots);
-      for (auto& b : bindings) {
-        if (b.writeback) {
-          assign_to_ref(*b.writeback, *b.slot, frame, /*record_watch=*/false);
-        }
-      }
-      return Flow::kNormal;
-    }
-    fail("unknown subroutine '" + s.callee + "' called from module '" +
-         frame.module->ast->name + "'", s.line);
-  }
-
-  // -------------------------------------------------------------------------
-  // Assignment.
-  // -------------------------------------------------------------------------
-
-  void assign_to_ref(const Expr& lhs, const Value& rhs, Frame& frame,
-                     bool record_watch) {
-    std::string owner_module, owner_sub;
-    ValueSlot slot;
-    if (lhs.segments.size() == 1) {
-      slot = resolve_var(frame, lhs.base_name(), &owner_module, &owner_sub);
-      if (!slot) {
-        fail("assignment to unknown variable '" + lhs.base_name() + "'",
-             lhs.line);
-      }
-    } else {
-      slot = resolve_component_slot(lhs, frame);
-      // Derived components are watched at the site of assignment.
-      owner_module = frame.module->ast->name;
-      owner_sub = frame.sub ? frame.sub->name : "";
-    }
-
-    const RefSegment& last = lhs.segments.back();
-    if (!last.has_args) {
-      store_whole(*slot, rhs, lhs.line);
-    } else {
-      store_indexed(*slot, last.args, rhs, frame, lhs.line);
-    }
-
-    if (record_watch && owner_->record_assignments_) {
-      owner_->assigned_keys_.insert(
-          WatchKey{owner_module, owner_sub, lhs.canonical_name()});
-    }
-    if (record_watch && any_watches_) {
-      WatchKey key{owner_module, owner_sub, lhs.canonical_name()};
-      auto wit = owner_->watch_stats_.find(key);
-      if (wit == owner_->watch_stats_.end() && !owner_sub.empty()) {
-        // Module-level fallback (the metagraph keys module variables with an
-        // empty subprogram).
-        key.subprogram.clear();
-        wit = owner_->watch_stats_.find(key);
-      }
-      if (wit != owner_->watch_stats_.end()) {
-        if (rhs.is_array()) {
-          for (double v : rhs.array) wit->second.record(v);
-        } else if (rhs.is_numeric() || rhs.kind == Value::Kind::kLogical) {
-          wit->second.record(rhs.as_real());
-        }
-      }
-    }
-  }
-
-  void store_whole(Value& dst, const Value& rhs, int line) {
-    switch (dst.kind) {
-      case Value::Kind::kReal:
-        if (rhs.is_array()) fail("cannot assign array to scalar", line);
-        dst.real = rhs.as_real();
-        return;
-      case Value::Kind::kInt:
-        dst.integer = rhs.as_int();
-        return;
-      case Value::Kind::kLogical:
-        dst.logical = rhs.as_logical();
-        return;
-      case Value::Kind::kChar:
-        if (rhs.kind != Value::Kind::kChar) fail("type mismatch", line);
-        dst.chars = rhs.chars;
-        return;
-      case Value::Kind::kArray:
-        if (rhs.is_array()) {
-          if (rhs.array.size() != dst.array.size()) {
-            fail("whole-array assignment size mismatch", line);
-          }
-          dst.array = rhs.array;
-        } else {
-          std::fill(dst.array.begin(), dst.array.end(), rhs.as_real());
-        }
-        return;
-      case Value::Kind::kDerived:
-        if (rhs.kind != Value::Kind::kDerived) {
-          fail("cannot assign scalar to derived value", line);
-        }
-        // Component-wise deep copy.
-        for (auto& [name, comp] : dst.derived->components) {
-          auto sit = rhs.derived->components.find(name);
-          if (sit != rhs.derived->components.end()) *comp = *sit->second;
-        }
-        return;
-    }
-  }
-
-  void store_indexed(Value& dst, const std::vector<lang::ExprPtr>& args,
-                     const Value& rhs, Frame& frame, int line) {
-    if (!dst.is_array()) fail("subscripted assignment to scalar", line);
-    bool any_slice = false;
-    for (const auto& a : args) {
-      if (is_slice_marker(*a)) any_slice = true;
-    }
-    if (!any_slice) {
-      std::vector<long long> subs;
-      for (const auto& a : args) subs.push_back(eval(*a, frame).as_int());
-      dst.array[dst.flat_index(subs)] = rhs.as_real();
+  void call(const Stmt& s, Frame& f) {
+    if (s.callee) {
+      invoke(*s.callee, s.list, f);
       return;
     }
-    if (args.size() != dst.dims.size()) fail("rank mismatch in slice", line);
-    std::vector<long long> fixed(args.size(), -1);
-    std::vector<std::size_t> slice_dims;
-    for (std::size_t k = 0; k < args.size(); ++k) {
-      if (is_slice_marker(*args[k])) {
-        slice_dims.push_back(k);
-      } else {
-        fixed[k] = eval(*args[k], frame).as_int();
-      }
+    PoolMark mark(this);
+    SmallVec<Value*, 4> args(s.list.count);
+    for (std::uint32_t i = 0; i < s.list.count; ++i) {
+      args[i] = bind(code_.actuals[s.list.first + i], f);
     }
-    long long total = 1;
-    for (std::size_t k : slice_dims) total *= dst.dims[k];
-    if (rhs.is_array() &&
-        rhs.array.size() != static_cast<std::size_t>(total)) {
-      fail("slice assignment size mismatch", line);
+    if (s.builtin == Builtin::kOutfld) {
+      outfld(args.data(), args.size());
+    } else {
+      shr_rand_uniform(args.data(), args.size());
     }
-    std::vector<long long> subs(args.size());
-    for (long long flat = 0; flat < total; ++flat) {
-      long long rem = flat;
-      for (std::size_t si = slice_dims.size(); si-- > 0;) {
-        const std::size_t k = slice_dims[si];
-        subs[k] = rem % dst.dims[k] + 1;
-        rem /= dst.dims[k];
-      }
-      for (std::size_t k = 0; k < args.size(); ++k) {
-        if (fixed[k] >= 0) subs[k] = fixed[k];
-      }
-      dst.array[dst.flat_index(subs)] =
-          rhs.is_array() ? rhs.array[static_cast<std::size_t>(flat)]
-                         : rhs.as_real();
-    }
+    copy_out(s.list, args.data(), f);
   }
-};
-
-// ===========================================================================
-// Public interface.
-// ===========================================================================
-
-Interpreter::Interpreter(std::vector<const Module*> modules)
-    : impl_(std::make_unique<Impl>(this)), prng_(std::make_unique<KissRng>()) {
-  impl_->load(std::move(modules));
 
   // Built-in: history-file output. `call outfld('LABEL', value)` records the
   // label (lower-cased) and the global mean of the value.
-  register_builtin("outfld", [this](std::vector<ValueSlot>& args) {
-    if (args.size() != 2 || args[0]->kind != Value::Kind::kChar) {
+  void outfld(Value* const* args, std::size_t n) {
+    if (n != 2 || args[0]->kind != Kind::kChar) {
       throw EvalError("outfld expects (character label, value)");
     }
     const Value& v = *args[1];
@@ -1238,137 +1038,332 @@ Interpreter::Interpreter(std::vector<const Module*> modules)
       mean = v.as_real();
     }
     outputs_.emplace_back(to_lower(args[0]->chars), mean);
-  });
+  }
 
   // Built-in: PRNG fill. `call shr_rand_uniform(x)` fills a scalar or array
   // with uniform deviates from the configured generator (KISS by default;
   // the RAND-MT experiment swaps in the Mersenne Twister).
-  register_builtin("shr_rand_uniform", [this](std::vector<ValueSlot>& args) {
-    if (args.size() != 1) {
-      throw EvalError("shr_rand_uniform expects one argument");
-    }
+  void shr_rand_uniform(Value* const* args, std::size_t n) {
+    if (n != 1) throw EvalError("shr_rand_uniform expects one argument");
     Value& v = *args[0];
     if (v.is_array()) {
       for (double& x : v.array) x = prng_->uniform();
     } else {
-      v.kind = Value::Kind::kReal;
+      v.kind = Kind::kReal;
       v.real = prng_->uniform();
     }
-  });
+  }
+
+  // -------------------------------------------------------------------------
+  // Assignment.
+  // -------------------------------------------------------------------------
+
+  void assign(const Stmt& s, Frame& f) {
+    const Num rhs = eval(*s.b, f);
+    if (!s.a) fail(code_.texts[s.error], s.lhs_line);
+    store(*s.a, rhs, f);
+    if (record_assignments_ && !recorded_[s.key]) {
+      recorded_[s.key] = 1;
+      assigned_keys_.insert(code_.watch_key(s.key));
+    }
+    if (any_watches_) {
+      WatchStats* w = key_watch_[s.key];
+      if (!w && s.fallback_key >= 0) w = key_watch_[s.fallback_key];
+      if (w) {
+        if (rhs.kind == Kind::kArray) {
+          for (double v : big_[rhs.big].array) w->record(v);
+        } else if (is_scalar(rhs.kind)) {
+          w->record(num_real(rhs));
+        }
+      }
+    }
+    ++assignments_executed_;
+  }
+
+  void store(const Node& lhs, const Num& rhs, Frame& f) {
+    PoolMark mark(this);
+    Value& dst = *locate(lhs, f);
+    if (indexed(lhs)) {
+      store_indexed(dst, lhs, rhs, f);
+    } else {
+      store_whole(dst, rhs, lhs.line);
+    }
+  }
+
+  void store_whole(Value& dst, const Num& rhs, int line) {
+    switch (dst.kind) {
+      case Kind::kReal:
+        if (rhs.kind == Kind::kArray) fail("cannot assign array to scalar", line);
+        dst.real = num_real(rhs);
+        return;
+      case Kind::kInt:
+        dst.integer = num_int(rhs);
+        return;
+      case Kind::kLogical:
+        dst.logical = num_logical(rhs);
+        return;
+      case Kind::kChar:
+        if (rhs.kind != Kind::kChar) fail("type mismatch", line);
+        dst.chars = big_[rhs.big].chars;
+        return;
+      case Kind::kArray:
+        if (rhs.kind == Kind::kArray) {
+          const std::vector<double>& src = big_[rhs.big].array;
+          if (src.size() != dst.array.size()) {
+            fail("whole-array assignment size mismatch", line);
+          }
+          dst.array = src;
+        } else {
+          std::fill(dst.array.begin(), dst.array.end(), num_real(rhs));
+        }
+        return;
+      case Kind::kDerived: {
+        if (rhs.kind != Kind::kDerived) {
+          fail("cannot assign scalar to derived value", line);
+        }
+        // Component-wise deep copy.
+        const DerivedValue& src = *big_[rhs.big].derived;
+        for (auto& [name, comp] : dst.derived->components) {
+          auto sit = src.components.find(name);
+          if (sit != src.components.end()) *comp = *sit->second;
+        }
+        return;
+      }
+    }
+  }
+
+  void store_indexed(Value& dst, const Node& n, const Num& rhs, Frame& f) {
+    if (!dst.is_array()) fail("subscripted assignment to scalar", n.line);
+    const std::size_t rank = n.args.count;
+    const Node* const* args = &code_.arg_nodes[n.args.first];
+    if (!n.has(detail::kAnySlice)) {
+      SmallVec<long long, 4> subs(rank);
+      for (std::size_t k = 0; k < rank; ++k) {
+        subs[k] = num_int(eval(*args[k], f));
+      }
+      const double v = num_real(rhs);
+      dst.array[dst.flat_index(subs.data(), rank)] = v;
+      return;
+    }
+    if (rank != dst.dims.size()) fail("rank mismatch in slice", n.line);
+    std::vector<long long> fixed(rank, -1);
+    std::vector<std::size_t> slice_dims;
+    for (std::size_t k = 0; k < rank; ++k) {
+      if (!args[k]) {
+        slice_dims.push_back(k);
+      } else {
+        fixed[k] = num_int(eval(*args[k], f));
+      }
+    }
+    long long total = 1;
+    for (std::size_t k : slice_dims) total *= dst.dims[k];
+    if (rhs.kind == Kind::kArray &&
+        big_[rhs.big].array.size() != static_cast<std::size_t>(total)) {
+      fail("slice assignment size mismatch", n.line);
+    }
+    std::vector<long long> subs(rank);
+    for (long long flat = 0; flat < total; ++flat) {
+      long long rem = flat;
+      for (std::size_t si = slice_dims.size(); si-- > 0;) {
+        const std::size_t k = slice_dims[si];
+        subs[k] = rem % dst.dims[k] + 1;
+        rem /= dst.dims[k];
+      }
+      for (std::size_t k = 0; k < rank; ++k) {
+        if (fixed[k] >= 0) subs[k] = fixed[k];
+      }
+      const double v = rhs.kind == Kind::kArray
+                           ? big_[rhs.big].array[static_cast<std::size_t>(flat)]
+                           : num_real(rhs);
+      dst.array[dst.flat_index(subs)] = v;
+    }
+  }
+
+  // -------------------------------------------------------------------------
+  // Entry point.
+  // -------------------------------------------------------------------------
+
+  ValueSlot call_entry(const std::string& module, const std::string& sub,
+                       std::vector<Value> args) {
+    auto mit = code_.module_index.find(module);
+    if (mit == code_.module_index.end()) {
+      throw EvalError("call: unknown module '" + module + "'");
+    }
+    const auto& callables = code_.modules[mit->second].callables;
+    auto cit = callables.find(sub);
+    if (cit == callables.end()) {
+      throw EvalError("call: unknown subprogram '" + sub + "' in module '" +
+                      module + "'");
+    }
+    const Proc* p = nullptr;
+    for (const Proc* cand : cit->second) {
+      if (cand->sp->params.size() == args.size()) {
+        p = cand;
+        break;
+      }
+    }
+    if (!p) {
+      fail(strfmt("no procedure overload accepts %zu arguments", args.size()));
+    }
+    prepare();
+    covered_[p->id] = 1;
+    PoolMark mark(this);
+    SmallVec<Value*, 16> slots(static_cast<std::size_t>(p->slots));
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      Value* t = acquire();
+      *t = std::move(args[i]);
+      slots[code_.ints[p->param_slots.first + i]] = t;
+    }
+    Frame f{slots.data(), p->module};
+    init_locals(*p, f);
+    run_body(*p, f);
+    big_.clear();
+    if (p->result_slot < 0) return {};
+    return std::make_shared<Value>(*slots[p->result_slot]);
+  }
+};
+
+// ===========================================================================
+// Load-time parameter evaluation.
+// ===========================================================================
+
+void detail::evaluate_parameters(Code& code) {
+  // Parameters may reference imported parameters that are not evaluated
+  // yet: retry to a fixpoint. No module variable exists at this point.
+  Interpreter::Impl run(code);
+  run.globals_.resize(code.globals.size());
+  std::vector<char> ready(code.params.size(), 0);
+  run.params_ready_ = &ready;
+  for (;;) {
+    bool progress = false;
+    bool pending = false;
+    for (const detail::ModuleCode& mc : code.modules) {
+      for (int pi : mc.param_indices) {
+        if (ready[pi]) continue;
+        const detail::Param& p = code.params[pi];
+        if (!p.init) {
+          fail("parameter '" + p.decl->name + "' lacks a value", p.decl->line);
+        }
+        try {
+          Interpreter::Impl::Frame mf{nullptr, p.module};
+          code.param_values[pi] = run.to_value(run.eval(*p.init, mf));
+          run.big_.clear();
+          ready[pi] = 1;
+          progress = true;
+        } catch (const EvalError&) {
+          pending = true;  // dependency not ready yet; retry next round
+        }
+      }
+    }
+    if (!pending) break;
+    if (!progress) fail("circular or unresolvable parameter definitions");
+  }
+}
+
+// ===========================================================================
+// Public interface.
+// ===========================================================================
+
+Interpreter::Interpreter(std::vector<const lang::Module*> modules)
+    : owned_program_(std::make_unique<Program>(std::move(modules))),
+      impl_(std::make_unique<Impl>(owned_program_->code())) {
+  impl_->allocate_globals();
+}
+
+Interpreter::Interpreter(const Program& program)
+    : impl_(std::make_unique<Impl>(program.code())) {
+  impl_->allocate_globals();
 }
 
 Interpreter::~Interpreter() = default;
 
 void Interpreter::set_fma(const std::string& module, bool enabled) {
-  auto it = impl_->modules_.find(module);
-  if (it == impl_->modules_.end()) {
+  auto it = impl_->code_.module_index.find(module);
+  if (it == impl_->code_.module_index.end()) {
     throw EvalError("set_fma: unknown module '" + module + "'");
   }
-  it->second->fma = enabled;
+  impl_->fma_[it->second] = enabled;
 }
 
 void Interpreter::set_fma_all(bool enabled) {
-  for (auto& [name, ctx] : impl_->modules_) {
-    (void)name;
-    ctx->fma = enabled;
-  }
+  std::fill(impl_->fma_.begin(), impl_->fma_.end(), enabled);
 }
 
 void Interpreter::set_reassoc(const std::string& module, bool enabled) {
-  auto it = impl_->modules_.find(module);
-  if (it == impl_->modules_.end()) {
+  auto it = impl_->code_.module_index.find(module);
+  if (it == impl_->code_.module_index.end()) {
     throw EvalError("set_reassoc: unknown module '" + module + "'");
   }
-  it->second->reassoc = enabled;
+  impl_->reassoc_[it->second] = enabled;
 }
 
 void Interpreter::set_reassoc_all(bool enabled) {
-  for (auto& [name, ctx] : impl_->modules_) {
-    (void)name;
-    ctx->reassoc = enabled;
-  }
-}
-
-void Interpreter::register_builtin(const std::string& name,
-                                   BuiltinSubroutine fn) {
-  impl_->builtins_[name] = std::move(fn);
+  std::fill(impl_->reassoc_.begin(), impl_->reassoc_.end(), enabled);
 }
 
 void Interpreter::set_prng(std::unique_ptr<Prng> prng) {
-  prng_ = std::move(prng);
+  impl_->prng_ = std::move(prng);
 }
 
 void Interpreter::add_watch(const WatchKey& key) {
-  watch_stats_.emplace(key, WatchStats{});
+  impl_->watch_stats_.emplace(key, WatchStats{});
   impl_->any_watches_ = true;
+  impl_->watches_dirty_ = true;
 }
 
-void Interpreter::clear_watches() {
-  watch_stats_.clear();
-  impl_->any_watches_ = false;
+const std::unordered_map<WatchKey, WatchStats, WatchKeyHash>&
+Interpreter::watch_stats() const {
+  return impl_->watch_stats_;
+}
+
+void Interpreter::set_record_assignments(bool enabled) {
+  impl_->record_assignments_ = enabled;
+}
+
+const std::unordered_set<WatchKey, WatchKeyHash>& Interpreter::assigned_keys()
+    const {
+  return impl_->assigned_keys_;
+}
+
+const CoverageRecorder& Interpreter::coverage() const {
+  const Code& code = impl_->code_;
+  for (std::size_t i = 0; i < code.procs.size(); ++i) {
+    if (!impl_->covered_[i]) continue;
+    const Proc& p = code.procs[i];
+    impl_->coverage_.record(code.modules[p.module].ast->name, p.sp->name);
+  }
+  return impl_->coverage_;
+}
+
+const std::vector<std::pair<std::string, double>>& Interpreter::outputs()
+    const {
+  return impl_->outputs_;
+}
+
+std::uint64_t Interpreter::assignments_executed() const {
+  return impl_->assignments_executed_;
 }
 
 ValueSlot Interpreter::call(const std::string& module,
                             const std::string& subprogram,
                             std::vector<Value> args) {
-  auto it = impl_->modules_.find(module);
-  if (it == impl_->modules_.end()) {
-    throw EvalError("call: unknown module '" + module + "'");
-  }
-  const auto* cands = impl_->resolve_callable(it->second.get(), subprogram);
-  if (!cands) {
-    throw EvalError("call: unknown subprogram '" + subprogram +
-                    "' in module '" + module + "'");
-  }
-  // Wrap by-value arguments as literal-expression bindings.
-  std::vector<lang::ExprPtr> arg_exprs;
-  Impl::Frame frame;
-  frame.module = it->second.get();
-  // Bind values through temporary slots directly.
-  const Impl::Callable* c =
-      impl_->pick_overload(*cands, args.size(), 0);
-  Impl::Frame callee;
-  callee.module = c->home;
-  callee.sub = c->sp;
-  coverage_.record(c->home->ast->name, c->sp->name);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    callee.locals[c->sp->params[i]] =
-        std::make_shared<Value>(std::move(args[i]));
-  }
-  for (const auto& d : c->sp->decls) {
-    if (callee.locals.count(d.name)) continue;
-    if (d.is_parameter) {
-      Impl::Frame pf;
-      pf.module = c->home;
-      callee.locals[d.name] = std::make_shared<Value>(impl_->eval(*d.init, pf));
-      continue;
-    }
-    callee.locals[d.name] =
-        std::make_shared<Value>(impl_->allocate(d, callee));
-  }
-  if (c->sp->is_function() && !callee.locals.count(c->sp->result_name)) {
-    callee.locals[c->sp->result_name] =
-        std::make_shared<Value>(Value::make_real(0.0));
-  }
-  for (const auto& st : c->sp->body) {
-    if (impl_->exec(*st, callee) == Flow::kReturn) break;
-  }
-  if (c->sp->is_function()) return callee.locals[c->sp->result_name];
-  return {};
+  return impl_->call_entry(module, subprogram, std::move(args));
 }
 
-ValueSlot Interpreter::module_var(const std::string& module,
-                                  const std::string& name) {
-  auto it = impl_->modules_.find(module);
-  if (it == impl_->modules_.end()) {
+Value* Interpreter::module_var(const std::string& module,
+                               const std::string& name) {
+  const Code& code = impl_->code_;
+  auto it = code.module_index.find(module);
+  if (it == code.module_index.end()) {
     throw EvalError("module_var: unknown module '" + module + "'");
   }
-  auto vit = it->second->vars.find(name);
-  if (vit == it->second->vars.end()) {
+  const auto& vars = code.modules[it->second].vars;
+  auto vit = vars.find(name);
+  if (vit == vars.end()) {
     throw EvalError("module_var: unknown variable '" + name + "' in '" +
                     module + "'");
   }
-  return vit->second;
+  return &impl_->globals_[vit->second];
 }
 
 }  // namespace rca::interp

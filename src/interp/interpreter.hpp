@@ -16,9 +16,11 @@
 //     codecov substitute);
 //   * `call outfld('LABEL', field)` output capture — the CAM history-file
 //     stand-in, recording per-field global means the ECT consumes.
+//
+// Compilation and execution are split: a Program (program.hpp) is the
+// immutable, name-resolved corpus; an Interpreter is one run's state over it.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -86,16 +88,25 @@ class CoverageRecorder {
   std::unordered_set<std::string> subprograms_;
 };
 
-/// Host-provided subroutine (PRNG fill, outfld, ...). Receives argument
-/// slots; may mutate them (pass-by-reference semantics).
-using BuiltinSubroutine = std::function<void(std::vector<ValueSlot>&)>;
+class Program;
 
+namespace detail {
+struct Code;
+void evaluate_parameters(Code& code);
+}  // namespace detail
+
+/// One run's execution state over a Program: module variables, PRNG,
+/// FMA/reassociation modes, watches, outputs and coverage. Not thread-safe;
+/// give each thread its own Interpreter over the shared Program.
 class Interpreter {
  public:
-  /// Loads a corpus: registers modules, resolves use-imports, evaluates
-  /// parameters, and allocates module variables. Module ASTs must outlive
-  /// the interpreter. Throws EvalError on unresolved names.
+  /// Single-run convenience: compiles a private Program over `modules`
+  /// (module ASTs must outlive the interpreter). Throws EvalError on
+  /// unresolvable modules, imports or parameters.
   explicit Interpreter(std::vector<const lang::Module*> modules);
+  /// A fresh run of a shared program (which must outlive the interpreter):
+  /// allocates and initializes the module variables.
+  explicit Interpreter(const Program& program);
   ~Interpreter();
 
   Interpreter(const Interpreter&) = delete;
@@ -113,40 +124,27 @@ class Interpreter {
   void set_reassoc(const std::string& module, bool enabled);
   void set_reassoc_all(bool enabled);
 
-  /// Register/replace a builtin subroutine visible from every module.
-  void register_builtin(const std::string& name, BuiltinSubroutine fn);
-
   /// Install the PRNG backing the built-in `shr_rand_uniform` subroutine.
   void set_prng(std::unique_ptr<Prng> prng);
-  Prng* prng() { return prng_.get(); }
 
   // -- instrumentation -------------------------------------------------------
 
   void add_watch(const WatchKey& key);
-  void clear_watches();
   const std::unordered_map<WatchKey, WatchStats, WatchKeyHash>& watch_stats()
-      const {
-    return watch_stats_;
-  }
+      const;
 
   /// When enabled, every executed assignment's (module, subprogram,
   /// canonical-name) identity is recorded — the dynamic counterpart of the
   /// metagraph's node set, used to validate that the static graph covers
   /// everything that actually runs.
-  void set_record_assignments(bool enabled) { record_assignments_ = enabled; }
-  const std::unordered_set<WatchKey, WatchKeyHash>& assigned_keys() const {
-    return assigned_keys_;
-  }
+  void set_record_assignments(bool enabled);
+  const std::unordered_set<WatchKey, WatchKeyHash>& assigned_keys() const;
 
-  CoverageRecorder& coverage() { return coverage_; }
-  const CoverageRecorder& coverage() const { return coverage_; }
+  const CoverageRecorder& coverage() const;
 
   /// Output fields recorded via `call outfld('LABEL', value)`, in call
   /// order: (label lower-cased, global mean of the written value).
-  const std::vector<std::pair<std::string, double>>& outputs() const {
-    return outputs_;
-  }
-  void clear_outputs() { outputs_.clear(); }
+  const std::vector<std::pair<std::string, double>>& outputs() const;
 
   // -- execution -------------------------------------------------------------
 
@@ -155,24 +153,17 @@ class Interpreter {
   ValueSlot call(const std::string& module, const std::string& subprogram,
                  std::vector<Value> args = {});
 
-  /// Direct access to a module variable slot (drivers and tests).
-  ValueSlot module_var(const std::string& module, const std::string& name);
+  /// Direct access to a module variable (drivers and tests).
+  Value* module_var(const std::string& module, const std::string& name);
 
   /// Number of assignment statements executed since construction.
-  std::uint64_t assignments_executed() const { return assignments_executed_; }
+  std::uint64_t assignments_executed() const;
 
  private:
+  friend void detail::evaluate_parameters(detail::Code& code);
   struct Impl;
+  std::unique_ptr<Program> owned_program_;
   std::unique_ptr<Impl> impl_;
-
-  // Shared with Impl.
-  std::unordered_map<WatchKey, WatchStats, WatchKeyHash> watch_stats_;
-  std::unordered_set<WatchKey, WatchKeyHash> assigned_keys_;
-  bool record_assignments_ = false;
-  CoverageRecorder coverage_;
-  std::vector<std::pair<std::string, double>> outputs_;
-  std::unique_ptr<Prng> prng_;
-  std::uint64_t assignments_executed_ = 0;
 };
 
 }  // namespace rca::interp

@@ -46,10 +46,11 @@ bool Value::as_logical() const {
   }
 }
 
-std::size_t Value::flat_index(const std::vector<long long>& subscripts) const {
-  if (subscripts.size() != dims.size()) {
+std::size_t Value::flat_index(const long long* subscripts,
+                              std::size_t n) const {
+  if (n != dims.size()) {
     throw EvalError(strfmt("rank mismatch: %zu subscripts for rank-%zu array",
-                           subscripts.size(), dims.size()));
+                           n, dims.size()));
   }
   std::size_t idx = 0;
   for (std::size_t k = 0; k < dims.size(); ++k) {

@@ -12,6 +12,10 @@
 
 #include "support/error.hpp"
 
+namespace rca::lang {
+struct DerivedTypeDef;
+}
+
 namespace rca::interp {
 
 struct Value;
@@ -20,6 +24,10 @@ using ValueSlot = std::shared_ptr<Value>;
 struct DerivedValue {
   std::string type_name;
   std::map<std::string, ValueSlot> components;
+  /// The type this value was allocated as, and its component slots in
+  /// declaration order: the interpreter's resolved `%name` fast path.
+  const lang::DerivedTypeDef* def = nullptr;
+  std::vector<Value*> fields;
 };
 
 struct Value {
@@ -71,7 +79,10 @@ struct Value {
   std::size_t element_count() const { return array.size(); }
 
   /// Row-major flat index from 1-based Fortran subscripts.
-  std::size_t flat_index(const std::vector<long long>& subscripts) const;
+  std::size_t flat_index(const std::vector<long long>& subscripts) const {
+    return flat_index(subscripts.data(), subscripts.size());
+  }
+  std::size_t flat_index(const long long* subscripts, std::size_t n) const;
 };
 
 }  // namespace rca::interp

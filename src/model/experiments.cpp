@@ -1,5 +1,6 @@
 #include "model/experiments.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/error.hpp"

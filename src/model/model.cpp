@@ -13,7 +13,7 @@
 namespace rca::model {
 
 CesmModel::CesmModel(const CorpusSpec& spec, rca::ThreadPool* pool)
-    : spec_(spec), corpus_(generate_corpus(spec)) {
+    : spec_(spec), corpus_(generate_corpus(spec)), pool_(pool) {
   // Parse only the compiled (build-configuration) files — the KGen-style
   // 2400 -> 820 reduction happens before parsing in the paper too.
   std::unordered_map<std::string, bool> compiled;
@@ -57,6 +57,7 @@ CesmModel::CesmModel(const CorpusSpec& spec, rca::ThreadPool* pool)
       if (compiled.count(m.name)) module_ptrs_.push_back(&m);
     }
   }
+  program_ = std::make_unique<interp::Program>(module_ptrs_);
 }
 
 namespace {
@@ -82,8 +83,8 @@ void perturb_initial_conditions(interp::Interpreter& interp,
 }
 
 std::unique_ptr<interp::Interpreter> make_interpreter(
-    const std::vector<const lang::Module*>& modules, const RunConfig& config) {
-  auto interp = std::make_unique<interp::Interpreter>(modules);
+    const interp::Program& program, const RunConfig& config) {
+  auto interp = std::make_unique<interp::Interpreter>(program);
   interp->set_prng(make_prng(config.prng_kind, config.prng_seed));
   if (config.fma_all) interp->set_fma_all(true);
   for (const auto& m : config.fma_disabled_modules) {
@@ -100,7 +101,7 @@ RunResult CesmModel::run(const RunConfig& config) const {
   obs::count("model.runs");
   obs::count("model.timesteps", static_cast<std::uint64_t>(config.timesteps));
   obs::count("model.watches", config.watches.size());
-  auto interp = make_interpreter(module_ptrs_, config);
+  auto interp = make_interpreter(*program_, config);
   interp->call("cam_driver", "cam_init");
   perturb_initial_conditions(*interp, config.member_seed, config.perturbation);
   for (int step = 0; step < config.timesteps; ++step) {
@@ -125,13 +126,40 @@ RunResult CesmModel::run(const RunConfig& config) const {
 interp::CoverageRecorder CesmModel::coverage_run(int timesteps) const {
   RunConfig config;
   config.timesteps = timesteps;
-  auto interp = make_interpreter(module_ptrs_, config);
+  auto interp = make_interpreter(*program_, config);
   interp->call("cam_driver", "cam_init");
   for (int step = 0; step < timesteps; ++step) {
     interp->call("cam_driver", "cam_step");
   }
   return interp->coverage();
 }
+
+namespace {
+
+/// Runs members first_seed.. of `base` on the model's pool (serially
+/// without one), each result stored at its member index.
+std::vector<RunResult> run_members(const CesmModel& model,
+                                   const RunConfig& base, std::size_t members,
+                                   std::uint64_t first_seed) {
+  std::vector<RunResult> results(members);
+  auto run_one = [&](std::size_t m) {
+    RunConfig config = base;
+    config.member_seed = first_seed + m;
+    results[m] = model.run(config);
+  };
+  if (model.pool() != nullptr && members > 1) {
+    model.pool()->parallel_for(members, run_one);
+  } else {
+    for (std::size_t m = 0; m < members; ++m) run_one(m);
+  }
+  return results;
+}
+
+std::size_t workers(const CesmModel& model) {
+  return model.pool() != nullptr ? model.pool()->size() : 1;
+}
+
+}  // namespace
 
 stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,
                               std::size_t members,
@@ -140,19 +168,16 @@ stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,
   RCA_CHECK_MSG(members >= 2, "ensemble needs at least two members");
   obs::Span span("model.ensemble");
   span.attr("members", members);
-  stats::Matrix data;
+  span.attr("workers", workers(model));
+  const std::vector<RunResult> runs =
+      run_members(model, base, members, first_seed);
+  if (names) *names = runs[0].output_names;
+  stats::Matrix data(members, runs[0].output_means.size());
   for (std::size_t m = 0; m < members; ++m) {
-    RunConfig config = base;
-    config.member_seed = first_seed + m;
-    RunResult r = model.run(config);
-    if (m == 0) {
-      if (names) *names = r.output_names;
-      data = stats::Matrix(members, r.output_means.size());
-    }
-    RCA_CHECK_MSG(r.output_means.size() == data.cols(),
+    RCA_CHECK_MSG(runs[m].output_means.size() == data.cols(),
                   "inconsistent output width across members");
-    for (std::size_t j = 0; j < r.output_means.size(); ++j) {
-      data.at(m, j) = r.output_means[j];
+    for (std::size_t j = 0; j < data.cols(); ++j) {
+      data.at(m, j) = runs[m].output_means[j];
     }
   }
   return data;
@@ -161,12 +186,13 @@ stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,
 std::vector<std::vector<double>> experiment_set(
     const CesmModel& model, const RunConfig& base, std::size_t runs,
     std::uint64_t first_seed, const std::vector<std::string>& names) {
+  obs::Span span("model.experiment");
+  span.attr("runs", runs);
+  span.attr("workers", workers(model));
+  std::vector<RunResult> results = run_members(model, base, runs, first_seed);
   std::vector<std::vector<double>> out;
   out.reserve(runs);
-  for (std::size_t r = 0; r < runs; ++r) {
-    RunConfig config = base;
-    config.member_seed = first_seed + r;
-    RunResult result = model.run(config);
+  for (RunResult& result : results) {
     RCA_CHECK_MSG(result.output_names == names,
                   "experimental run output labels differ from ensemble");
     out.push_back(std::move(result.output_means));

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "interp/interpreter.hpp"
+#include "interp/program.hpp"
 #include "lang/ast.hpp"
 #include "model/corpus.hpp"
 #include "stats/matrix.hpp"
@@ -64,6 +65,9 @@ class CesmModel {
   /// When `pool` is non-null the corpus files are lexed/parsed concurrently
   /// (each file is independent); the compiled-module filter then runs
   /// serially in file order, so the module list is identical either way.
+  /// The pool also fans out ensemble_matrix / experiment_set members.
+  /// The compiled modules are resolved once into a Program that every run,
+  /// on any thread, shares.
   explicit CesmModel(const CorpusSpec& spec, rca::ThreadPool* pool = nullptr);
 
   const CorpusSpec& spec() const { return spec_; }
@@ -78,7 +82,14 @@ class CesmModel {
   /// assignments; our own corpus should parse fully).
   std::size_t parse_failures() const { return parse_failures_; }
 
-  /// Execute one run.
+  /// The resolved corpus every run executes (immutable, shared).
+  const interp::Program& program() const { return *program_; }
+
+  /// Pool the model was constructed with (may be null).
+  rca::ThreadPool* pool() const { return pool_; }
+
+  /// Execute one run. Serial and thread-safe: concurrent calls share only
+  /// the immutable Program.
   RunResult run(const RunConfig& config) const;
 
   /// Short instrumented run recording module/subprogram coverage (the
@@ -91,17 +102,21 @@ class CesmModel {
   std::vector<lang::SourceFile> parsed_files_;
   std::vector<const lang::Module*> module_ptrs_;
   std::size_t parse_failures_ = 0;
+  rca::ThreadPool* pool_ = nullptr;
+  std::unique_ptr<interp::Program> program_;
 };
 
 /// Ensemble of `members` control runs; returns rows = members, cols =
-/// variables, and fills `names` with the output labels (sorted).
+/// variables, and fills `names` with the output labels (sorted). Members
+/// run on the model's pool (inline when called from one of its workers)
+/// and land by member index, so the matrix does not depend on scheduling.
 stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,
                               std::size_t members,
                               std::vector<std::string>* names,
                               std::uint64_t first_seed = 1);
 
 /// One experimental set of `runs` runs with seeds first_seed.. — the
-/// 3-run sets pyCECT evaluates.
+/// 3-run sets pyCECT evaluates. Fanned out like ensemble_matrix.
 std::vector<std::vector<double>> experiment_set(
     const CesmModel& model, const RunConfig& base, std::size_t runs,
     std::uint64_t first_seed, const std::vector<std::string>& names);

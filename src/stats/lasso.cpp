@@ -62,8 +62,17 @@ LassoModel lasso_logistic(const Matrix& x, const std::vector<int>& y,
   LassoModel model;
   model.weights.assign(p, 0.0);
 
-  // Linear predictor eta_i maintained incrementally.
+  // Linear predictor eta_i maintained incrementally, and the residuals
+  // y_i - sigmoid(eta_i) cached alongside: refreshed only when eta moves,
+  // since most coordinates sit at zero and leave it unchanged.
   std::vector<double> eta(n, 0.0);
+  std::vector<double> resid(n);
+  auto refresh_residuals = [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      resid[i] = static_cast<double>(y[i]) - sigmoid(eta[i]);
+    }
+  };
+  refresh_residuals();
   // Hessian upper bound per coordinate: H_jj = (1/4n) * sum x_ij^2.
   std::vector<double> hjj(p, 0.0);
   for (std::size_t j = 0; j < p; ++j) {
@@ -80,21 +89,18 @@ LassoModel lasso_logistic(const Matrix& x, const std::vector<int>& y,
     // Intercept (unpenalized) via the same bounded-Hessian step.
     {
       double grad = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        grad += static_cast<double>(y[i]) - sigmoid(eta[i]);
-      }
+      for (std::size_t i = 0; i < n; ++i) grad += resid[i];
       grad /= static_cast<double>(n);
       const double delta = grad / 0.25;
       model.intercept += delta;
       for (double& e : eta) e += delta;
+      if (delta != 0.0) refresh_residuals();
       max_delta = std::max(max_delta, std::abs(delta));
     }
 
     for (std::size_t j = 0; j < p; ++j) {
       double grad = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        grad += z.at(i, j) * (static_cast<double>(y[i]) - sigmoid(eta[i]));
-      }
+      for (std::size_t i = 0; i < n; ++i) grad += z.at(i, j) * resid[i];
       grad /= static_cast<double>(n);
       const double w_old = model.weights[j];
       const double w_new =
@@ -103,6 +109,7 @@ LassoModel lasso_logistic(const Matrix& x, const std::vector<int>& y,
       if (delta != 0.0) {
         model.weights[j] = w_new;
         for (std::size_t i = 0; i < n; ++i) eta[i] += delta * z.at(i, j);
+        refresh_residuals();
         max_delta = std::max(max_delta, std::abs(delta));
       }
     }
@@ -115,20 +122,29 @@ LassoModel lasso_logistic(const Matrix& x, const std::vector<int>& y,
   return model;
 }
 
-double lasso_lambda_max(const Matrix& x, const std::vector<int>& y) {
+namespace {
+
+/// Largest |x_j . (y - ybar)| / n over columns: the smallest penalty at
+/// which every weight stays zero.
+double lambda_max_of(const Matrix& x, const std::vector<int>& y) {
   const std::size_t n = x.rows();
-  const Matrix z = standardize_columns(x);
   const double ybar =
       std::accumulate(y.begin(), y.end(), 0.0) / static_cast<double>(n);
   double lam = 0.0;
   for (std::size_t j = 0; j < x.cols(); ++j) {
     double g = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      g += z.at(i, j) * (static_cast<double>(y[i]) - ybar);
+      g += x.at(i, j) * (static_cast<double>(y[i]) - ybar);
     }
     lam = std::max(lam, std::abs(g) / static_cast<double>(n));
   }
   return lam;
+}
+
+}  // namespace
+
+double lasso_lambda_max(const Matrix& x, const std::vector<int>& y) {
+  return lambda_max_of(standardize_columns(x), y);
 }
 
 std::vector<std::size_t> select_variables(const Matrix& x,
@@ -136,23 +152,8 @@ std::vector<std::size_t> select_variables(const Matrix& x,
                                           std::size_t target_count,
                                           std::size_t max_bisections,
                                           bool standardize) {
-  const Matrix& zx = x;
   const double lam_max =
-      standardize ? lasso_lambda_max(zx, y) : [&] {
-        // lambda_max without re-standardization.
-        const std::size_t n = zx.rows();
-        const double ybar =
-            std::accumulate(y.begin(), y.end(), 0.0) / static_cast<double>(n);
-        double lam = 0.0;
-        for (std::size_t j = 0; j < zx.cols(); ++j) {
-          double g = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            g += zx.at(i, j) * (static_cast<double>(y[i]) - ybar);
-          }
-          lam = std::max(lam, std::abs(g) / static_cast<double>(n));
-        }
-        return lam;
-      }();
+      standardize ? lasso_lambda_max(x, y) : lambda_max_of(x, y);
   double lo = lam_max * 1e-4;  // dense end
   double hi = lam_max;         // empty end
 

@@ -5,6 +5,11 @@
 
 namespace rca {
 
+namespace {
+/// The pool whose worker is running on this thread (null elsewhere).
+thread_local const ThreadPool* t_worker_of = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -26,6 +31,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -42,6 +48,12 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
+  // Called from one of this pool's own workers: queued chunks could wait
+  // behind the very task that waits for them, so run the body inline.
+  if (t_worker_of == this) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
   // Chunk the index space so tiny bodies don't pay per-task overhead.
   const std::size_t chunks = std::min(n, workers_.size() * 4);
   const std::size_t per = (n + chunks - 1) / chunks;

@@ -58,6 +58,8 @@ class ThreadPool {
   /// The first exception thrown by any iteration is rethrown to the caller
   /// (never lost), and remaining chunks stop claiming new iterations once a
   /// failure is recorded.
+  /// Called from one of this pool's own workers it runs body(i) inline in
+  /// index order instead, so nested fan-out cannot deadlock the pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Compute fn(i) for i in [0, n) across the pool and return the results in

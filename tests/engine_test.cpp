@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "engine/pipeline.hpp"
@@ -498,6 +499,20 @@ TEST(PipelineIntegration, EmitsOneSpanPerPipelineStage) {
     EXPECT_LE(spans[0].start_us + spans[0].duration_us,
               roots[0].start_us + roots[0].duration_us + 1.0)
         << stage;
+  }
+
+  // The experimental runs carry their own spans: the 3-run verdict set
+  // under "ect", the selection set under "selection", each recording its
+  // run count and pool width.
+  auto runs = obs::global().spans_named("model.experiment");
+  ASSERT_EQ(runs.size(), 2u);
+  const char* owners[] = {"ect", "selection"};
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    EXPECT_EQ(runs[k].parent, obs::global().spans_named(owners[k])[0].id);
+    std::map<std::string, long long> attrs;
+    for (const auto& [key, value] : runs[k].attrs) attrs[key] = value.i;
+    EXPECT_EQ(attrs.at("runs"), k == 0 ? 3 : 8) << owners[k];
+    EXPECT_GE(attrs.at("workers"), 1) << owners[k];
   }
 
   // Graph-size counters the perf tripwire diffs.

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
 
 #include "interp/interpreter.hpp"
+#include "interp/program.hpp"
 #include "lang/parser.hpp"
 #include "support/rng.hpp"
 
@@ -399,6 +401,143 @@ end module
   auto it = in.watch_stats().find(WatchKey{"m", "", "field"});
   ASSERT_NE(it, in.watch_stats().end());
   EXPECT_EQ(it->second.count, 1u);
+}
+
+TEST_F(InterpTest, ModuleWatchAlsoRecordsSameNamedLocal) {
+  // Assignments are keyed (module, subprogram, name); an unwatched local
+  // falls back to the module-level key the metagraph uses for module
+  // variables, so a watch on m::x also samples go's local x.
+  auto& in = load(R"(
+module m
+  real :: x
+contains
+  subroutine go()
+    real :: y
+    x = 1.0
+    call helper()
+    y = 5.0
+  end subroutine
+  subroutine helper()
+    real :: x
+    x = 2.0
+    x = 4.0
+  end subroutine
+end module
+)");
+  in.add_watch(WatchKey{"m", "", "x"});
+  in.call("m", "go");
+  auto it = in.watch_stats().find(WatchKey{"m", "", "x"});
+  ASSERT_NE(it, in.watch_stats().end());
+  EXPECT_EQ(it->second.count, 3u);
+  EXPECT_DOUBLE_EQ(it->second.sum, 7.0);
+}
+
+TEST_F(InterpTest, DerivedComponentWatchKeyedAtAssignmentSite) {
+  auto& in = load(R"(
+module m
+  type state_t
+    real :: t(2)
+  end type
+  type(state_t) :: state
+contains
+  subroutine go()
+    state%t(1) = 3.0
+    state%t = 1.5
+  end subroutine
+end module
+)");
+  in.add_watch(WatchKey{"m", "go", "t"});
+  in.add_watch(WatchKey{"m", "", "state"});
+  in.call("m", "go");
+  // The component is watched under the assigning subprogram's key...
+  const auto& stats = in.watch_stats();
+  EXPECT_EQ(stats.at(WatchKey{"m", "go", "t"}).count, 2u);
+  EXPECT_DOUBLE_EQ(stats.at(WatchKey{"m", "go", "t"}).sum, 4.5);
+  // ...not under the base variable.
+  EXPECT_EQ(stats.at(WatchKey{"m", "", "state"}).count, 0u);
+}
+
+TEST_F(InterpTest, UnresolvedNameThrowsOnlyWhenExecuted) {
+  auto& in = load(R"(
+module m
+  real :: r
+contains
+  subroutine dead()
+    r = no_such_name + 1.0
+    call no_such_routine(r)
+  end subroutine
+  subroutine go()
+    r = 2.0
+  end subroutine
+end module
+)");
+  EXPECT_NO_THROW(in.call("m", "go"));
+  EXPECT_DOUBLE_EQ(in.module_var("m", "r")->as_real(), 2.0);
+  EXPECT_THROW(in.call("m", "dead"), EvalError);
+}
+
+TEST(ProgramConcurrency, EightThreadsMatchSerialRuns) {
+  // One immutable Program shared by concurrent runs with different watch,
+  // FMA and PRNG configurations must give exactly the serial results.
+  const lang::SourceFile file = lang::Parser("<test>", R"(
+module m
+  real :: x(16)
+  real :: acc
+contains
+  subroutine go()
+    integer :: i
+    real :: t
+    call shr_rand_uniform(x)
+    acc = 0.0
+    do i = 1, 16
+      t = x(i) * 1.0000001 + 0.3
+      acc = acc * 0.999 + t * x(i) + 1.0e-3
+    end do
+  end subroutine
+end module
+)").parse_file();
+  const Program program({&file.modules[0]});
+
+  struct Outcome {
+    double acc = 0.0;
+    std::uint64_t watched = 0;
+    double watched_sum = 0.0;
+  };
+  auto run = [&program](std::size_t k) {
+    Interpreter in(program);
+    if (k % 2) {
+      in.set_prng(std::make_unique<Mt19937Rng>(k));
+    } else {
+      in.set_prng(std::make_unique<KissRng>(k + 1));
+    }
+    if (k % 3 == 0) in.set_fma_all(true);
+    if (k % 4 < 2) in.add_watch(WatchKey{"m", "go", "t"});
+    for (int rep = 0; rep < 50; ++rep) in.call("m", "go");
+    Outcome out;
+    out.acc = in.module_var("m", "acc")->as_real();
+    auto it = in.watch_stats().find(WatchKey{"m", "go", "t"});
+    if (it != in.watch_stats().end()) {
+      out.watched = it->second.count;
+      out.watched_sum = it->second.sum;
+    }
+    return out;
+  };
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<Outcome> serial(kThreads), parallel(kThreads);
+  for (std::size_t k = 0; k < kThreads; ++k) serial[k] = run(k);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&parallel, &run, k] { parallel[k] = run(k); });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    EXPECT_EQ(parallel[k].acc, serial[k].acc) << "run " << k;
+    EXPECT_EQ(parallel[k].watched, serial[k].watched) << "run " << k;
+    EXPECT_EQ(parallel[k].watched_sum, serial[k].watched_sum) << "run " << k;
+  }
+  EXPECT_EQ(serial[0].watched, 50u * 16u);
+  EXPECT_NE(serial[0].acc, serial[1].acc);
 }
 
 TEST_F(InterpTest, CoverageRecordsExecutedSubprograms) {

@@ -19,6 +19,7 @@
 #include "meta/serialize.hpp"
 #include "model/corpus.hpp"
 #include "model/model.hpp"
+#include "obs/obs.hpp"
 #include "slice/slicer.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -312,6 +313,64 @@ TEST_P(ParallelDeterminism, ParallelSliceEqualsSerialNodeForNode) {
     EXPECT_EQ(par.nodes, serial.nodes);
     EXPECT_EQ(par.targets, serial.targets);
     EXPECT_EQ(par.subgraph.edge_count(), serial.subgraph.edge_count());
+  }
+}
+
+TEST_P(ParallelDeterminism, EnsembleAndExperimentSetsMatchSerial) {
+  // Fanning ensemble and experiment members out over the model's pool must
+  // change nothing but wall time: matrices bit-identical to the serial
+  // model's at every worker count, across FMA, reassociation and PRNG
+  // configurations, with the same number of model runs counted.
+  const model::CorpusSpec spec = small_spec(GetParam());
+  std::vector<model::RunConfig> configs(5);
+  configs[1].fma_all = true;
+  configs[2].fma_all = true;
+  configs[2].fma_disabled_modules = {"micro_mg", "cam_driver"};
+  configs[3].reassoc_all = true;
+  configs[4].prng_kind = "mt19937";
+
+  struct Sample {
+    std::vector<double> ensemble;
+    std::vector<std::vector<double>> experiment;
+    std::uint64_t runs = 0;
+  };
+  auto sample = [&configs](const model::CesmModel& m) {
+    std::vector<Sample> out;
+    for (const model::RunConfig& config : configs) {
+      obs::global().set_enabled(true);
+      obs::global().reset();
+      Sample s;
+      std::vector<std::string> names;
+      const stats::Matrix ens =
+          model::ensemble_matrix(m, config, 5, &names, 1);
+      for (std::size_t i = 0; i < ens.rows(); ++i) {
+        for (std::size_t j = 0; j < ens.cols(); ++j) {
+          s.ensemble.push_back(ens.at(i, j));
+        }
+      }
+      s.experiment = model::experiment_set(m, config, 3, 5000, names);
+      s.runs = obs::global().counter("model.runs");
+      obs::global().set_enabled(false);
+      out.push_back(std::move(s));
+    }
+    return out;
+  };
+
+  const model::CesmModel serial_model(spec);
+  const std::vector<Sample> serial = sample(serial_model);
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    ThreadPool pool(workers);
+    const model::CesmModel par_model(spec, &pool);
+    const std::vector<Sample> par = sample(par_model);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      // Bitwise comparison: EXPECT_EQ on doubles is exact.
+      EXPECT_EQ(par[c].ensemble, serial[c].ensemble)
+          << "config " << c << ", " << workers << " workers";
+      EXPECT_EQ(par[c].experiment, serial[c].experiment)
+          << "config " << c << ", " << workers << " workers";
+      EXPECT_EQ(par[c].runs, serial[c].runs);
+      EXPECT_EQ(par[c].runs, 8u);
+    }
   }
 }
 

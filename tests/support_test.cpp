@@ -159,6 +159,32 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                Error);
 }
 
+TEST(ThreadPool, NestedParallelForOnOwnWorkerRunsInline) {
+  // The only worker runs the outer body; a nested parallel_for queued
+  // behind it would never be picked up. It must run inline, in index order.
+  auto* pool = new ThreadPool(1);
+  auto done = std::make_shared<std::promise<std::vector<std::size_t>>>();
+  std::future<std::vector<std::size_t>> result = done->get_future();
+  std::thread caller([pool, done] {
+    std::vector<std::size_t> order;
+    pool->parallel_for(2, [pool, &order](std::size_t outer) {
+      pool->parallel_for(3, [&order, outer](std::size_t inner) {
+        order.push_back(outer * 10 + inner);
+      });
+    });
+    done->set_value(order);
+  });
+  if (result.wait_for(std::chrono::seconds(20)) != std::future_status::ready) {
+    // Deadlocked: the caller and the pool's worker can never finish, so
+    // both are leaked rather than joined.
+    caller.detach();
+    FAIL() << "nested parallel_for on a 1-worker pool deadlocked";
+  }
+  caller.join();
+  EXPECT_EQ(result.get(), (std::vector<std::size_t>{0, 1, 2, 10, 11, 12}));
+  delete pool;
+}
+
 TEST(ThreadPool, ZeroIterationsIsNoop) {
   ThreadPool pool(2);
   EXPECT_NO_THROW(pool.parallel_for(0, [](std::size_t) { FAIL(); }));
