@@ -16,6 +16,8 @@
 //                        [--budget-ms N] [--dot FILE]
 //   rca-tool centrality  --graph FILE [--kind KIND] [--top N] [--modules]
 //   rca-tool analyze     --experiment NAME [--runtime-sampling]
+//                        (NAME: a scenario name, or the paper's experiment
+//                        wsubbug|rand-mt|goffgratch|avx2|randombug|dyn3bug)
 //                        [--members N] [--seed N] [--jobs N]
 //                        [--snapshot DIR] [--graph-out FILE]
 //                        [--prune-dead-stores]
@@ -120,7 +122,8 @@ int usage() {
       "  slice        backward slice from output labels / canonical names\n"
       "  communities  Girvan-Newman or Louvain partition of a slice\n"
       "  centrality   rank nodes or modules\n"
-      "  analyze      run a full paper experiment on the synthetic model\n"
+      "  analyze      run one planted scenario (a paper experiment) through\n"
+      "               the full pipeline on the synthetic model\n"
       "  serve        resident RCA query daemon (HTTP/JSON on 127.0.0.1)\n"
       "  fleet        supervised multi-process worker fleet behind one\n"
       "               loopback gateway (crash containment + warm restart)\n"
@@ -129,6 +132,14 @@ int usage() {
       "  score        run the planted-scenario library through the full\n"
       "               pipeline, report top-m hit-rate\n"
       "  watch        keep a resident session patched as sources change\n"
+      "\n"
+      "analyze options:\n"
+      "  --experiment NAME    scenario or paper experiment (default\n"
+      "                       goffgratch): wsub|wsubbug, prng|rand-mt,\n"
+      "                       goffgratch, fma-contraction|avx2,\n"
+      "                       random-node|randombug, dyn3|dyn3bug, reassoc3\n"
+      "  --runtime-sampling   sample by real runs instead of simulation\n"
+      "  --members N          ensemble members (default 30)\n"
       "\n"
       "refine options:\n"
       "  --scenario NAME      planted scenario (see `score`); generates the\n"
@@ -702,16 +713,30 @@ int cmd_centrality(const Args& args) {
 // analyze
 // ---------------------------------------------------------------------------
 
+/// `--experiment` takes a scenario name or the paper's experiment name, the
+/// latter case-insensitive with its '-' optional ("rand-mt", "randmt").
+const model::ScenarioSpec& analyze_scenario(const std::string& name) {
+  if (const model::ScenarioSpec* s = model::find_scenario(name)) return *s;
+  auto squash = [](const std::string& id) {
+    std::string out = to_lower(id);
+    out.erase(std::remove(out.begin(), out.end(), '-'), out.end());
+    return out;
+  };
+  std::vector<std::string> accepted;
+  for (const model::ScenarioSpec& s : model::scenario_library()) {
+    if (!s.paper_id.empty() && squash(s.paper_id) == squash(name)) return s;
+    accepted.push_back(s.name);
+    if (!s.paper_id.empty()) accepted.push_back(to_lower(s.paper_id));
+  }
+  throw Error("unknown --experiment '" + name + "' (accepted: " +
+              join(accepted, ", ") + ")");
+}
+
 int cmd_analyze(const Args& args) {
-  const std::string name = to_lower(args.get("experiment", "goffgratch"));
-  model::ExperimentId id;
-  if (name == "wsubbug") id = model::ExperimentId::kWsubBug;
-  else if (name == "rand-mt" || name == "randmt") id = model::ExperimentId::kRandMt;
-  else if (name == "goffgratch") id = model::ExperimentId::kGoffGratch;
-  else if (name == "avx2") id = model::ExperimentId::kAvx2;
-  else if (name == "randombug") id = model::ExperimentId::kRandomBug;
-  else if (name == "dyn3bug") id = model::ExperimentId::kDyn3Bug;
-  else throw Error("unknown --experiment '" + name + "'");
+  const model::ScenarioSpec& scenario =
+      analyze_scenario(args.get("experiment", "goffgratch"));
+  const std::string& label =
+      scenario.paper_id.empty() ? scenario.name : scenario.paper_id;
 
   engine::PipelineConfig config;
   config.ensemble_members =
@@ -728,11 +753,10 @@ int cmd_analyze(const Args& args) {
                meta::save_metagraph_to_string(pipe.metagraph()));
   }
   engine::ExperimentOutcome outcome =
-      args.has("runtime-sampling") ? pipe.run_experiment_runtime_sampling(id)
-                                   : pipe.run_experiment(id);
+      pipe.run_scenario(scenario, args.has("runtime-sampling"));
 
   std::printf("experiment: %s\nUF-ECT: %s (%zu failing PCs)\n",
-              outcome.spec->name, outcome.verdict.pass ? "PASS" : "FAIL",
+              label.c_str(), outcome.verdict.pass ? "PASS" : "FAIL",
               outcome.verdict.failing_pcs.size());
   std::printf("criteria:");
   for (const auto& c : outcome.criteria_outputs) std::printf(" %s", c.c_str());
@@ -759,7 +783,7 @@ int cmd_analyze(const Args& args) {
     JsonWriter w;
     w.begin_object();
     w.key("experiment");
-    w.string_value(outcome.spec->name);
+    w.string_value(label);
     w.key("ect_pass");
     w.boolean(outcome.verdict.pass);
     w.key("failing_pcs");

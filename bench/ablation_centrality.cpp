@@ -21,7 +21,7 @@ int main() {
 
   engine::Pipeline pipe(bench::default_config());
   engine::ExperimentOutcome outcome =
-      pipe.run_experiment(model::ExperimentId::kAvx2);
+      pipe.run_scenario(bench::scenario("fma-contraction"));
   const meta::Metagraph& mg = pipe.metagraph();
   const graph::Digraph& sub = outcome.slice.subgraph;
   const auto& slice_nodes = outcome.slice.nodes;
@@ -32,8 +32,9 @@ int main() {
   gn.min_community_size = 4;
   const auto communities = girvan_newman(sub, gn);
 
+  const std::vector<graph::NodeId> kgen = bench::kgen_nodes(pipe);
   std::vector<bool> flagged(mg.node_count(), false);
-  for (graph::NodeId b : outcome.bug_nodes) flagged[b] = true;
+  for (graph::NodeId b : kgen) flagged[b] = true;
   std::vector<bool> excluded(mg.node_count(), false);
   for (graph::NodeId t : outcome.slice.targets) excluded[t] = true;
 
@@ -96,7 +97,7 @@ int main() {
                    dum_first ? "yes" : "no"});
   }
   table.print(std::cout);
-  std::printf("\nflagged variables in slice: %zu\n", outcome.bug_nodes.size());
+  std::printf("\nflagged variables in slice: %zu\n", kgen.size());
 
   const bool shape_holds = eigen_captured >= 2;
   std::printf("shape check (eigenvector captures flagged variables): %s\n",

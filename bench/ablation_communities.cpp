@@ -72,7 +72,7 @@ int main() {
   // With communities (paper default).
   engine::Pipeline with_pipe(bench::default_config());
   engine::ExperimentOutcome with_comm =
-      with_pipe.run_experiment(model::ExperimentId::kRandMt);
+      with_pipe.run_scenario(bench::scenario("prng"));
 
   // Without: zero G-N iterations => weakly connected components only, i.e.
   // effectively the whole subgraph as one community.
@@ -81,7 +81,7 @@ int main() {
   config.refinement.samples_per_community = 20;  // same total budget
   engine::Pipeline without_pipe(config);
   engine::ExperimentOutcome without_comm =
-      without_pipe.run_experiment(model::ExperimentId::kRandMt);
+      without_pipe.run_scenario(bench::scenario("prng"));
 
   const double dist_with = mean_distance_to_samples(
       with_comm.slice.subgraph, with_comm.slice.nodes,

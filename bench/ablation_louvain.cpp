@@ -18,7 +18,7 @@ int main() {
 
   engine::Pipeline gn_pipe(bench::default_config());
   engine::ExperimentOutcome gn_outcome =
-      gn_pipe.run_experiment(model::ExperimentId::kAvx2);
+      gn_pipe.run_scenario(bench::scenario("fma-contraction"));
   const graph::Digraph& sub = gn_outcome.slice.subgraph;
 
   // Direct comparison on the slice.
@@ -74,7 +74,7 @@ int main() {
   lv_config.refinement.community_method = engine::CommunityMethod::kLouvain;
   engine::Pipeline lv_pipe(lv_config);
   engine::ExperimentOutcome lv_outcome =
-      lv_pipe.run_experiment(model::ExperimentId::kAvx2);
+      lv_pipe.run_scenario(bench::scenario("fma-contraction"));
 
   std::printf("\nengine with Louvain: bug instrumented at iteration %zu "
               "(G-N: %zu)\n", lv_outcome.refinement.bug_instrumented_at,

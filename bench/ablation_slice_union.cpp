@@ -19,7 +19,7 @@ int main() {
 
   engine::Pipeline pipe(bench::default_config());
   engine::ExperimentOutcome outcome =
-      pipe.run_experiment(model::ExperimentId::kGoffGratch);
+      pipe.run_scenario(bench::scenario("goffgratch"));
   const meta::Metagraph& mg = pipe.metagraph();
 
   // Per-target ancestor sets.
@@ -56,7 +56,7 @@ int main() {
   // Also demonstrate on WSUBBUG + GOFFGRATCH criteria combined, where the
   // ancestries are fully disjoint and the intersection collapses.
   engine::ExperimentOutcome wsub =
-      pipe.run_experiment(model::ExperimentId::kWsubBug);
+      pipe.run_scenario(bench::scenario("wsub"));
   std::vector<graph::NodeId> combined_targets = outcome.slice.targets;
   combined_targets.insert(combined_targets.end(), wsub.slice.targets.begin(),
                           wsub.slice.targets.end());

@@ -24,16 +24,16 @@ int main() {
 
   bool all_retained = true;
   bool any_shrunk = false;
-  for (model::ExperimentId id : {model::ExperimentId::kGoffGratch,
-                                 model::ExperimentId::kDyn3Bug}) {
+  for (const char* name : {"goffgratch", "dyn3"}) {
+    const model::ScenarioSpec& s = bench::scenario(name);
     engine::Pipeline plain_pipe(bench::default_config());
-    engine::ExperimentOutcome plain = plain_pipe.run_experiment(id);
+    engine::ExperimentOutcome plain = plain_pipe.run_scenario(s);
 
     engine::PipelineConfig ranked_config = bench::default_config();
     ranked_config.refinement.rank_differences_on_stall = true;
     ranked_config.refinement.max_iterations = 12;
     engine::Pipeline ranked_pipe(ranked_config);
-    engine::ExperimentOutcome ranked = ranked_pipe.run_experiment(id);
+    engine::ExperimentOutcome ranked = ranked_pipe.run_scenario(s);
 
     const bool retained = bench::contains_bug(ranked.refinement.final_nodes,
                                               ranked.bug_nodes);
@@ -42,7 +42,7 @@ int main() {
         plain.refinement.final_nodes.size()) {
       any_shrunk = true;
     }
-    table.add_row({plain.spec->name,
+    table.add_row({s.paper_id,
                    Table::integer(static_cast<long long>(
                        plain.refinement.final_nodes.size())),
                    Table::integer(static_cast<long long>(

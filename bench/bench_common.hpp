@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -23,6 +24,41 @@ inline engine::PipelineConfig default_config() {
   config.ensemble_members = 40;
   config.experimental_runs = 12;
   return config;
+}
+
+/// The library row a harness runs; a missing row is a harness bug.
+inline const model::ScenarioSpec& scenario(const std::string& name) {
+  const model::ScenarioSpec* s = model::find_scenario(name);
+  if (s == nullptr) {
+    std::fprintf(stderr, "no scenario named '%s'\n", name.c_str());
+    std::exit(2);
+  }
+  return *s;
+}
+
+/// The paper's six experiments in its order of presentation (§6.1-§6.4,
+/// then §8.2.1-§8.2.2).
+inline std::vector<const model::ScenarioSpec*> paper_scenarios() {
+  std::vector<const model::ScenarioSpec*> rows;
+  for (const char* name : {"wsub", "prng", "goffgratch", "fma-contraction",
+                           "random-node", "dyn3"}) {
+    rows.push_back(&scenario(name));
+  }
+  return rows;
+}
+
+/// The paper's AVX2 ground truth (§6.4): the KGen-flagged micro_mg
+/// variables, as nodes of the pipeline's metagraph. The fma-contraction row
+/// itself scores against its fpsense sites.
+inline std::vector<graph::NodeId> kgen_nodes(const engine::Pipeline& pipe) {
+  const meta::Metagraph& mg = pipe.metagraph();
+  std::vector<graph::NodeId> nodes;
+  for (const interp::WatchKey& key :
+       model::kgen_flagged_variables(pipe.control_model(), mg)) {
+    const graph::NodeId v = mg.find(key.module, key.subprogram, key.name);
+    if (v != graph::kInvalidNode) nodes.push_back(v);
+  }
+  return nodes;
 }
 
 /// One-line header with the paper reference.

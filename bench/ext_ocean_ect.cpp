@@ -58,10 +58,9 @@ int main() {
   opts.min_failing_pcs = 1;  // only 3 variables: one robust PC failure
   ect::EnsembleConsistencyTest ocean_ect(ocean_ens, kept, opts);
 
-  auto ocean_verdict = [&](const model::ExperimentSpec& spec) {
-    const model::CesmModel& exp_model = pipe.experiment_model(spec);
-    const model::RunConfig rc =
-        model::experiment_run_config(spec, config.base_run);
+  auto ocean_verdict = [&](const model::ScenarioSpec& s) {
+    const model::CesmModel& exp_model = pipe.bug_model(s.bug);
+    const model::RunConfig rc = model::scenario_run_config(s, config.base_run);
     const auto runs =
         model::experiment_set(exp_model, rc, 3, 7000, pipe.output_names());
     std::vector<std::vector<double>> ocean_runs;
@@ -103,22 +102,21 @@ int main() {
     control_passes = pass;
     table.add_row({"control", pass ? "PASS" : "FAIL", "PASS"});
   }
-  for (model::ExperimentId id :
-       {model::ExperimentId::kGoffGratch, model::ExperimentId::kAvx2}) {
-    const auto& spec = model::experiment(id);
-    const bool pass = ocean_verdict(spec).pass;
+  for (const char* name : {"goffgratch", "fma-contraction"}) {
+    const model::ScenarioSpec& s = bench::scenario(name);
+    const bool pass = ocean_verdict(s).pass;
     if (pass) coupled_bugs_fail = false;
-    table.add_row({spec.name, pass ? "PASS" : "FAIL", "FAIL (coupled)"});
+    table.add_row({s.paper_id, pass ? "PASS" : "FAIL", "FAIL (coupled)"});
   }
   {
     // RAND-MT perturbs only the radiation diagnostics, which have no
     // pathway into the surface fluxes forcing the ocean: the ocean-only
     // test correctly stays green — component-level ECTs localize which
     // couplings a discrepancy crosses.
-    const auto& spec = model::experiment(model::ExperimentId::kRandMt);
-    const bool pass = ocean_verdict(spec).pass;
+    const model::ScenarioSpec& s = bench::scenario("prng");
+    const bool pass = ocean_verdict(s).pass;
     uncoupled_passes = pass;
-    table.add_row({spec.name, pass ? "PASS" : "FAIL", "PASS (uncoupled)"});
+    table.add_row({s.paper_id, pass ? "PASS" : "FAIL", "PASS (uncoupled)"});
   }
   table.print(std::cout);
 

@@ -13,7 +13,7 @@ int main() {
 
   engine::Pipeline pipe(bench::default_config());
   engine::ExperimentOutcome outcome =
-      pipe.run_experiment(model::ExperimentId::kGoffGratch);
+      pipe.run_scenario(bench::scenario("goffgratch"));
 
   graph::DegreeDistribution full =
       graph::degree_distribution(pipe.metagraph().graph(), 2);

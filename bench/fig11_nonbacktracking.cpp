@@ -23,7 +23,7 @@ int main() {
 
   engine::Pipeline pipe(bench::default_config());
   engine::ExperimentOutcome outcome =
-      pipe.run_experiment(model::ExperimentId::kGoffGratch);
+      pipe.run_scenario(bench::scenario("goffgratch"));
   const graph::Digraph& sub = outcome.slice.subgraph;
 
   const auto eig = eigenvector_centrality(sub, graph::Direction::kIn);

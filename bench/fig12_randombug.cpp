@@ -20,7 +20,7 @@ int main() {
   config.drop_small_components = 0;
   engine::Pipeline pipe(config);
   engine::ExperimentOutcome outcome =
-      pipe.run_experiment(model::ExperimentId::kRandomBug);
+      pipe.run_scenario(bench::scenario("random-node"));
   const meta::Metagraph& mg = pipe.metagraph();
 
   std::printf("UF-ECT verdict: %s\n", outcome.verdict.pass ? "PASS" : "FAIL");

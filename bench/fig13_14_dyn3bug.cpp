@@ -23,7 +23,7 @@ int main() {
   config.refinement.gn_iterations = 2;
   engine::Pipeline pipe(config);
   engine::ExperimentOutcome outcome =
-      pipe.run_experiment(model::ExperimentId::kDyn3Bug);
+      pipe.run_scenario(bench::scenario("dyn3"));
   const meta::Metagraph& mg = pipe.metagraph();
 
   std::printf("UF-ECT verdict: %s\n", outcome.verdict.pass ? "PASS" : "FAIL");

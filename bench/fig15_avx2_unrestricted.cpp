@@ -19,14 +19,14 @@ int main() {
   // Restricted run.
   engine::Pipeline restricted_pipe(bench::default_config());
   engine::ExperimentOutcome restricted =
-      restricted_pipe.run_experiment(model::ExperimentId::kAvx2);
+      restricted_pipe.run_scenario(bench::scenario("fma-contraction"));
 
   // Unrestricted run.
   engine::PipelineConfig config = bench::default_config();
   config.restrict_to_cam = false;
   engine::Pipeline pipe(config);
   engine::ExperimentOutcome unrestricted =
-      pipe.run_experiment(model::ExperimentId::kAvx2);
+      pipe.run_scenario(bench::scenario("fma-contraction"));
   const meta::Metagraph& mg = pipe.metagraph();
 
   std::printf("restricted subgraph:   %zu nodes / %zu edges "

@@ -19,7 +19,7 @@ int main() {
 
   engine::Pipeline pipe(bench::default_config());
   engine::ExperimentOutcome outcome =
-      pipe.run_experiment(model::ExperimentId::kGoffGratch);
+      pipe.run_scenario(bench::scenario("goffgratch"));
 
   std::printf("UF-ECT verdict: %s\n", outcome.verdict.pass ? "PASS" : "FAIL");
   bench::print_selection(outcome);

@@ -21,8 +21,9 @@ int main() {
 
   engine::Pipeline pipe(bench::default_config());
   engine::ExperimentOutcome outcome =
-      pipe.run_experiment(model::ExperimentId::kAvx2);
+      pipe.run_scenario(bench::scenario("fma-contraction"));
   const meta::Metagraph& mg = pipe.metagraph();
+  const std::vector<graph::NodeId> kgen = bench::kgen_nodes(pipe);
 
   std::printf("UF-ECT verdict: %s\n", outcome.verdict.pass ? "PASS" : "FAIL");
   bench::print_selection(outcome);
@@ -31,7 +32,7 @@ int main() {
               outcome.slice.nodes.size(), outcome.slice.subgraph.edge_count());
 
   std::printf("KGen-style flagged variables (normalized RMS diff > 1e-12): "
-              "%zu (paper: 42)\n", outcome.bug_nodes.size());
+              "%zu (paper: 42)\n", kgen.size());
 
   bench::print_refinement_trace(mg, outcome.refinement, 15);
 
@@ -50,15 +51,14 @@ int main() {
       if (!is_physics) continue;
       for (std::size_t k = 0; k < comm.sampled.size() && k < 16; ++k) {
         const graph::NodeId v = comm.sampled[k];
-        const bool flagged = model::contains_any({v}, outcome.bug_nodes);
+        const bool flagged = model::contains_any({v}, kgen);
         std::printf("  (%s, %.6f)%s\n", mg.info(v).unique_name.c_str(),
                     comm.sampled_centrality[k], flagged ? "  *" : "");
         if (k == 0 && mg.info(v).unique_name == "dum__micro_mg_tend") {
           dum_first = true;
         }
       }
-      flagged_in_top15 = model::count_planted(comm.sampled, outcome.bug_nodes,
-                                              15);
+      flagged_in_top15 = model::count_planted(comm.sampled, kgen, 15);
     }
   }
 

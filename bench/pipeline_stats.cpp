@@ -242,15 +242,15 @@ int main(int argc, char** argv) {
   // disabled (instrumentation compiled in, branches off) and enabled. The
   // disabled-sink run must stay within noise of uninstrumented speed.
   obs::global().set_enabled(false);
-  pipe.run_experiment(model::ExperimentId::kGoffGratch);  // warm caches
+  pipe.run_scenario(bench::scenario("goffgratch"));  // warm caches
   Stopwatch off_sw;
-  pipe.run_experiment(model::ExperimentId::kGoffGratch);
+  pipe.run_scenario(bench::scenario("goffgratch"));
   const double off_s = off_sw.seconds();
 
   obs::global().set_enabled(true);
   obs::global().reset();
   Stopwatch on_sw;
-  pipe.run_experiment(model::ExperimentId::kGoffGratch);
+  pipe.run_scenario(bench::scenario("goffgratch"));
   const double on_s = on_sw.seconds();
   obs::global().set_enabled(false);
 

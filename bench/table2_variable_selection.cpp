@@ -27,17 +27,18 @@ int main() {
   Table table("Table 2");
   table.set_header({"Experiment", "Output variables (selected)",
                     "Internal variables"});
-  for (const auto& spec : model::all_experiments()) {
-    engine::ExperimentOutcome outcome = pipe.run_experiment(spec.id);
-    table.add_row({spec.name, join(outcome.criteria_outputs, ", "),
+  for (const model::ScenarioSpec* s : bench::paper_scenarios()) {
+    engine::ExperimentOutcome outcome = pipe.run_scenario(*s);
+    table.add_row({s->paper_id, join(outcome.criteria_outputs, ", "),
                    join(outcome.internal_names, ", ")});
   }
   table.print(std::cout);
 
   std::printf("\nPer-experiment detail (lasso vs median ranking):\n");
-  for (const auto& spec : model::all_experiments()) {
-    engine::ExperimentOutcome outcome = pipe.run_experiment(spec.id);
-    std::printf("\n-- %s (ECT verdict: %s, %zu failing PCs)\n", spec.name,
+  for (const model::ScenarioSpec* s : bench::paper_scenarios()) {
+    engine::ExperimentOutcome outcome = pipe.run_scenario(*s);
+    std::printf("\n-- %s (ECT verdict: %s, %zu failing PCs)\n",
+                s->paper_id.c_str(),
                 outcome.verdict.pass ? "PASS" : "FAIL",
                 outcome.verdict.failing_pcs.size());
     bench::print_selection(outcome);

@@ -26,8 +26,8 @@ int main() {
 
   // The "unknown" bug: GOFFGRATCH's 8.1328e-3 -> 8.1828e-3 typo.
   std::printf("running the GOFFGRATCH experiment with runtime sampling...\n");
-  engine::ExperimentOutcome outcome =
-      pipe.run_experiment_runtime_sampling(model::ExperimentId::kGoffGratch);
+  engine::ExperimentOutcome outcome = pipe.run_scenario(
+      *model::find_scenario("goffgratch"), /*runtime_sampling=*/true);
 
   std::printf("UF-ECT verdict: %s (%zu failing principal components)\n",
               outcome.verdict.pass ? "PASS" : "FAIL",

@@ -29,6 +29,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -97,9 +98,14 @@ using CallEffectFn = std::function<std::optional<CallEffect>(
 /// single-segment `name(...)` form when `name` is not a subprogram variable.
 /// All members are optional; absent ones make the walker conservative (treat
 /// as a call whose reference arguments may be read and written).
+/// Module variables visible in one module: local name -> (owning module,
+/// remote name), as ProgramSymbols (passes.hpp) resolves them.
+using ModuleVarMap =
+    std::unordered_map<std::string,
+                       std::pair<const lang::Module*, std::string>>;
+
 struct DataflowContext {
-  const std::unordered_set<std::string>* module_vars = nullptr;  // data names
-  const std::unordered_set<std::string>* procedures = nullptr;   // callables
+  const ModuleVarMap* module_vars = nullptr;  // data names
   CallEffectFn call_effects;  // interprocedural mod/ref summaries
 };
 

@@ -24,20 +24,24 @@ using lang::TypeKind;
 using lang::VarDecl;
 
 // ---------------------------------------------------------------------------
-// ProgramSymbols (mirrors meta/builder.cpp pass 1, without coverage filters).
+// ProgramSymbols.
 // ---------------------------------------------------------------------------
 
-ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules) {
+ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules,
+                               const SubprogramFilter& keep) {
+  // Own entities first.
   for (const Module* m : modules) {
     auto& syms = modules_[m->name];
     syms.ast = m;
     for (const auto& sp : m->subprograms) {
+      if (keep && !keep(m->name, sp.name)) continue;
       syms.procs[sp.name].push_back(ProcRef{m, &sp});
     }
     for (const auto& d : m->decls) {
       syms.vars[d.name] = {m, d.name};
     }
   }
+  // Interfaces expand to all their procedures (conservative mapping).
   for (const Module* m : modules) {
     auto& syms = modules_[m->name];
     for (const auto& iface : m->interfaces) {
@@ -53,7 +57,8 @@ ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules) {
   // is independent of module input order: round one imports each source
   // module's own exports, round two re-imports from the post-round-one
   // tables, which adds exactly one level of re-exported imports (`use b`
-  // where b itself does `use c`) — the same depth the builder sees.
+  // where b itself does `use c`); chained re-export beyond that is not
+  // followed.
   auto apply_imports =
       [this](const std::vector<const Module*>& mods,
              const std::unordered_map<std::string, ModuleSyms>& sources) {
@@ -93,16 +98,10 @@ ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules) {
           }
         }
       };
-  {
-    const std::unordered_map<std::string, ModuleSyms> own_exports = modules_;
-    apply_imports(modules, own_exports);
-    const std::unordered_map<std::string, ModuleSyms> with_direct = modules_;
-    apply_imports(modules, with_direct);
-  }
-  for (auto& [_, syms] : modules_) {
-    for (const auto& [name, __] : syms.vars) syms.var_names.insert(name);
-    for (const auto& [name, __] : syms.procs) syms.proc_names.insert(name);
-  }
+  const std::unordered_map<std::string, ModuleSyms> own_exports = modules_;
+  apply_imports(modules, own_exports);
+  const std::unordered_map<std::string, ModuleSyms> with_direct = modules_;
+  apply_imports(modules, with_direct);
 }
 
 const ProgramSymbols::ModuleSyms* ProgramSymbols::module(
@@ -911,10 +910,7 @@ AnalysisResult PassManager::run(const std::vector<const Module*>& modules,
       ma.module = m;
       DataflowContext ctx;
       const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
-      if (syms != nullptr) {
-        ctx.module_vars = &syms->var_names;
-        ctx.procedures = &syms->proc_names;
-      }
+      if (syms != nullptr) ctx.module_vars = &syms->vars;
       PassContext pctx;
       if (summaries != nullptr) {
         pctx.summaries = summaries.get();

@@ -2,10 +2,8 @@
 //
 // A pass sees one module at a time plus (a) the per-subprogram dataflow
 // results computed once up front (cfg.hpp / dataflow.hpp) and (b) the
-// program-wide symbol tables, which mirror the metagraph builder's name
-// resolution: own subprograms, interface blocks expanded to their module
-// procedures, and use-imports with only-lists and renames (direct imports
-// only, matching the builder). Passes append structured Diagnostic records;
+// program-wide symbol tables (ProgramSymbols, the same resolver the
+// metagraph builder uses). Passes append structured Diagnostic records;
 // the manager sorts them deterministically and feeds the `lint.*` counters
 // and per-pass spans in the observability registry.
 //
@@ -36,7 +34,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/dataflow.hpp"
@@ -51,10 +48,21 @@ struct ProcRef {
   const lang::Subprogram* sp = nullptr;
 };
 
-/// Program-wide name resolution, one entry per module (builder-compatible).
+/// Program-wide name resolution, one entry per module: own subprograms,
+/// interface blocks expanded to their module procedures, and use-imports
+/// with only-lists and renames, followed one re-export level deep. The one
+/// resolver behind the lint passes, the summaries and the metagraph builder
+/// (meta::SymbolTables).
 class ProgramSymbols {
  public:
-  explicit ProgramSymbols(const std::vector<const lang::Module*>& modules);
+  /// Which subprograms enter the tables; the builder passes its coverage
+  /// filter. Empty keeps every subprogram.
+  using SubprogramFilter =
+      std::function<bool(const std::string& module, const std::string& sub)>;
+
+  ProgramSymbols() = default;
+  explicit ProgramSymbols(const std::vector<const lang::Module*>& modules,
+                          const SubprogramFilter& keep = {});
 
   struct ModuleSyms {
     const lang::Module* ast = nullptr;
@@ -62,12 +70,7 @@ class ProgramSymbols {
     // imports, honoring only-lists and renames).
     std::unordered_map<std::string, std::vector<ProcRef>> procs;
     // Local name -> (owning module, remote name) for module variables.
-    std::unordered_map<std::string,
-                       std::pair<const lang::Module*, std::string>>
-        vars;
-    // Key sets, shaped for DataflowContext.
-    std::unordered_set<std::string> var_names;
-    std::unordered_set<std::string> proc_names;
+    ModuleVarMap vars;
   };
 
   /// Null if the module is unknown.

@@ -429,10 +429,7 @@ ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
   out.returns_real = result_is_real(sp);
 
   DataflowContext ctx;
-  if (syms != nullptr) {
-    ctx.module_vars = &syms->var_names;
-    ctx.procedures = &syms->proc_names;
-  }
+  if (syms != nullptr) ctx.module_vars = &syms->vars;
   ctx.call_effects = [&](const std::string& name, std::size_t nargs,
                          bool function_context) {
     return merge_effects(syms, cg, procs, &computed, name, nargs,

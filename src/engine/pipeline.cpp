@@ -82,11 +82,6 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
              static_cast<double>(mg_.graph().edge_count()));
 }
 
-const model::CesmModel& Pipeline::experiment_model(
-    const model::ExperimentSpec& spec) {
-  return bug_model(spec.bug);
-}
-
 const model::CesmModel& Pipeline::bug_model(model::BugId bug) {
   if (bug == model::BugId::kNone) return *control_;
   for (std::size_t i = 0; i < bug_model_ids_.size(); ++i) {
@@ -102,46 +97,6 @@ const model::CesmModel& Pipeline::bug_model(model::BugId bug) {
   return *bug_models_.back();
 }
 
-std::vector<NodeId> Pipeline::bug_nodes(const model::ExperimentSpec& spec) {
-  std::vector<NodeId> nodes;
-  if (spec.id == model::ExperimentId::kRandMt) {
-    return model::prng_influenced_nodes(mg_);
-  }
-  if (spec.id == model::ExperimentId::kAvx2) {
-    for (const interp::WatchKey& key :
-         model::kgen_flagged_variables(*control_, mg_)) {
-      const NodeId v = mg_.find(key.module, key.subprogram, key.name);
-      if (v != graph::kInvalidNode) nodes.push_back(v);
-    }
-    return nodes;
-  }
-  for (const interp::WatchKey& key : spec.bug_sites) {
-    const NodeId v = mg_.find(key.module, key.subprogram, key.name);
-    if (v != graph::kInvalidNode) nodes.push_back(v);
-  }
-  return nodes;
-}
-
-ExperimentOutcome Pipeline::run_experiment(model::ExperimentId id) {
-  return run_common(id, /*runtime_sampling=*/false);
-}
-
-ExperimentOutcome Pipeline::run_experiment_runtime_sampling(
-    model::ExperimentId id) {
-  return run_common(id, /*runtime_sampling=*/true);
-}
-
-ExperimentOutcome Pipeline::run_common(model::ExperimentId id,
-                                       bool runtime_sampling) {
-  const model::ExperimentSpec& spec = model::experiment(id);
-  ExperimentOutcome outcome =
-      run_core(spec.name, experiment_model(spec),
-               model::experiment_run_config(spec, config_.base_run),
-               bug_nodes(spec), runtime_sampling);
-  outcome.spec = &spec;
-  return outcome;
-}
-
 std::vector<NodeId> Pipeline::scenario_planted_nodes(
     const model::ScenarioSpec& s) {
   return model::scenario_planted_nodes(s, mg_, control_->compiled_modules());
@@ -149,23 +104,17 @@ std::vector<NodeId> Pipeline::scenario_planted_nodes(
 
 ExperimentOutcome Pipeline::run_scenario(const model::ScenarioSpec& s,
                                          bool runtime_sampling) {
-  return run_core(s.name, bug_model(s.bug),
-                  model::scenario_run_config(s, config_.base_run),
-                  scenario_planted_nodes(s), runtime_sampling);
-}
-
-ExperimentOutcome Pipeline::run_core(const std::string& name,
-                                     const model::CesmModel& exp_model,
-                                     const model::RunConfig& exp_config,
-                                     std::vector<NodeId> planted,
-                                     bool runtime_sampling) {
+  const model::CesmModel& exp_model = bug_model(s.bug);
+  const model::RunConfig exp_config =
+      model::scenario_run_config(s, config_.base_run);
   ExperimentOutcome outcome;
+  outcome.bug_nodes = scenario_planted_nodes(s);
   obs::Span experiment_span("experiment");
-  experiment_span.attr("name", name);
+  experiment_span.attr("name", s.name);
   experiment_span.attr("runtime_sampling", runtime_sampling);
 
   // Stage-boundary fault sites: chaos tests prove a failure inside one
-  // stage surfaces as a clean error from run_experiment(), never a crash or
+  // stage surfaces as a clean error from run_scenario(), never a crash or
   // a half-written outcome.
   // 0. UF-ECT verdict on a 3-run experimental set.
   {
@@ -258,7 +207,6 @@ ExperimentOutcome Pipeline::run_core(const std::string& name,
   // 5-9. Iterative refinement.
   obs::Span refinement_span("refinement");
   RCA_FAULT_POINT("engine.refinement");
-  outcome.bug_nodes = std::move(planted);
   std::unique_ptr<Sampler> sampler;
   if (runtime_sampling) {
     model::RunConfig control_config = config_.base_run;

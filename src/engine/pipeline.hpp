@@ -12,7 +12,6 @@
 #include "ect/ect.hpp"
 #include "engine/refinement.hpp"
 #include "meta/metagraph.hpp"
-#include "model/experiments.hpp"
 #include "model/model.hpp"
 #include "model/scenario.hpp"
 #include "slice/slicer.hpp"
@@ -52,9 +51,8 @@ struct PipelineConfig {
   }
 };
 
-/// Everything one experiment produced, for reporting.
+/// Everything one scenario run produced, for reporting.
 struct ExperimentOutcome {
-  const model::ExperimentSpec* spec = nullptr;
   ect::Verdict verdict;
   /// Variables most affected, by both §3 methods.
   std::vector<std::string> lasso_selected;
@@ -82,21 +80,10 @@ class Pipeline {
   const std::vector<std::string>& output_names() const { return names_; }
   const stats::Matrix& ensemble() const { return ensemble_; }
 
-  /// Bug-node ground truth for an experiment (static sites, PRNG-influence
-  /// set for RAND-MT, KGen-flagged variables for AVX2).
-  std::vector<graph::NodeId> bug_nodes(const model::ExperimentSpec& spec);
-
-  /// Full §6-style experiment: verdict, selection, slice, refinement with
-  /// the simulated sampler (the paper's mode).
-  ExperimentOutcome run_experiment(model::ExperimentId id);
-
-  /// Same, but with real runtime sampling through the interpreter.
-  ExperimentOutcome run_experiment_runtime_sampling(model::ExperimentId id);
-
   /// Full pipeline for a library scenario (model/scenario.hpp): ECT ->
   /// selection -> slice -> refinement, scored against the scenario's planted
-  /// sites. `ExperimentOutcome::spec` stays null — the scenario drives the
-  /// corpus and run configuration instead of the experiment registry.
+  /// sites. Simulated sampling is the paper's mode; `runtime_sampling`
+  /// samples through real interpreter runs instead.
   ExperimentOutcome run_scenario(const model::ScenarioSpec& s,
                                  bool runtime_sampling = false);
 
@@ -104,22 +91,11 @@ class Pipeline {
   std::vector<graph::NodeId> scenario_planted_nodes(
       const model::ScenarioSpec& s);
 
-  /// The experiment's model (control for runtime-config experiments, a
-  /// bug-injected corpus otherwise). Owned by the pipeline; stable.
-  const model::CesmModel& experiment_model(const model::ExperimentSpec& spec);
-
   /// Model for a bug-injected corpus (the control model for kNone); built
   /// once per BugId and cached.
   const model::CesmModel& bug_model(model::BugId bug);
 
  private:
-  ExperimentOutcome run_common(model::ExperimentId id, bool runtime_sampling);
-  ExperimentOutcome run_core(const std::string& name,
-                             const model::CesmModel& exp_model,
-                             const model::RunConfig& exp_config,
-                             std::vector<graph::NodeId> planted,
-                             bool runtime_sampling);
-
   PipelineConfig config_;
   std::unique_ptr<model::CesmModel> control_;
   interp::CoverageRecorder coverage_;

@@ -8,8 +8,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
+#include "support/http_wire.hpp"
 #include "support/strings.hpp"
 
 namespace rca::fleet {
@@ -17,49 +17,6 @@ namespace rca::fleet {
 namespace {
 
 constexpr std::size_t kMaxHeadBytes = 64 * 1024;
-
-bool send_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n;
-    do {
-      n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-ssize_t recv_retry(int fd, char* chunk, std::size_t cap) {
-  ssize_t n;
-  do {
-    n = ::recv(fd, chunk, cap, 0);
-  } while (n < 0 && errno == EINTR);
-  return n;
-}
-
-/// Lower-cased, trimmed value of the first `name` header; empty if absent.
-std::string header_value(const std::string& headers, const char* name) {
-  for (const std::string& line : split(headers, '\n')) {
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    if (to_lower(trim(line.substr(0, colon))) != name) continue;
-    return to_lower(trim(line.substr(colon + 1)));
-  }
-  return "";
-}
-
-long long parse_digits(const std::string& s) {
-  if (s.empty()) return -1;
-  long long v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return -1;
-    if (v > (1ll << 50)) return -1;
-    v = v * 10 + (c - '0');
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -140,13 +97,13 @@ std::optional<ClientResponse> HttpClient::roundtrip(int fd,
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   }
-  if (!send_all(fd, wire)) return std::nullopt;
+  if (!http::send_all(fd, wire.data(), wire.size())) return std::nullopt;
 
   std::string buf;
   char chunk[8192];
   while (buf.find("\r\n\r\n") == std::string::npos) {
     if (buf.size() > kMaxHeadBytes) return std::nullopt;
-    const ssize_t n = recv_retry(fd, chunk, sizeof(chunk));
+    const ssize_t n = http::recv_retry(fd, chunk, sizeof(chunk));
     if (n <= 0) return std::nullopt;
     buf.append(chunk, static_cast<std::size_t>(n));
   }
@@ -159,20 +116,20 @@ std::optional<ClientResponse> HttpClient::roundtrip(int fd,
   if (parts.size() < 2 || !starts_with(parts[0], "HTTP/")) {
     return std::nullopt;
   }
-  const long long status = parse_digits(parts[1]);
+  const long long status = http::parse_decimal(parts[1]);
   if (status < 100 || status > 599) return std::nullopt;
 
   const std::string headers =
       line_end == std::string::npos ? "" : head.substr(line_end + 2);
-  const long long content_length =
-      parse_digits(header_value(headers, "content-length"));
+  const long long content_length = http::parse_decimal(
+      http::header_value(headers, "content-length").value_or(""));
   if (content_length < 0) return std::nullopt;  // transport requires it
 
   ClientResponse resp;
   resp.status = static_cast<int>(status);
-  resp.keep_alive = header_value(headers, "connection") == "keep-alive";
-  const long long retry_after =
-      parse_digits(header_value(headers, "retry-after"));
+  resp.keep_alive = http::header_value(headers, "connection") == "keep-alive";
+  const long long retry_after = http::parse_decimal(
+      http::header_value(headers, "retry-after").value_or(""));
   if (retry_after > 0) resp.retry_after_ms = retry_after * 1000;
 
   resp.body = buf.substr(head_end + 4);
@@ -180,7 +137,7 @@ std::optional<ClientResponse> HttpClient::roundtrip(int fd,
   if (resp.body.size() > want) return std::nullopt;  // pipelined garbage
   while (resp.body.size() < want) {
     const std::size_t cap = std::min(sizeof(chunk), want - resp.body.size());
-    const ssize_t n = recv_retry(fd, chunk, cap);
+    const ssize_t n = http::recv_retry(fd, chunk, cap);
     if (n <= 0) return std::nullopt;
     resp.body.append(chunk, static_cast<std::size_t>(n));
   }

@@ -1,6 +1,5 @@
 #include "meta/builder.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,6 +15,7 @@
 
 namespace rca::meta {
 
+using analysis::ProcRef;
 using graph::NodeId;
 using lang::Expr;
 using lang::ExprKind;
@@ -29,84 +29,7 @@ using lang::VarDecl;
 SymbolTables build_symbol_tables(const std::vector<const Module*>& modules,
                                  const BuilderOptions& opts) {
   SymbolTables tables;
-  auto keep_sub = [&opts](const Module* m, const Subprogram& sp) {
-    return !opts.subprogram_filter || opts.subprogram_filter(m->name, sp.name);
-  };
-  // Own entities first.
-  for (const Module* m : modules) {
-    auto& syms = tables.modules[m->name];
-    syms.ast = m;
-    for (const auto& sp : m->subprograms) {
-      if (!keep_sub(m, sp)) continue;
-      syms.procs[sp.name].push_back(ProcRef{m, &sp});
-    }
-    for (const auto& d : m->decls) {
-      syms.vars[d.name] = {m, d.name};
-    }
-  }
-  // Interfaces expand to all their procedures (conservative mapping).
-  for (const Module* m : modules) {
-    auto& syms = tables.modules[m->name];
-    for (const auto& iface : m->interfaces) {
-      for (const auto& proc : iface.procedures) {
-        auto it = syms.procs.find(proc);
-        if (it == syms.procs.end()) continue;  // tolerated: dangling interface
-        auto& vec = syms.procs[iface.name];
-        vec.insert(vec.end(), it->second.begin(), it->second.end());
-      }
-    }
-  }
-  // Use-imports: resolved against an immutable snapshot of the exporters, in
-  // two rounds. Round one sees only each module's own entities; round two
-  // sees own + directly imported ones, so a re-exported import resolves one
-  // level deep regardless of module order (chained re-export beyond one
-  // level is still not followed).
-  auto apply_imports =
-      [&modules, &tables](
-          const std::unordered_map<std::string, SymbolTables::ModuleSyms>&
-              sources) {
-        for (const Module* m : modules) {
-          auto& syms = tables.modules[m->name];
-          auto process_use = [&sources, &syms](const lang::UseStmt& use) {
-            auto sit = sources.find(use.module);
-            if (sit == sources.end()) return;  // unresolved module: skip
-            const auto& src = sit->second;
-            auto import_one = [&](const std::string& local,
-                                  const std::string& remote) {
-              auto pit = src.procs.find(remote);
-              if (pit != src.procs.end()) {
-                auto& vec = syms.procs[local];
-                for (const ProcRef& r : pit->second) {
-                  const bool dup = std::any_of(
-                      vec.begin(), vec.end(),
-                      [&r](const ProcRef& x) { return x.sp == r.sp; });
-                  if (!dup) vec.push_back(r);
-                }
-              }
-              auto vit = src.vars.find(remote);
-              if (vit != src.vars.end()) {
-                syms.vars.emplace(local, vit->second);
-              }
-            };
-            if (use.has_only) {
-              for (const auto& r : use.renames) import_one(r.local, r.remote);
-            } else {
-              for (const auto& [name, _] : src.procs) import_one(name, name);
-              for (const auto& [name, _] : src.vars) import_one(name, name);
-            }
-          };
-          for (const auto& use : m->uses) process_use(use);
-          for (const auto& sp : m->subprograms) {
-            for (const auto& use : sp.uses) process_use(use);
-          }
-        }
-      };
-  const std::unordered_map<std::string, SymbolTables::ModuleSyms> own_exports =
-      tables.modules;
-  apply_imports(own_exports);
-  const std::unordered_map<std::string, SymbolTables::ModuleSyms> with_direct =
-      tables.modules;
-  apply_imports(with_direct);
+  tables.symbols = analysis::ProgramSymbols(modules, opts.subprogram_filter);
   if (opts.summary_informed_pruning) {
     auto psyms = std::make_shared<analysis::ProgramSymbols>(modules);
     tables.summaries = std::make_shared<analysis::ProgramSummaries>(
@@ -199,10 +122,7 @@ class ModuleWalker {
           // Summary-informed: call sites resolve to callee mod/ref effects,
           // so stores whose only use is feeding a never-read dummy die too.
           const auto* asyms = tables_.analysis_symbols->module(m.name);
-          if (asyms != nullptr) {
-            ctx.module_vars = &asyms->var_names;
-            ctx.procedures = &asyms->proc_names;
-          }
+          if (asyms != nullptr) ctx.module_vars = &asyms->vars;
           ctx.call_effects = analysis::make_call_effects(
               *tables_.analysis_symbols, *tables_.summaries, m.name);
         }
@@ -445,15 +365,21 @@ class ModuleWalker {
     return false;
   }
 
+  const analysis::ProgramSymbols::ModuleSyms& module_syms(
+      const Scope& scope) const {
+    const auto* syms = tables_.symbols.module(scope.mod->name);
+    RCA_CHECK_MSG(syms != nullptr, "module missing from the symbol tables");
+    return *syms;
+  }
+
   bool is_declared_var(const Scope& scope, const std::string& name) const {
     if (scope.locals.count(name)) return true;
-    const auto& syms = tables_.modules.at(scope.mod->name);
-    return syms.vars.count(name) != 0;
+    return module_syms(scope).vars.count(name) != 0;
   }
 
   const std::vector<ProcRef>* lookup_procs(const Scope& scope,
                                            const std::string& name) const {
-    const auto& syms = tables_.modules.at(scope.mod->name);
+    const auto& syms = module_syms(scope);
     auto it = syms.procs.find(name);
     return it == syms.procs.end() ? nullptr : &it->second;
   }
@@ -469,7 +395,7 @@ class ModuleWalker {
     if (scope.sub && scope.locals.count(base)) {
       return intern(scope.mod->name, scope.sub->name, canonical, e.line);
     }
-    const auto& syms = tables_.modules.at(scope.mod->name);
+    const auto& syms = module_syms(scope);
     auto vit = syms.vars.find(base);
     if (vit != syms.vars.end()) {
       // Module-level variable: lives with its owning module, no subprogram

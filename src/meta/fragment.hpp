@@ -21,42 +21,21 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/passes.hpp"
 #include "lang/ast.hpp"
 #include "meta/builder.hpp"
 #include "meta/metagraph.hpp"
 
-namespace rca::analysis {
-class ProgramSymbols;
-struct ProgramSummaries;
-}  // namespace rca::analysis
-
 namespace rca::meta {
 
-/// One candidate procedure a name may refer to.
-struct ProcRef {
-  const lang::Module* module = nullptr;
-  const lang::Subprogram* sp = nullptr;
-};
-
-/// Static symbol tables built in the builder's pass 1. Reads only
-/// interface-level module content: declarations, subprogram signatures,
-/// interface blocks and use statements — never statement bodies.
+/// Static symbol tables built in the builder's pass 1: the analysis
+/// resolver over the coverage-kept subprograms. Reads only interface-level
+/// module content: declarations, subprogram signatures, interface blocks and
+/// use statements — never statement bodies.
 struct SymbolTables {
-  struct ModuleSyms {
-    const lang::Module* ast = nullptr;
-    // Local name -> candidate procedures (own subprograms, own interfaces,
-    // imported subprograms/interfaces).
-    std::unordered_map<std::string, std::vector<ProcRef>> procs;
-    // Local name -> (owning module, remote name) for module variables
-    // (own and imported; own map to themselves).
-    std::unordered_map<std::string,
-                       std::pair<const lang::Module*, std::string>>
-        vars;
-  };
-  std::unordered_map<std::string, ModuleSyms> modules;
+  analysis::ProgramSymbols symbols;
 
   // Interprocedural mod/ref context, built only when
   // BuilderOptions::summary_informed_pruning is set (null otherwise). The

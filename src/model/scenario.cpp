@@ -1,6 +1,7 @@
 #include "model/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <tuple>
 
@@ -8,7 +9,6 @@
 #include "analysis/passes.hpp"
 #include "analysis/summaries.hpp"
 #include "graph/bfs.hpp"
-#include "model/experiments.hpp"
 #include "support/error.hpp"
 
 namespace rca::model {
@@ -27,6 +27,7 @@ const char* cause_kind_name(CauseKind kind) {
 const std::vector<ScenarioSpec>& scenario_library() {
   static const std::vector<ScenarioSpec> kScenarios = {
       {"wsub",
+       "WSUBBUG",
        "W-subgrid vertical-velocity coefficient bug (paper 6.1)",
        CauseKind::kSourceBug,
        BugId::kWsub,
@@ -34,6 +35,7 @@ const std::vector<ScenarioSpec>& scenario_library() {
        {{"microp_aero", "", "wsub"}},
        ""},
       {"random-node",
+       "RANDOMBUG",
        "randomly chosen single-assignment bug (paper 8.2.1)",
        CauseKind::kSourceBug,
        BugId::kRandom,
@@ -41,6 +43,7 @@ const std::vector<ScenarioSpec>& scenario_library() {
        {{"phys_state_mod", "", "omega"}},
        ""},
       {"dyn3",
+       "DYN3BUG",
        "hydrostatic three-term multi-site bug (paper 8.2.2)",
        CauseKind::kMultiSiteBug,
        BugId::kDyn3,
@@ -48,6 +51,7 @@ const std::vector<ScenarioSpec>& scenario_library() {
        {{"dyn_hydro", "", "pint"}, {"dyn_hydro", "", "pmid"}},
        ""},
       {"goffgratch",
+       "GOFFGRATCH",
        "saturation vapor pressure formulation swap (paper 6.3)",
        CauseKind::kMultiSiteBug,
        BugId::kGoffGratch,
@@ -56,6 +60,7 @@ const std::vector<ScenarioSpec>& scenario_library() {
         {"wv_saturation", "goffgratch_svp", "es"}},
        ""},
       {"prng",
+       "RAND-MT",
        "PRNG swap kiss -> mt19937 (paper 6.2)",
        CauseKind::kPrngSwap,
        BugId::kNone,
@@ -63,6 +68,7 @@ const std::vector<ScenarioSpec>& scenario_library() {
        {},
        ""},
       {"fma-contraction",
+       "AVX2",
        "FMA contraction everywhere; fpsense contraction sites in MG1",
        CauseKind::kFpContraction,
        BugId::kNone,
@@ -70,6 +76,7 @@ const std::vector<ScenarioSpec>& scenario_library() {
        {},
        "micro_mg"},
       {"reassoc3",
+       "",
        ">=3-term sums reassociated right-to-left; fpsense chain sites",
        CauseKind::kFpReassociation,
        BugId::kNone,
@@ -176,6 +183,56 @@ std::vector<graph::NodeId> scenario_planted_nodes(
     const std::vector<const lang::Module*>& modules) {
   if (s.kind == CauseKind::kPrngSwap) return prng_influenced_nodes(mg);
   return resolve_sites(mg, scenario_planted_sites(s, modules));
+}
+
+std::vector<graph::NodeId> prng_influenced_nodes(const meta::Metagraph& mg) {
+  std::vector<graph::NodeId> out;
+  for (graph::NodeId v = 0; v < mg.node_count(); ++v) {
+    if (!mg.info(v).is_prng_site) continue;
+    for (graph::NodeId succ : mg.graph().out_neighbors(v)) {
+      out.push_back(succ);
+      // One hop further: variables defined *from* the PRNG-filled array
+      // (emis = f(rnd_lw), ssa = f(rnd_sw)) are bug locations too.
+      for (graph::NodeId succ2 : mg.graph().out_neighbors(succ)) {
+        if (!mg.info(succ2).is_intrinsic) out.push_back(succ2);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<interp::WatchKey> kgen_flagged_variables(
+    const CesmModel& control_model, const meta::Metagraph& mg,
+    double threshold) {
+  // Watch every non-intrinsic variable of the MG1 module (the extracted
+  // "kernel"), run FMA-off and FMA-on, compare normalized RMS.
+  RunConfig config;
+  for (graph::NodeId v : mg.by_module("micro_mg")) {
+    if (mg.info(v).is_intrinsic || mg.info(v).is_prng_site) continue;
+    config.watches.push_back(mg.watch_key(v));
+  }
+  RunResult off = control_model.run(config);
+  RunConfig on = config;
+  on.fma_all = true;
+  RunResult fma = control_model.run(on);
+
+  std::vector<interp::WatchKey> flagged;
+  for (const auto& [key, stats_off] : off.watch_stats) {
+    auto it = fma.watch_stats.find(key);
+    if (it == fma.watch_stats.end()) continue;
+    const double rms_off = stats_off.rms();
+    const double rms_on = it->second.rms();
+    const double scale = std::max({std::abs(rms_off), std::abs(rms_on), 1e-300});
+    if (std::abs(rms_on - rms_off) / scale > threshold) flagged.push_back(key);
+  }
+  std::sort(flagged.begin(), flagged.end(),
+            [](const interp::WatchKey& a, const interp::WatchKey& b) {
+              if (a.subprogram != b.subprogram) return a.subprogram < b.subprogram;
+              return a.name < b.name;
+            });
+  return flagged;
 }
 
 std::vector<std::string> affected_outputs(

@@ -10,6 +10,11 @@
 // (src/campaign/score) runs the full pipeline per scenario and reports
 // whether a planted site lands in the top-m ranked nodes.
 //
+// The library is the one registry of planted causes: the paper's six
+// experiments (§6, §8.2) are the rows with a `paper_id`, and `rca-tool
+// analyze`, the figure benches, `score` and `/v1/refine` all run rows of it
+// through engine::Pipeline::run_scenario.
+//
 // The evaluation helpers at the bottom are the checks the figure benches
 // (fig12_randombug, exp_wsubbug, fig8_avx2) previously hand-rolled.
 #pragma once
@@ -39,6 +44,9 @@ const char* cause_kind_name(CauseKind kind);
 
 struct ScenarioSpec {
   std::string name;     // stable id: "wsub", "reassoc3", ...
+  /// The paper's experiment name ("WSUBBUG", "RAND-MT", ...); empty for
+  /// scenarios the paper does not evaluate.
+  std::string paper_id;
   std::string summary;  // one line for reports
   CauseKind kind = CauseKind::kSourceBug;
   /// Source bug injected into the experiment corpus (kNone for runtime-only
@@ -58,7 +66,7 @@ struct ScenarioSpec {
 
 /// The built-in scenarios, deterministic order. Covers the paper's planted
 /// bugs (wsub, random-node, dyn3, goffgratch), the PRNG swap, and two FP
-/// perturbations (contraction, reassociation).
+/// perturbations (contraction = the paper's AVX2, and reassociation).
 const std::vector<ScenarioSpec>& scenario_library();
 
 /// Null when no scenario has that name.
@@ -91,6 +99,20 @@ std::vector<graph::NodeId> resolve_sites(
 std::vector<graph::NodeId> scenario_planted_nodes(
     const ScenarioSpec& s, const meta::Metagraph& mg,
     const std::vector<const lang::Module*>& modules);
+
+/// RAND-MT ground truth: the variables immediately fed by a PRNG call site
+/// (paper §6.2 "variables immediately influenced or defined by the numbers
+/// returned from the PRNG").
+std::vector<graph::NodeId> prng_influenced_nodes(const meta::Metagraph& mg);
+
+/// The paper's AVX2 ground truth (the KGen emulation of §6.4): run the model
+/// with FMA off and on, watching every micro_mg variable, and flag those
+/// whose normalized RMS difference exceeds `threshold` (paper: 42 variables
+/// at 1e-12). The fma-contraction row scores against its fpsense sites
+/// instead; fig8_avx2 reproduces this listing.
+std::vector<interp::WatchKey> kgen_flagged_variables(
+    const CesmModel& control_model, const meta::Metagraph& mg,
+    double threshold = 1e-12);
 
 /// Output labels whose instrumented nodes are reachable from any planted
 /// node — the history fields the planted cause can actually move. At most

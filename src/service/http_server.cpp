@@ -11,13 +11,14 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/http_wire.hpp"
 #include "support/strings.hpp"
 
 namespace rca::service {
@@ -41,13 +42,8 @@ const char* status_text(int status) {
   }
 }
 
-/// Reads from `fd` until `terminator` is seen or `limit` bytes accumulate.
-/// Returns false on EOF/error/overflow before the terminator. Each recv is
-/// capped to the bytes still within budget, so the buffer never grows past
-/// limit + 1 (the +1 byte is what proves the head is oversized).
-/// recv with EINTR retry (a signal mid-read must not kill the connection)
-/// and the http.recv fault site: a delay action stalls inside the check,
-/// an errno action reads as a hard socket error.
+/// recv with EINTR retry plus the http.recv fault site: a delay action
+/// stalls inside the check, an errno action reads as a hard socket error.
 ssize_t recv_retry(int fd, char* chunk, std::size_t cap) {
   if (fault::Hit h = RCA_FAULT_CHECK("http.recv")) {
     if (h.action == fault::Action::kErrno) {
@@ -55,13 +51,13 @@ ssize_t recv_retry(int fd, char* chunk, std::size_t cap) {
       return -1;
     }
   }
-  ssize_t n;
-  do {
-    n = ::recv(fd, chunk, cap, 0);
-  } while (n < 0 && errno == EINTR);
-  return n;
+  return http::recv_retry(fd, chunk, cap);
 }
 
+/// Reads from `fd` until `terminator` is seen or `limit` bytes accumulate.
+/// Returns false on EOF/error/overflow before the terminator. Each recv is
+/// capped to the bytes still within budget, so the buffer never grows past
+/// limit + 1 (the +1 byte is what proves the head is oversized).
 bool read_until(int fd, std::string& buf, const char* terminator,
                 std::size_t limit) {
   char chunk[4096];
@@ -83,16 +79,7 @@ bool write_all(int fd, const std::string& data) {
     // peer that vanished mid-reply. The daemon must just drop the socket.
     if (h.action == fault::Action::kShortWrite) bytes /= 2;
   }
-  std::size_t off = 0;
-  while (off < bytes) {
-    ssize_t n;
-    do {
-      n = ::send(fd, data.data() + off, bytes - off, MSG_NOSIGNAL);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return bytes == data.size();
+  return http::send_all(fd, data.data(), bytes) && bytes == data.size();
 }
 
 /// False when the response could not be fully transmitted (the caller must
@@ -111,23 +98,12 @@ bool send_response(int fd, const Response& resp, bool keep_alive = false) {
   return write_all(fd, out);
 }
 
-/// Value of the first header named `name` (case-insensitive), trimmed and
-/// lower-cased; empty when absent.
-std::string header_value(const std::string& headers, const char* name) {
-  for (const std::string& line : split(headers, '\n')) {
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    if (to_lower(trim(line.substr(0, colon))) != name) continue;
-    return to_lower(trim(line.substr(colon + 1)));
-  }
-  return "";
-}
-
 /// HTTP/1.1 defaults to persistent connections, HTTP/1.0 to close; an
 /// explicit Connection header overrides either way.
 bool client_wants_close(const std::string& headers,
                         const std::string& version) {
-  const std::string conn = header_value(headers, "connection");
+  const std::string conn =
+      http::header_value(headers, "connection").value_or("");
   if (conn == "close") return true;
   if (conn == "keep-alive") return false;
   return version == "HTTP/1.0";
@@ -138,28 +114,11 @@ bool client_wants_close(const std::string& headers,
 /// overflowing value (the caller answers 413 for -2 — a length too large to
 /// represent is by definition over any body budget).
 long long parse_content_length(const std::string& headers) {
-  const std::string value = header_value(headers, "content-length");
-  if (value.empty()) {
-    // Distinguish "header absent" from "header present but empty".
-    for (const std::string& line : split(headers, '\n')) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos &&
-          to_lower(trim(line.substr(0, colon))) == "content-length") {
-        return -2;
-      }
-    }
-    return -1;
-  }
-  long long result = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return -2;
-    const long long digit = c - '0';
-    if (result > (std::numeric_limits<long long>::max() - digit) / 10) {
-      return -2;
-    }
-    result = result * 10 + digit;
-  }
-  return result;
+  const std::optional<std::string> value =
+      http::header_value(headers, "content-length");
+  if (!value) return -1;
+  const long long length = http::parse_decimal(*value);
+  return length < 0 ? -2 : length;
 }
 
 /// Pipe write end the installed signal handler pokes; handler-safe.

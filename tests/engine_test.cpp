@@ -8,6 +8,7 @@
 #include "lang/parser.hpp"
 #include "meta/builder.hpp"
 #include "obs/obs.hpp"
+#include "support/error.hpp"
 
 namespace rca::engine {
 namespace {
@@ -164,19 +165,31 @@ TEST(PipelineIntegration, MetagraphAndCoverageAreReasonable) {
   EXPECT_TRUE(pipe.coverage().module_executed("dyn_core"));
 }
 
-struct ExperimentCase {
-  model::ExperimentId id;
-  const char* name;
+/// The library row of one of the paper's experiments, by its paper id.
+const model::ScenarioSpec& paper_row(const std::string& paper_id) {
+  for (const model::ScenarioSpec& s : model::scenario_library()) {
+    if (s.paper_id == paper_id) return s;
+  }
+  throw Error("no scenario with paper id " + paper_id);
+}
+
+/// One paper experiment: its position in the paper's presentation (§6.1-§6.4,
+/// §8.2.1-§8.2.2) and its paper id. The leading ordinal is what gtest prints
+/// as the parameter, so the registered test names stay stable.
+struct PaperCase {
+  int ordinal;
+  const char* paper_id;
 };
 
-class ExperimentSuite : public ::testing::TestWithParam<ExperimentCase> {};
+class ExperimentSuite : public ::testing::TestWithParam<PaperCase> {};
 
 TEST_P(ExperimentSuite, EctFailsAndRefinementKeepsTheBug) {
   Pipeline& pipe = shared_pipeline();
-  ExperimentOutcome outcome = pipe.run_experiment(GetParam().id);
+  const char* id = GetParam().paper_id;
+  ExperimentOutcome outcome = pipe.run_scenario(paper_row(id));
 
   // The experiment must be detected as statistically distinct.
-  EXPECT_FALSE(outcome.verdict.pass) << GetParam().name;
+  EXPECT_FALSE(outcome.verdict.pass) << id;
 
   // Variable selection produced criteria that resolve to internal names.
   EXPECT_FALSE(outcome.criteria_outputs.empty());
@@ -188,29 +201,19 @@ TEST_P(ExperimentSuite, EctFailsAndRefinementKeepsTheBug) {
 
   // Ground truth: at least one bug node exists and survives refinement —
   // the engine never discards the root cause.
-  ASSERT_FALSE(outcome.bug_nodes.empty()) << GetParam().name;
-  bool contained = false;
-  for (NodeId b : outcome.bug_nodes) {
-    if (std::find(outcome.refinement.final_nodes.begin(),
-                  outcome.refinement.final_nodes.end(),
-                  b) != outcome.refinement.final_nodes.end()) {
-      contained = true;
-    }
-  }
-  EXPECT_TRUE(contained) << GetParam().name;
+  ASSERT_FALSE(outcome.bug_nodes.empty()) << id;
+  EXPECT_TRUE(model::contains_any(outcome.refinement.final_nodes,
+                                  outcome.bug_nodes))
+      << id;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSix, ExperimentSuite,
-    ::testing::Values(
-        ExperimentCase{model::ExperimentId::kWsubBug, "WSUBBUG"},
-        ExperimentCase{model::ExperimentId::kRandMt, "RAND-MT"},
-        ExperimentCase{model::ExperimentId::kGoffGratch, "GOFFGRATCH"},
-        ExperimentCase{model::ExperimentId::kAvx2, "AVX2"},
-        ExperimentCase{model::ExperimentId::kRandomBug, "RANDOMBUG"},
-        ExperimentCase{model::ExperimentId::kDyn3Bug, "DYN3BUG"}),
-    [](const ::testing::TestParamInfo<ExperimentCase>& info) {
-      std::string name = info.param.name;
+    ::testing::Values(PaperCase{0, "WSUBBUG"}, PaperCase{1, "RAND-MT"},
+                      PaperCase{2, "GOFFGRATCH"}, PaperCase{3, "AVX2"},
+                      PaperCase{4, "RANDOMBUG"}, PaperCase{5, "DYN3BUG"}),
+    [](const ::testing::TestParamInfo<PaperCase>& info) {
+      std::string name = info.param.paper_id;
       for (char& c : name) {
         if (c == '-') c = '_';
       }
@@ -221,7 +224,7 @@ TEST(PipelineIntegration, WsubBugIsIsolatedAndTiny) {
   // Paper §6.1: the WSUBBUG subgraph has ~14 nodes, disconnected from the
   // CAM core, found by the dominant median-distance variable.
   Pipeline& pipe = shared_pipeline();
-  ExperimentOutcome outcome = pipe.run_experiment(model::ExperimentId::kWsubBug);
+  ExperimentOutcome outcome = pipe.run_scenario(paper_row("WSUBBUG"));
   EXPECT_EQ(outcome.criteria_outputs, std::vector<std::string>{"wsub"});
   EXPECT_LE(outcome.slice.nodes.size(), 20u);
   EXPECT_GE(outcome.median_ranked[0].median_distance,
@@ -232,7 +235,7 @@ TEST(PipelineIntegration, RandMtDetectsOnSecondIterationAfter8a) {
   // Paper §6.2 / Figures 5-6: first sampling round sees nothing; step 8a
   // dramatically shrinks the subgraph; the second round detects.
   Pipeline& pipe = shared_pipeline();
-  ExperimentOutcome outcome = pipe.run_experiment(model::ExperimentId::kRandMt);
+  ExperimentOutcome outcome = pipe.run_scenario(paper_row("RAND-MT"));
   ASSERT_GE(outcome.refinement.iterations.size(), 2u);
   EXPECT_FALSE(outcome.refinement.iterations[0].detected);
   EXPECT_TRUE(outcome.refinement.iterations[0].applied_8a);
@@ -243,20 +246,29 @@ TEST(PipelineIntegration, RandMtDetectsOnSecondIterationAfter8a) {
 
 TEST(PipelineIntegration, Avx2SamplesKgenVariablesOnFirstIteration) {
   // Paper §6.4: the most central nodes of the physics community include the
-  // FMA-sensitive MG1 variables, sampled on iteration one; `dum` tops the
-  // centrality ranking.
+  // FMA-sensitive MG1 variables KGen flags, sampled on iteration one; `dum`
+  // tops the centrality ranking.
   Pipeline& pipe = shared_pipeline();
-  ExperimentOutcome outcome = pipe.run_experiment(model::ExperimentId::kAvx2);
-  EXPECT_EQ(outcome.refinement.bug_instrumented_at, 1u);
+  ExperimentOutcome outcome = pipe.run_scenario(paper_row("AVX2"));
+  const meta::Metagraph& mg = pipe.metagraph();
+  std::vector<NodeId> kgen;
+  for (const interp::WatchKey& key :
+       model::kgen_flagged_variables(pipe.control_model(), mg)) {
+    const NodeId v = mg.find(key.module, key.subprogram, key.name);
+    if (v != graph::kInvalidNode) kgen.push_back(v);
+  }
+  ASSERT_FALSE(kgen.empty());
   ASSERT_FALSE(outcome.refinement.iterations.empty());
+  bool kgen_sampled = false;
   bool dum_first = false;
   for (const auto& comm : outcome.refinement.iterations[0].communities) {
+    kgen_sampled = kgen_sampled || model::contains_any(comm.sampled, kgen);
     if (!comm.sampled.empty() &&
-        pipe.metagraph().info(comm.sampled[0]).unique_name ==
-            "dum__micro_mg_tend") {
+        mg.info(comm.sampled[0]).unique_name == "dum__micro_mg_tend") {
       dum_first = true;
     }
   }
+  EXPECT_TRUE(kgen_sampled);
   EXPECT_TRUE(dum_first);
 }
 
@@ -265,7 +277,7 @@ TEST(PipelineIntegration, RuntimeSamplingAgreesWithSimulation) {
   // bug in the final subgraph — the paper's proposed-but-unbuilt mode.
   Pipeline& pipe = shared_pipeline();
   ExperimentOutcome outcome =
-      pipe.run_experiment_runtime_sampling(model::ExperimentId::kGoffGratch);
+      pipe.run_scenario(paper_row("GOFFGRATCH"), /*runtime_sampling=*/true);
   EXPECT_FALSE(outcome.verdict.pass);
   bool contained = false;
   for (NodeId b : outcome.bug_nodes) {
@@ -287,7 +299,7 @@ TEST(PipelineIntegration, LouvainCommunitiesAlsoLocalizeTheBug) {
   config.experimental_runs = 6;
   config.refinement.community_method = CommunityMethod::kLouvain;
   Pipeline pipe(std::move(config));
-  ExperimentOutcome outcome = pipe.run_experiment(model::ExperimentId::kAvx2);
+  ExperimentOutcome outcome = pipe.run_scenario(paper_row("AVX2"));
   EXPECT_FALSE(outcome.verdict.pass);
   ASSERT_FALSE(outcome.refinement.iterations.empty());
   EXPECT_GE(outcome.refinement.iterations[0].communities.size(), 2u);
@@ -314,7 +326,7 @@ TEST(PipelineIntegration, AlternativeCentralitiesRun) {
     config.refinement.max_iterations = 2;
     Pipeline pipe(std::move(config));
     ExperimentOutcome outcome =
-        pipe.run_experiment(model::ExperimentId::kGoffGratch);
+        pipe.run_scenario(paper_row("GOFFGRATCH"));
     ASSERT_FALSE(outcome.refinement.iterations.empty());
     for (const auto& comm : outcome.refinement.iterations[0].communities) {
       EXPECT_FALSE(comm.sampled.empty());
@@ -331,7 +343,7 @@ TEST(PipelineIntegration, StallBreakingRefinesFurther) {
   base_config.experimental_runs = 6;
   Pipeline base_pipe(base_config);
   ExperimentOutcome plain =
-      base_pipe.run_experiment(model::ExperimentId::kGoffGratch);
+      base_pipe.run_scenario(paper_row("GOFFGRATCH"));
 
   PipelineConfig ranked_config;
   ranked_config.ensemble_members = 20;
@@ -339,7 +351,7 @@ TEST(PipelineIntegration, StallBreakingRefinesFurther) {
   ranked_config.refinement.rank_differences_on_stall = true;
   Pipeline ranked_pipe(std::move(ranked_config));
   ExperimentOutcome ranked =
-      ranked_pipe.run_experiment(model::ExperimentId::kGoffGratch);
+      ranked_pipe.run_scenario(paper_row("GOFFGRATCH"));
 
   EXPECT_LE(ranked.refinement.final_nodes.size(),
             plain.refinement.final_nodes.size());
@@ -482,7 +494,7 @@ TEST(PipelineIntegration, EmitsOneSpanPerPipelineStage) {
   Pipeline& pipe = shared_pipeline();
   obs::global().set_enabled(true);
   obs::global().reset();
-  pipe.run_experiment(model::ExperimentId::kGoffGratch);
+  pipe.run_scenario(paper_row("GOFFGRATCH"));
   obs::global().set_enabled(false);
 
   auto roots = obs::global().spans_named("experiment");
@@ -536,7 +548,7 @@ TEST(PipelineIntegration, ParallelSamplingMatchesSerial) {
     config.experimental_runs = 6;
     config.threads = threads;
     Pipeline pipe(std::move(config));
-    return pipe.run_experiment(model::ExperimentId::kGoffGratch);
+    return pipe.run_scenario(paper_row("GOFFGRATCH"));
   };
   ExperimentOutcome serial = run_with_threads(0);
   ExperimentOutcome parallel = run_with_threads(3);

@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 
 #include "cov/coverage_filter.hpp"
 #include "meta/builder.hpp"
 #include "model/corpus.hpp"
-#include "model/experiments.hpp"
 #include "model/model.hpp"
+#include "model/scenario.hpp"
 
 namespace rca::model {
 namespace {
@@ -190,19 +191,39 @@ TEST(Model, EnsembleMatrixShape) {
 }
 
 TEST(Experiments, RegistryIsComplete) {
-  EXPECT_EQ(all_experiments().size(), 6u);
-  EXPECT_STREQ(experiment(ExperimentId::kAvx2).name, "AVX2");
-  EXPECT_TRUE(experiment(ExperimentId::kRandMt).swap_prng);
-  EXPECT_TRUE(experiment(ExperimentId::kAvx2).fma_all);
-  EXPECT_EQ(experiment(ExperimentId::kGoffGratch).bug, BugId::kGoffGratch);
+  // The paper's six experiments are scenario-library rows, one per paper id.
+  const std::map<std::string, std::string> expected = {
+      {"WSUBBUG", "wsub"},       {"RAND-MT", "prng"},
+      {"GOFFGRATCH", "goffgratch"}, {"AVX2", "fma-contraction"},
+      {"RANDOMBUG", "random-node"}, {"DYN3BUG", "dyn3"}};
+  std::map<std::string, std::string> rows;
+  for (const ScenarioSpec& s : scenario_library()) {
+    if (s.paper_id.empty()) continue;
+    EXPECT_TRUE(rows.emplace(s.paper_id, s.name).second)
+        << "duplicate paper id " << s.paper_id;
+  }
+  EXPECT_EQ(rows, expected);
+  EXPECT_TRUE(find_scenario("reassoc3")->paper_id.empty());
+  EXPECT_TRUE(find_scenario("prng")->swap_prng);
+  EXPECT_TRUE(find_scenario("fma-contraction")->fma_all);
+  EXPECT_EQ(find_scenario("goffgratch")->bug, BugId::kGoffGratch);
 }
 
 TEST(Experiments, RunConfigModifiers) {
   RunConfig base;
-  RunConfig mt = experiment_run_config(experiment(ExperimentId::kRandMt), base);
+  RunConfig mt = scenario_run_config(*find_scenario("prng"), base);
   EXPECT_EQ(mt.prng_kind, "mt19937");
-  RunConfig avx = experiment_run_config(experiment(ExperimentId::kAvx2), base);
+  EXPECT_FALSE(mt.fma_all);
+  RunConfig avx = scenario_run_config(*find_scenario("fma-contraction"), base);
   EXPECT_TRUE(avx.fma_all);
+  EXPECT_EQ(avx.prng_kind, base.prng_kind);
+  // Source-bug rows plant their cause in the corpus, not the run.
+  const ScenarioSpec& wsub = *find_scenario("wsub");
+  RunConfig plain = scenario_run_config(wsub, base);
+  EXPECT_EQ(plain.prng_kind, base.prng_kind);
+  EXPECT_FALSE(plain.fma_all);
+  EXPECT_FALSE(plain.reassoc_all);
+  EXPECT_EQ(scenario_corpus_spec(wsub, CorpusSpec{}).bug, BugId::kWsub);
 }
 
 TEST(Experiments, PrngInfluencedNodesAreInRadiationModules) {

@@ -109,6 +109,23 @@ expect_counter(am_warm.json meta.snapshot.hits 1)
 expect_same_bytes(amg_cold.tsv amg_warm.tsv "warm analyze changed the metagraph")
 expect_same_bytes(a_cold.json a_warm.json "warm analyze changed the report")
 
+# `--experiment` takes a scenario name or the paper's experiment name; both
+# pick the same library row. An unknown name fails and lists the accepted
+# ones.
+run(analyze --experiment dyn3 --members 16 --json dyn3_scenario.json)
+run(analyze --experiment dyn3bug --members 16 --json dyn3_paper.json)
+expect_same_bytes(dyn3_scenario.json dyn3_paper.json
+                  "scenario name and paper id picked different rows")
+execute_process(COMMAND ${TOOL} analyze --experiment no-such-experiment
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE unknown_rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE unknown_err)
+if(unknown_rc EQUAL 0 OR NOT unknown_err MATCHES "accepted: .*dyn3bug")
+  message(FATAL_ERROR "analyze accepted an unknown --experiment "
+                      "(rc ${unknown_rc}):\n${unknown_err}")
+endif()
+
 # ---------------------------------------------------------------------------
 # Lint: the generated corpus must be error-free (its dead-store/unused
 # warnings are deliberate CESM-style fixtures), the JSON artifact must be an

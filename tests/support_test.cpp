@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/http_wire.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -60,6 +61,39 @@ TEST(Strings, IdentifierValidation) {
 TEST(Strings, StrfmtFormats) {
   EXPECT_EQ(strfmt("%d/%s", 42, "x"), "42/x");
   EXPECT_EQ(strfmt("%.2f", 3.14159), "3.14");
+}
+
+TEST(HttpWire, HeaderNameMatchesCaseInsensitively) {
+  const std::string headers = "Host: l\r\nCONTENT-Length: 12\r\n";
+  EXPECT_EQ(http::header_value(headers, "content-length"), "12");
+  EXPECT_EQ(http::header_value(headers, "host"), "l");
+}
+
+TEST(HttpWire, HeaderValueIsTrimmedAndLowerCased) {
+  const std::string headers = "Connection:   Keep-Alive \t\r\nX: a\r\n";
+  EXPECT_EQ(http::header_value(headers, "connection"), "keep-alive");
+  // The first header of that name wins.
+  EXPECT_EQ(http::header_value("X: First\nx: second\n", "x"), "first");
+}
+
+TEST(HttpWire, AbsentHeaderIsDistinctFromEmptyOne) {
+  const std::string headers = "Host: l\r\nContent-Length:\r\n";
+  EXPECT_FALSE(http::header_value(headers, "connection").has_value());
+  ASSERT_TRUE(http::header_value(headers, "content-length").has_value());
+  EXPECT_EQ(*http::header_value(headers, "content-length"), "");
+  EXPECT_FALSE(http::header_value("", "host").has_value());
+}
+
+TEST(HttpWire, DecimalParsingRejectsMalformedAndOverflow) {
+  EXPECT_EQ(http::parse_decimal("0"), 0);
+  EXPECT_EQ(http::parse_decimal("4096"), 4096);
+  EXPECT_EQ(http::parse_decimal("9223372036854775807"),
+            9223372036854775807LL);
+  EXPECT_EQ(http::parse_decimal("9223372036854775808"), -1);
+  EXPECT_EQ(http::parse_decimal("99999999999999999999999"), -1);
+  EXPECT_EQ(http::parse_decimal(""), -1);
+  EXPECT_EQ(http::parse_decimal("-1"), -1);
+  EXPECT_EQ(http::parse_decimal("12a"), -1);
 }
 
 TEST(Error, CheckMacroThrows) {
