@@ -84,7 +84,6 @@
 #include "graph/dot_export.hpp"
 #include "graph/girvan_newman.hpp"
 #include "graph/louvain.hpp"
-#include "graph/nonbacktracking.hpp"
 #include "lang/parser.hpp"
 #include "meta/builder.hpp"
 #include "meta/serialize.hpp"
@@ -152,6 +151,13 @@ int usage() {
       "  --method gn|louvain  community detector (default gn)\n"
       "  --top N              ranked sites reported (default 10)\n"
       "  --json FILE          also write the result document to FILE\n"
+      "\n"
+      "centrality options:\n"
+      "  --kind KIND          in-centrality (default eigenvector): degree,\n"
+      "                       pagerank, katz, closeness, nonbacktracking,\n"
+      "                       betweenness (exact), inout-eigenvector\n"
+      "  --top N              ranked nodes reported (default 15)\n"
+      "  --modules            rank modules of the module quotient graph\n"
       "\n"
       "score options:\n"
       "  --scenario NAME      restrict to named scenario(s); repeatable\n"
@@ -662,48 +668,21 @@ int cmd_centrality(const Args& args) {
   const std::string kind = args.get("kind", "eigenvector");
   const std::size_t top = static_cast<std::size_t>(args.get_int("top", 15));
 
-  const graph::Digraph* g = &mg.graph();
-  graph::Digraph quotient;
-  std::vector<std::string> names;
-  if (args.has("modules")) {
-    quotient = graph::quotient_graph(mg.graph(), mg.module_classes(),
-                                     mg.modules().size());
-    g = &quotient;
-    names = mg.modules();
-  } else {
-    for (graph::NodeId v = 0; v < mg.node_count(); ++v) {
-      names.push_back(mg.info(v).unique_name);
-    }
-  }
-
-  std::vector<double> scores;
-  if (kind == "eigenvector") {
-    scores = eigenvector_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "degree") {
-    scores = degree_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "pagerank") {
-    scores = pagerank(*g, graph::Direction::kIn);
-  } else if (kind == "katz") {
-    scores = katz_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "closeness") {
-    scores = closeness_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "nonbacktracking") {
-    scores = nonbacktracking_centrality(*g, graph::Direction::kIn).centrality;
-  } else if (kind == "inout-eigenvector") {
-    const auto cin = eigenvector_centrality(*g, graph::Direction::kIn);
-    const auto cout = eigenvector_centrality(*g, graph::Direction::kOut);
-    scores.resize(cin.size());
-    for (std::size_t i = 0; i < cin.size(); ++i) scores[i] = cin[i] + cout[i];
-  } else {
-    throw Error("unknown --kind '" + kind + "'");
-  }
+  const bool modules = args.has("modules");
+  const std::vector<graph::NodeId> module_of =
+      modules ? mg.module_classes() : std::vector<graph::NodeId>{};
+  const std::optional<graph::NamedScores> ranked = graph::rank_by_kind(
+      kind, mg.graph(),
+      [&mg](graph::NodeId v) { return mg.info(v).unique_name; },
+      modules ? &module_of : nullptr, mg.modules());
+  if (!ranked) throw Error("unknown --kind '" + kind + "'");
 
   Table table(kind + " in-centrality, top " + std::to_string(top));
   table.set_header({"rank", "name", "score"});
   int rank = 1;
-  for (graph::NodeId v : graph::top_k(scores, top)) {
-    table.add_row({Table::integer(rank++), names[v],
-                   Table::num(scores[v], 6)});
+  for (graph::NodeId v : graph::top_k(ranked->scores, top)) {
+    table.add_row({Table::integer(rank++), ranked->names[v],
+                   Table::num(ranked->scores[v], 6)});
   }
   table.print(std::cout);
   return 0;

@@ -23,11 +23,12 @@ double mean_distance_to_samples(const graph::Digraph& sub,
                                 const std::vector<graph::NodeId>& sampled,
                                 const std::vector<graph::NodeId>& bugs) {
   // Undirected distances: run BFS on a symmetrized copy.
-  graph::Digraph undirected(sub.node_count());
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> both_ways;
   for (const auto& [u, v] : sub.edges()) {
-    undirected.add_edge(u, v);
-    undirected.add_edge(v, u);
+    both_ways.emplace_back(u, v);
+    both_ways.emplace_back(v, u);
   }
+  const graph::Digraph undirected(sub.node_count(), std::move(both_ways));
   std::vector<graph::NodeId> to_local(slice_nodes.size());
   std::vector<graph::NodeId> sampled_local;
   std::vector<graph::NodeId> bug_local;

@@ -6,14 +6,22 @@
 // scaled synthetic model, not CESM on Cheyenne (see DESIGN.md §2).
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/pipeline.hpp"
+#include "graph/betweenness.hpp"
+#include "graph/ugraph.hpp"
 #include "model/scenario.hpp"
+#include "stats/descriptive.hpp"
+#include "support/rng.hpp"
 #include "support/table.hpp"
 
 namespace rca::bench {
@@ -59,6 +67,49 @@ inline std::vector<graph::NodeId> kgen_nodes(const engine::Pipeline& pipe) {
     if (v != graph::kInvalidNode) nodes.push_back(v);
   }
   return nodes;
+}
+
+/// Wall time of one call, in milliseconds.
+inline double time_ms(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Fixed serial workload the perf trajectories (BENCH_graph.json,
+/// BENCH_parse.json, BENCH_service.json) normalize by, so their `normalized`
+/// values share one runner-independent unit: median wall time of five exact
+/// edge-betweenness runs on a deterministic preferential-attachment graph
+/// (600 nodes, 1,183 edges).
+inline double calibration_ms() {
+  SplitMix64 rng(7);
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
+  std::set<std::pair<graph::NodeId, graph::NodeId>> accepted;
+  std::vector<graph::NodeId> pool = {0};
+  for (graph::NodeId v = 1; v < 600; ++v) {
+    for (int e = 0; e < 2; ++e) {
+      const graph::NodeId t = pool[rng.next() % pool.size()];
+      if (t != v && accepted.insert({v, t}).second) {
+        edges.emplace_back(v, t);
+        pool.push_back(t);
+        pool.push_back(v);
+      }
+    }
+  }
+  const graph::Digraph g(600, std::move(edges));
+  if (g.edge_count() != 1183) {
+    std::fprintf(stderr, "calibration graph drifted: %zu edges, want 1183\n",
+                 g.edge_count());
+    std::exit(2);
+  }
+  const graph::UGraph ug(g);
+  std::vector<double> times;
+  for (int r = 0; r < 5; ++r) {
+    times.push_back(time_ms([&ug] { (void)graph::edge_betweenness(ug); }));
+  }
+  return stats::median(times);
 }
 
 /// One-line header with the paper reference.

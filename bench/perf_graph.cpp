@@ -20,7 +20,6 @@
 // baseline diff tolerates absolute speed differences between runners and
 // only trips on relative regressions of the kernels themselves.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -28,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "graph/betweenness.hpp"
 #include "graph/bfs.hpp"
 #include "graph/centrality.hpp"
@@ -38,7 +38,6 @@
 #include "model/model.hpp"
 #include "stats/descriptive.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rca {
@@ -47,13 +46,6 @@ namespace {
 constexpr double kMinSampledSpeedup = 5.0;
 constexpr double kMinSampledSpearman = 0.9;
 constexpr std::size_t kPoolWorkers = 8;
-
-double time_ms(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 struct Kernel {
   std::string name;
@@ -73,7 +65,7 @@ class Harness {
     times.reserve(static_cast<std::size_t>(repeats_));
     for (int r = 0; r < repeats_; ++r) {
       if (setup) setup();
-      times.push_back(time_ms(fn));
+      times.push_back(bench::time_ms(fn));
     }
     const double med = stats::median(times);
     std::printf("  %-34s %10.2f ms (median of %d)\n", name.c_str(), med,
@@ -89,36 +81,6 @@ class Harness {
   int repeats_;
   std::vector<Kernel> kernels_;
 };
-
-/// Fixed serial workload used to normalize away runner speed: exact
-/// betweenness on a deterministic preferential-attachment graph.
-graph::Digraph make_graph(std::size_t n, std::size_t edges_per_node,
-                          std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  graph::Digraph g(1);
-  std::vector<graph::NodeId> pool = {0};
-  for (graph::NodeId v = 1; v < n; ++v) {
-    g.add_nodes(1);
-    for (std::size_t e = 0; e < edges_per_node; ++e) {
-      const graph::NodeId t = pool[rng.next() % pool.size()];
-      if (t != v && g.add_edge(v, t)) {
-        pool.push_back(t);
-        pool.push_back(v);
-      }
-    }
-  }
-  return g;
-}
-
-double calibration_ms() {
-  const graph::Digraph g = make_graph(600, 2, 7);
-  const graph::UGraph ug(g);
-  std::vector<double> times;
-  for (int r = 0; r < 5; ++r) {
-    times.push_back(time_ms([&] { (void)graph::edge_betweenness(ug); }));
-  }
-  return stats::median(times);
-}
 
 struct Fixture {
   meta::Metagraph mg;
@@ -172,7 +134,7 @@ int main(int argc, char** argv) {
   ThreadPool pool(kPoolWorkers);
 
   std::printf("calibrating...\n");
-  const double calib = calibration_ms();
+  const double calib = bench::calibration_ms();
   std::printf("  calibration workload: %.2f ms\n", calib);
 
   std::printf("building fixtures...\n");

@@ -13,7 +13,6 @@
 // tools/bench_diff.cmake diffs BENCH_parse.json in CI.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -24,7 +23,7 @@
 #include <utility>
 #include <vector>
 
-#include "graph/betweenness.hpp"
+#include "bench_common.hpp"
 #include "lang/lexer.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
@@ -35,7 +34,6 @@
 #include "service/session_store.hpp"
 #include "stats/descriptive.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rca {
@@ -201,39 +199,6 @@ BENCHMARK(BM_CoverageRun);
 // Warm-edit gate (incremental sessions)
 // ---------------------------------------------------------------------------
 
-double time_ms(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-/// Same fixed serial calibration workload as perf_graph: exact betweenness
-/// on a deterministic preferential-attachment graph. Normalizing both
-/// BENCH_graph.json and BENCH_parse.json by the identical workload keeps the
-/// two trajectory files comparable across runners.
-double calibration_ms() {
-  SplitMix64 rng(7);
-  graph::Digraph g(1);
-  std::vector<graph::NodeId> pool = {0};
-  for (graph::NodeId v = 1; v < 600; ++v) {
-    g.add_nodes(1);
-    for (std::size_t e = 0; e < 2; ++e) {
-      const graph::NodeId t = pool[rng.next() % pool.size()];
-      if (t != v && g.add_edge(v, t)) {
-        pool.push_back(t);
-        pool.push_back(v);
-      }
-    }
-  }
-  const graph::UGraph ug(g);
-  std::vector<double> times;
-  for (int r = 0; r < 5; ++r) {
-    times.push_back(time_ms([&] { (void)graph::edge_betweenness(ug); }));
-  }
-  return stats::median(times);
-}
-
 /// Appends a unique trailing comment to the first line of one module: the
 /// session key and the module's bytes change, but no line shifts, so the
 /// transaction re-walks exactly one module and splices the rest.
@@ -254,7 +219,7 @@ int run_warm_edit_gate(const std::string& json_path, bool quick) {
   const int warm_repeats = quick ? 3 : 7;
 
   std::printf("calibrating...\n");
-  const double calib = calibration_ms();
+  const double calib = bench::calibration_ms();
   std::printf("  calibration workload: %.2f ms\n", calib);
 
   std::printf("generating cesm-scale corpus...\n");
@@ -278,7 +243,7 @@ int run_warm_edit_gate(const std::string& json_path, bool quick) {
     SessionStoreOptions opts;
     opts.build_pool = &pool;
     SessionStore store(opts);
-    cold_times.push_back(time_ms([&] {
+    cold_times.push_back(bench::time_ms([&] {
       auto s = store.get_or_build(config, sources);
       nodes = s->metagraph().node_count();
       edges = s->metagraph().graph().edge_count();
@@ -302,7 +267,8 @@ int run_warm_edit_gate(const std::string& json_path, bool quick) {
     SessionStore::PatchEdit edit;
     edit.upserts.emplace_back(sources[victim].first, sources[victim].second);
     SessionStore::PatchResult result;
-    warm_times.push_back(time_ms([&] { result = store.patch(key, edit); }));
+    warm_times.push_back(
+        bench::time_ms([&] { result = store.patch(key, edit); }));
     if (result.rolled_back || result.full_rewalk ||
         result.rebuilt_modules != 1) {
       std::fprintf(stderr,

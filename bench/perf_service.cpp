@@ -41,18 +41,15 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "fault/fault.hpp"
 #include "fleet/http_client.hpp"
-#include "graph/betweenness.hpp"
-#include "graph/digraph.hpp"
-#include "graph/ugraph.hpp"
 #include "model/corpus.hpp"
 #include "obs/obs.hpp"
 #include "service/router.hpp"
 #include "service/session_store.hpp"
 #include "stats/descriptive.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace fs = std::filesystem;
@@ -145,42 +142,6 @@ const char* request_path(int i) {
 // ---------------------------------------------------------------------------
 
 using Clock = std::chrono::steady_clock;
-
-/// Same fixed serial workload perf_graph normalizes by: exact betweenness on
-/// a deterministic preferential-attachment graph. Sharing the calibration
-/// means `normalized` values in BENCH_service.json and BENCH_graph.json are
-/// in the same runner-independent unit.
-graph::Digraph calibration_graph(std::size_t n, std::size_t edges_per_node,
-                                 std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  graph::Digraph g(1);
-  std::vector<graph::NodeId> pool = {0};
-  for (graph::NodeId v = 1; v < n; ++v) {
-    g.add_nodes(1);
-    for (std::size_t e = 0; e < edges_per_node; ++e) {
-      const graph::NodeId t = pool[rng.next() % pool.size()];
-      if (t != v && g.add_edge(v, t)) {
-        pool.push_back(t);
-        pool.push_back(v);
-      }
-    }
-  }
-  return g;
-}
-
-double calibration_ms() {
-  const graph::Digraph g = calibration_graph(600, 2, 7);
-  const graph::UGraph ug(g);
-  std::vector<double> times;
-  for (int r = 0; r < 5; ++r) {
-    const auto t0 = Clock::now();
-    (void)graph::edge_betweenness(ug);
-    times.push_back(std::chrono::duration<double, std::milli>(Clock::now() -
-                                                              t0)
-                        .count());
-  }
-  return stats::median(times);
-}
 
 #ifdef RCA_TOOL_BIN
 
@@ -313,7 +274,7 @@ int run_fleet(int clients, int requests_per_client,
   }
 
   std::printf("calibrating...\n");
-  const double calib = calibration_ms();
+  const double calib = bench::calibration_ms();
 
   // Arm the chaos schedule in the fleet's environment: each worker process
   // aborts once after its 150th routed request (health probes sit above the

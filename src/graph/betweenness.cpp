@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/csr.hpp"
 #include "obs/obs.hpp"
 #include "support/rng.hpp"
 
@@ -177,7 +176,6 @@ std::vector<double> node_betweenness(const Digraph& g,
   const std::size_t n = g.node_count();
   std::vector<double> result(n, 0.0);
   if (n == 0) return result;
-  const DigraphCsr& csr = g.csr();
 
   std::vector<NodeId> all;
   const std::vector<NodeId>* sources = opts.sources;
@@ -197,8 +195,8 @@ std::vector<double> node_betweenness(const Digraph& g,
   obs::count("graph.betweenness.node_calls");
   obs::count("graph.betweenness.sweeps", sources->size());
 
-  auto run_source = [&csr, n](NodeId s, BrandesScratch& scratch,
-                              std::vector<double>& acc) {
+  auto run_source = [&g, n](NodeId s, BrandesScratch& scratch,
+                            std::vector<double>& acc) {
     scratch.reset();
     auto& dist = scratch.dist;
     auto& sigma = scratch.sigma;
@@ -210,7 +208,7 @@ std::vector<double> node_betweenness(const Digraph& g,
     order.push_back(s);
     while (head < order.size()) {
       NodeId u = order[head++];
-      for (NodeId v : csr.out.neighbors(u)) {
+      for (NodeId v : g.out_neighbors(u)) {
         if (dist[v] < 0) {
           dist[v] = dist[u] + 1;
           order.push_back(v);
@@ -221,7 +219,7 @@ std::vector<double> node_betweenness(const Digraph& g,
     for (std::size_t i = order.size(); i-- > 1;) {
       NodeId w = order[i];
       const double coeff = (1.0 + delta[w]) / sigma[w];
-      for (NodeId v : csr.in.neighbors(w)) {
+      for (NodeId v : g.in_neighbors(w)) {
         if (dist[v] >= 0 && dist[v] == dist[w] - 1) {
           delta[v] += sigma[v] * coeff;
         }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <span>
 
-#include "graph/csr.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
@@ -12,10 +10,9 @@ namespace rca::graph {
 
 namespace {
 
-template <typename NeighborFn>
-std::vector<std::uint32_t> bfs_impl(std::size_t n,
-                                    const std::vector<NodeId>& starts,
-                                    NeighborFn&& neighbors) {
+std::vector<std::uint32_t> bfs_impl(const Csr& adj,
+                                    const std::vector<NodeId>& starts) {
+  const std::size_t n = adj.node_count();
   std::vector<std::uint32_t> dist(n, kUnreached);
   std::deque<NodeId> queue;
   for (NodeId s : starts) {
@@ -28,7 +25,7 @@ std::vector<std::uint32_t> bfs_impl(std::size_t n,
   while (!queue.empty()) {
     NodeId u = queue.front();
     queue.pop_front();
-    for (NodeId v : neighbors(u)) {
+    for (NodeId v : adj.neighbors(u)) {
       if (dist[v] == kUnreached) {
         dist[v] = dist[u] + 1;
         queue.push_back(v);
@@ -67,18 +64,12 @@ std::vector<NodeId> reached_nodes(const std::vector<std::uint32_t>& dist) {
 
 std::vector<std::uint32_t> bfs_distances(const Digraph& g,
                                          const std::vector<NodeId>& sources) {
-  // Stream the cached CSR snapshot rather than the per-node vectors: one
-  // flat array scan per frontier instead of a pointer chase per node.
-  const Csr& out = g.csr().out;
-  return bfs_impl(g.node_count(), sources,
-                  [&out](NodeId u) { return out.neighbors(u); });
+  return bfs_impl(g.out(), sources);
 }
 
 std::vector<std::uint32_t> bfs_distances_to(const Digraph& g,
                                             const std::vector<NodeId>& targets) {
-  const Csr& in = g.csr().in;
-  return bfs_impl(g.node_count(), targets,
-                  [&in](NodeId u) { return in.neighbors(u); });
+  return bfs_impl(g.in(), targets);
 }
 
 std::vector<NodeId> ancestors_of(const Digraph& g,
@@ -104,7 +95,6 @@ bool reaches_any(const Digraph& g, NodeId from, const std::vector<NodeId>& to) {
 std::vector<NodeId> weakly_connected_components(const Digraph& g,
                                                 std::size_t* component_count) {
   const std::size_t n = g.node_count();
-  const DigraphCsr& csr = g.csr();
   std::vector<NodeId> comp(n, kInvalidNode);
   NodeId next_id = 0;
   std::deque<NodeId> queue;
@@ -121,8 +111,8 @@ std::vector<NodeId> weakly_connected_components(const Digraph& g,
           queue.push_back(v);
         }
       };
-      for (NodeId v : csr.out.neighbors(u)) visit(v);
-      for (NodeId v : csr.in.neighbors(u)) visit(v);
+      for (NodeId v : g.out_neighbors(u)) visit(v);
+      for (NodeId v : g.in_neighbors(u)) visit(v);
     }
     ++next_id;
   }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "graph/csr.hpp"
+#include "graph/nonbacktracking.hpp"
 #include "support/error.hpp"
 
 namespace rca::graph {
@@ -36,7 +36,7 @@ void apply(const Csr& adj, const std::vector<double>& x,
 }
 
 const Csr& gather_adjacency(const Digraph& g, Direction dir) {
-  return (dir == Direction::kIn) ? g.csr().in : g.csr().out;
+  return (dir == Direction::kIn) ? g.in() : g.out();
 }
 
 double l2_norm(const std::vector<double>& v) {
@@ -100,8 +100,7 @@ std::vector<double> pagerank(const Digraph& g, Direction dir, double damping,
 
   // For kIn we walk edges forward (mass flows u -> v), ranking nodes that
   // accumulate influence; for kOut we walk reversed edges.
-  const Csr& adj =
-      (dir == Direction::kIn) ? g.csr().out : g.csr().in;
+  const Csr& adj = (dir == Direction::kIn) ? g.out() : g.in();
   std::vector<double> x(n, 1.0 / static_cast<double>(n)), y(n, 0.0);
   for (std::size_t it = 0; it < max_iterations; ++it) {
     std::fill(y.begin(), y.end(), 0.0);
@@ -205,6 +204,54 @@ std::vector<NodeId> top_k(const std::vector<double>& scores, std::size_t k) {
                     });
   idx.resize(k);
   return idx;
+}
+
+std::optional<NamedScores> rank_by_kind(
+    const std::string& kind, const Digraph& g,
+    const std::function<std::string(NodeId)>& node_name,
+    const std::vector<NodeId>* node_class,
+    const std::vector<std::string>& class_names,
+    const BetweennessOptions& betweenness) {
+  const Digraph quotient =
+      node_class != nullptr
+          ? quotient_graph(g, *node_class, class_names.size())
+          : Digraph();
+  const Digraph& r = node_class != nullptr ? quotient : g;
+  NamedScores out;
+  if (node_class != nullptr) {
+    out.names = class_names;
+  } else {
+    out.names.reserve(g.node_count());
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      out.names.push_back(node_name(v));
+    }
+  }
+
+  if (kind == "eigenvector") {
+    out.scores = eigenvector_centrality(r, Direction::kIn);
+  } else if (kind == "degree") {
+    out.scores = degree_centrality(r, Direction::kIn);
+  } else if (kind == "pagerank") {
+    out.scores = pagerank(r, Direction::kIn);
+  } else if (kind == "katz") {
+    out.scores = katz_centrality(r, Direction::kIn);
+  } else if (kind == "closeness") {
+    out.scores = closeness_centrality(r, Direction::kIn);
+  } else if (kind == "nonbacktracking") {
+    out.scores = nonbacktracking_centrality(r, Direction::kIn).centrality;
+  } else if (kind == "betweenness") {
+    out.scores = node_betweenness(r, betweenness);
+  } else if (kind == "inout-eigenvector") {
+    const auto cin = eigenvector_centrality(r, Direction::kIn);
+    const auto cout = eigenvector_centrality(r, Direction::kOut);
+    out.scores.resize(cin.size());
+    for (std::size_t i = 0; i < cin.size(); ++i) {
+      out.scores[i] = cin[i] + cout[i];
+    }
+  } else {
+    return std::nullopt;
+  }
+  return out;
 }
 
 }  // namespace rca::graph

@@ -7,8 +7,12 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "graph/betweenness.hpp"
 #include "graph/digraph.hpp"
 #include "support/thread_pool.hpp"
 
@@ -73,5 +77,25 @@ std::vector<double> closeness_centrality(const Digraph& g, Direction dir);
 /// Indices of the top-k values, ranked descending with deterministic
 /// (lowest-id) tie-breaks.
 std::vector<NodeId> top_k(const std::vector<double>& scores, std::size_t k);
+
+/// Parallel per-node names and scores, ready for top_k.
+struct NamedScores {
+  std::vector<std::string> names;
+  std::vector<double> scores;
+};
+
+/// The named in-centrality kinds behind `rca-tool centrality --kind` and
+/// /v1/rank: eigenvector, degree, pagerank, katz, closeness,
+/// nonbacktracking, betweenness (node betweenness under `betweenness`) and
+/// inout-eigenvector (in- plus out-eigenvector). Scores `g`, its nodes named
+/// by `node_name` — or, when `node_class` is set, g's quotient under those
+/// classes (the paper's §6.5 module collapse), named by `class_names`.
+/// Returns std::nullopt for an unknown kind; each caller words that error.
+std::optional<NamedScores> rank_by_kind(
+    const std::string& kind, const Digraph& g,
+    const std::function<std::string(NodeId)>& node_name,
+    const std::vector<NodeId>* node_class,
+    const std::vector<std::string>& class_names,
+    const BetweennessOptions& betweenness = {});
 
 }  // namespace rca::graph

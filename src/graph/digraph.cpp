@@ -1,123 +1,87 @@
 #include "graph/digraph.hpp"
 
-#include "graph/csr.hpp"
+#include <algorithm>
+#include <limits>
+
 #include "support/error.hpp"
 
 namespace rca::graph {
 
-Digraph::Digraph() = default;
-
-Digraph::Digraph(std::size_t node_count) { resize(node_count); }
-
-Digraph::~Digraph() = default;
-
-Digraph::Digraph(const Digraph& other)
-    : out_(other.out_),
-      in_(other.in_),
-      edge_set_(other.edge_set_),
-      edge_count_(other.edge_count_) {}
-
-Digraph& Digraph::operator=(const Digraph& other) {
-  if (this != &other) {
-    out_ = other.out_;
-    in_ = other.in_;
-    edge_set_ = other.edge_set_;
-    edge_count_ = other.edge_count_;
-    invalidate_csr();
+Digraph::Digraph(std::size_t n, std::vector<std::pair<NodeId, NodeId>> edges) {
+  RCA_CHECK_MSG(n < kInvalidNode &&
+                    edges.size() <= std::numeric_limits<std::uint32_t>::max(),
+                "Digraph too large for 32-bit ids");
+  // Stable counting sort of the candidate edges (self-loops never are) by
+  // source: by_source lists edge indices grouped by u, input order within u.
+  std::vector<std::uint32_t> start(n + 1, 0);
+  for (const auto& [u, v] : edges) {
+    RCA_CHECK_MSG(u < n && v < n, "edge endpoint out of range");
+    if (u != v) ++start[u + 1];
   }
-  return *this;
-}
-
-Digraph::Digraph(Digraph&& other) noexcept
-    : out_(std::move(other.out_)),
-      in_(std::move(other.in_)),
-      edge_set_(std::move(other.edge_set_)),
-      edge_count_(other.edge_count_) {
-  other.edge_count_ = 0;
-  other.invalidate_csr();
-}
-
-Digraph& Digraph::operator=(Digraph&& other) noexcept {
-  if (this != &other) {
-    out_ = std::move(other.out_);
-    in_ = std::move(other.in_);
-    edge_set_ = std::move(other.edge_set_);
-    edge_count_ = other.edge_count_;
-    other.edge_count_ = 0;
-    other.invalidate_csr();
-    invalidate_csr();
+  for (std::size_t u = 0; u < n; ++u) start[u + 1] += start[u];
+  std::vector<std::uint32_t> by_source(start[n]);
+  std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
+  for (std::uint32_t i = 0; i < edges.size(); ++i) {
+    const auto [u, v] = edges[i];
+    if (u != v) by_source[cursor[u]++] = i;
   }
-  return *this;
-}
 
-const DigraphCsr& Digraph::csr() const {
-  std::lock_guard<std::mutex> lock(csr_mutex_);
-  const std::uint64_t now = mut_epoch_.load(std::memory_order_relaxed);
-  if (!csr_ || built_epoch_ != now) {
-    csr_ = std::make_unique<DigraphCsr>(*this);
-    built_epoch_ = now;
-    ++csr_builds_;
+  // Per source, keep each target's first occurrence (stamp[v] == u marks v
+  // as seen from u) and compact the kept targets in place. A rejected
+  // duplicate is rewritten into a self-loop so the in-pass skips it.
+  std::vector<NodeId> stamp(n, kInvalidNode);
+  out_.offsets.assign(n + 1, 0);
+  std::uint32_t kept = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    out_.offsets[u] = kept;
+    for (std::uint32_t k = start[u]; k < start[u + 1]; ++k) {
+      NodeId& v = edges[by_source[k]].second;
+      if (stamp[v] == u) {
+        v = u;
+        continue;
+      }
+      stamp[v] = u;
+      by_source[kept++] = v;
+    }
   }
-  return *csr_;
-}
+  out_.offsets[n] = kept;
+  by_source.resize(kept);
+  out_.targets = std::move(by_source);
 
-std::size_t Digraph::csr_builds() const {
-  std::lock_guard<std::mutex> lock(csr_mutex_);
-  return csr_builds_;
-}
-
-void Digraph::invalidate_csr() {
-  // Epoch bump only: no lock, no deallocation. The stale snapshot (if any)
-  // is replaced lazily on the next csr() call. Mutations are already
-  // forbidden to race reads, so relaxed ordering suffices — the mutex in
-  // csr() orders the epoch load against the rebuild.
-  mut_epoch_.fetch_add(1, std::memory_order_relaxed);
-}
-
-NodeId Digraph::add_nodes(std::size_t count) {
-  const NodeId first = static_cast<NodeId>(out_.size());
-  out_.resize(out_.size() + count);
-  in_.resize(in_.size() + count);
-  invalidate_csr();
-  return first;
-}
-
-void Digraph::resize(std::size_t node_count) {
-  RCA_CHECK_MSG(node_count >= out_.size(), "Digraph::resize cannot shrink");
-  out_.resize(node_count);
-  in_.resize(node_count);
-  invalidate_csr();
-}
-
-bool Digraph::add_edge(NodeId u, NodeId v) {
-  RCA_CHECK_MSG(u < out_.size() && v < out_.size(), "edge endpoint out of range");
-  if (u == v) return false;
-  if (!edge_set_.insert(key(u, v)).second) return false;
-  out_[u].push_back(v);
-  in_[v].push_back(u);
-  ++edge_count_;
-  invalidate_csr();
-  return true;
+  // Stable counting sort of the accepted edges by target: in(v) lists the
+  // sources in the global order of accepted edges.
+  in_.offsets.assign(n + 1, 0);
+  for (const auto& [u, v] : edges) {
+    if (u != v) ++in_.offsets[v + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) in_.offsets[v + 1] += in_.offsets[v];
+  in_.targets.resize(kept);
+  cursor.assign(in_.offsets.begin(), in_.offsets.end() - 1);
+  for (const auto& [u, v] : edges) {
+    if (u != v) in_.targets[cursor[v]++] = u;
+  }
 }
 
 bool Digraph::has_edge(NodeId u, NodeId v) const {
-  if (u >= out_.size() || v >= out_.size()) return false;
-  return edge_set_.count(key(u, v)) != 0;
+  if (u >= node_count() || v >= node_count()) return false;
+  const std::span<const NodeId> nbrs = out_neighbors(u);
+  return std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end();
 }
 
 Digraph Digraph::reversed() const {
-  Digraph r(node_count());
+  std::vector<std::pair<NodeId, NodeId>> rev;
+  rev.reserve(edge_count());
   for (NodeId u = 0; u < node_count(); ++u) {
-    for (NodeId v : out_[u]) r.add_edge(v, u);
+    for (NodeId v : out_neighbors(u)) rev.emplace_back(v, u);
   }
-  return r;
+  return Digraph(node_count(), std::move(rev));
 }
 
 std::vector<std::pair<NodeId, NodeId>> Digraph::edges() const {
   std::vector<std::pair<NodeId, NodeId>> out;
-  out.reserve(edge_count_);
+  out.reserve(edge_count());
   for (NodeId u = 0; u < node_count(); ++u) {
-    for (NodeId v : out_[u]) out.emplace_back(u, v);
+    for (NodeId v : out_neighbors(u)) out.emplace_back(u, v);
   }
   return out;
 }
@@ -130,14 +94,15 @@ Digraph induced_subgraph(const Digraph& g, const std::vector<NodeId>& nodes,
     RCA_CHECK_MSG(map[nodes[i]] == kInvalidNode, "duplicate node in subgraph set");
     map[nodes[i]] = static_cast<NodeId>(i);
   }
-  Digraph sub(nodes.size());
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (NodeId v : g.out_neighbors(nodes[i])) {
       if (map[v] != kInvalidNode) {
-        sub.add_edge(static_cast<NodeId>(i), map[v]);
+        edges.emplace_back(static_cast<NodeId>(i), map[v]);
       }
     }
   }
+  Digraph sub(nodes.size(), std::move(edges));
   if (old_to_new) *old_to_new = std::move(map);
   return sub;
 }
@@ -146,16 +111,16 @@ Digraph quotient_graph(const Digraph& g, const std::vector<NodeId>& node_class,
                        std::size_t class_count) {
   RCA_CHECK_MSG(node_class.size() == g.node_count(),
                 "node_class size mismatch");
-  Digraph q(class_count);
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     RCA_CHECK_MSG(node_class[u] < class_count, "class id out of range");
     for (NodeId v : g.out_neighbors(u)) {
-      if (node_class[u] != node_class[v]) {
-        q.add_edge(node_class[u], node_class[v]);  // merged by add_edge dedup
-      }
+      // Intra-class edges become self-loops and parallel inter-class edges
+      // merge, both dropped by the constructor.
+      edges.emplace_back(node_class[u], node_class[v]);
     }
   }
-  return q;
+  return Digraph(class_count, std::move(edges));
 }
 
 }  // namespace rca::graph

@@ -1,16 +1,27 @@
-// Compact directed-graph container used for the CESM variable graph.
+// Compact, immutable directed-graph container used for the CESM variable
+// graph.
 //
 // Nodes are dense 32-bit ids; all labels/metadata live in the Metagraph layer
 // (src/meta), keeping this container cache-friendly (Core Guidelines Per.16:
-// compact data structures). Both out- and in-adjacency are stored so the
-// backward slicer (reverse BFS) and in-centrality need no transposition pass.
+// compact data structures). The paper builds the variable digraph once from
+// the parsed source (§4) and afterwards only reads it (§5), so a Digraph is
+// constructed once from an edge list and never mutated. It stores exactly
+// two compressed-sparse-row arrays — out- and in-adjacency — so the backward
+// slicer (reverse BFS) and in-centrality need no transposition pass, and the
+// hot kernels (Brandes betweenness, BFS, power iteration) stream one flat
+// array instead of chasing per-node vectors.
+//
+// Neighbor order is an invariant the kernels rely on: out(u) lists u's
+// targets in first-occurrence order of the construction edge list, and
+// in(v) lists v's sources in the global order of accepted edges. Kernels
+// therefore visit nodes in the same order as the historic adjacency-list
+// code paths and produce bit-identical floating-point results (pinned by
+// tests/betweenness_csr_test.cpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_set>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace rca::graph {
@@ -18,89 +29,64 @@ namespace rca::graph {
 using NodeId = std::uint32_t;
 constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 
-struct DigraphCsr;
+/// One direction of adjacency in CSR form: neighbors of u are
+/// targets[offsets[u] .. offsets[u+1]).
+struct Csr {
+  std::vector<std::uint32_t> offsets;  // node_count + 1 entries
+  std::vector<NodeId> targets;
+
+  std::size_t node_count() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  std::span<const NodeId> neighbors(NodeId u) const {
+    return {targets.data() + offsets[u], targets.data() + offsets[u + 1]};
+  }
+  std::size_t degree(NodeId u) const { return offsets[u + 1] - offsets[u]; }
+};
 
 class Digraph {
  public:
-  // Default ctor and dtor are out of line: DigraphCsr is incomplete here and
-  // the unique_ptr deleter must not be instantiated in this header.
-  Digraph();
-  explicit Digraph(std::size_t node_count);
-  ~Digraph();
+  Digraph() = default;
 
-  // Copies/moves carry the adjacency but not the cached CSR snapshot (it is
-  // rebuilt on first use; the mutex makes the class non-trivially copyable).
-  Digraph(const Digraph& other);
-  Digraph& operator=(const Digraph& other);
-  Digraph(Digraph&& other) noexcept;
-  Digraph& operator=(Digraph&& other) noexcept;
+  /// Graph on `n` nodes with the given edges, built in one O(V+E) pass.
+  /// Self-loops are dropped (a variable assigned from itself adds no
+  /// dependency information) and parallel edges collapse onto their first
+  /// occurrence. An endpoint >= n fails RCA_CHECK.
+  explicit Digraph(std::size_t n,
+                   std::vector<std::pair<NodeId, NodeId>> edges = {});
 
-  /// Append `count` isolated nodes; returns the id of the first new node.
-  NodeId add_nodes(std::size_t count = 1);
-
-  void resize(std::size_t node_count);
-
-  /// Insert edge u -> v. Parallel edges are collapsed; self-loops are
-  /// rejected (a variable assigned from itself adds no dependency
-  /// information). Returns true if the edge was new.
-  bool add_edge(NodeId u, NodeId v);
-
+  /// Linear scan of out(u); false for out-of-range endpoints.
   bool has_edge(NodeId u, NodeId v) const;
 
-  std::size_t node_count() const { return out_.size(); }
-  std::size_t edge_count() const { return edge_count_; }
+  std::size_t node_count() const { return out_.node_count(); }
+  std::size_t edge_count() const { return out_.targets.size(); }
 
-  const std::vector<NodeId>& out_neighbors(NodeId u) const { return out_[u]; }
-  const std::vector<NodeId>& in_neighbors(NodeId u) const { return in_[u]; }
+  const Csr& out() const { return out_; }
+  const Csr& in() const { return in_; }
 
-  std::size_t out_degree(NodeId u) const { return out_[u].size(); }
-  std::size_t in_degree(NodeId u) const { return in_[u].size(); }
+  std::span<const NodeId> out_neighbors(NodeId u) const {
+    return out_.neighbors(u);
+  }
+  std::span<const NodeId> in_neighbors(NodeId u) const {
+    return in_.neighbors(u);
+  }
+
+  std::size_t out_degree(NodeId u) const { return out_.degree(u); }
+  std::size_t in_degree(NodeId u) const { return in_.degree(u); }
   /// Total degree in the undirected (weakly connected) view; a node with
   /// both u->v and v->u counts that neighbor twice here, matching the
   /// digraph's edge multiset.
-  std::size_t degree(NodeId u) const { return out_[u].size() + in_[u].size(); }
+  std::size_t degree(NodeId u) const { return out_degree(u) + in_degree(u); }
 
   /// Graph with every edge reversed (used for in-centralities).
   Digraph reversed() const;
 
-  /// All edges as (u, v) pairs, ordered by u then insertion order.
+  /// All edges as (u, v) pairs, ordered by u then out(u) order.
   std::vector<std::pair<NodeId, NodeId>> edges() const;
 
-  /// CSR snapshot of both adjacency directions, built lazily on first use
-  /// and cached until the next mutation (add_nodes/resize/add_edge). Safe to
-  /// call from concurrent readers; the returned reference stays valid as
-  /// long as the graph is not mutated — the same contract every accessor on
-  /// this class already has.
-  ///
-  /// Invalidation is epoch-granular: a mutation bumps a relaxed atomic
-  /// counter (no lock, no deallocation) and the snapshot is rebuilt only
-  /// when csr() observes a stale epoch. Bulk construction — the transaction
-  /// layer replaying tens of thousands of add_edge calls — therefore pays
-  /// one increment per mutation instead of a mutex acquire + delete, and
-  /// rejected duplicates/self-loops never invalidate at all.
-  const DigraphCsr& csr() const;
-
-  /// CSR snapshots materialized so far (tests pin invalidation granularity:
-  /// N reads between mutations must cost one build, not N).
-  std::size_t csr_builds() const;
-
  private:
-  static std::uint64_t key(NodeId u, NodeId v) {
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
-
-  void invalidate_csr();
-
-  std::vector<std::vector<NodeId>> out_;
-  std::vector<std::vector<NodeId>> in_;
-  std::unordered_set<std::uint64_t> edge_set_;
-  std::size_t edge_count_ = 0;
-
-  std::atomic<std::uint64_t> mut_epoch_{0};
-  mutable std::mutex csr_mutex_;
-  mutable std::unique_ptr<DigraphCsr> csr_;
-  mutable std::uint64_t built_epoch_ = 0;  // guarded by csr_mutex_
-  mutable std::size_t csr_builds_ = 0;     // guarded by csr_mutex_
+  Csr out_;
+  Csr in_;
 };
 
 /// Induced subgraph on `nodes` (order defines new ids). Returns the new graph

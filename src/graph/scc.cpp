@@ -44,7 +44,7 @@ SccResult strongly_connected_components(const Digraph& g) {
     while (!frames.empty()) {
       Frame& frame = frames.back();
       const NodeId v = frame.v;
-      const auto& out = g.out_neighbors(v);
+      const auto out = g.out_neighbors(v);
       if (frame.child < out.size()) {
         const NodeId w = out[frame.child++];
         if (index[w] == kUnvisited) {

@@ -443,7 +443,7 @@ void replay_fragment(const Fragment& frag, Metagraph& mg) {
         break;
       }
       case Fragment::OpKind::kEdge:
-        mg.graph().add_edge(global[op.a], global[op.b]);
+        mg.add_edge(global[op.a], global[op.b]);
         break;
       case Fragment::OpKind::kIo:
         mg.add_io_mapping(frag.io_labels[op.a], global[op.b]);
@@ -478,6 +478,7 @@ Metagraph build_metagraph(const std::vector<const Module*>& modules,
   // Deterministic reduction: module order, not completion order.
   Metagraph mg;
   for (const Fragment& frag : fragments) replay_fragment(frag, mg);
+  mg.seal();
   return mg;
 }
 

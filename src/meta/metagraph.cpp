@@ -1,5 +1,7 @@
 #include "meta/metagraph.hpp"
 
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace rca::meta {
@@ -8,11 +10,12 @@ graph::NodeId Metagraph::intern(const std::string& module,
                                 const std::string& subprogram,
                                 const std::string& canonical, int line,
                                 bool is_intrinsic, bool is_prng_site) {
+  RCA_CHECK_MSG(!sealed_, "Metagraph::intern after seal()");
   const std::string key = scope_key(module, subprogram, canonical);
   auto it = by_scope_key_.find(key);
   if (it != by_scope_key_.end()) return it->second;
 
-  const graph::NodeId id = graph_.add_nodes(1);
+  const auto id = static_cast<graph::NodeId>(info_.size());
   NodeInfo info;
   info.canonical_name = canonical;
   info.module = module;
@@ -40,6 +43,17 @@ graph::NodeId Metagraph::intern(const std::string& module,
     mit->second.push_back(id);
   }
   return id;
+}
+
+void Metagraph::add_edge(graph::NodeId u, graph::NodeId v) {
+  RCA_CHECK_MSG(!sealed_, "Metagraph::add_edge after seal()");
+  pending_edges_.emplace_back(u, v);
+}
+
+void Metagraph::seal() {
+  RCA_CHECK_MSG(!sealed_, "Metagraph::seal called twice");
+  graph_ = graph::Digraph(info_.size(), std::exchange(pending_edges_, {}));
+  sealed_ = true;
 }
 
 graph::NodeId Metagraph::find(const std::string& module,

@@ -36,8 +36,8 @@ struct NodeInfo {
 
 class Metagraph {
  public:
+  /// The variable digraph; empty until seal().
   const graph::Digraph& graph() const { return graph_; }
-  graph::Digraph& graph() { return graph_; }
 
   std::size_t node_count() const { return info_.size(); }
   const NodeInfo& info(graph::NodeId v) const { return info_[v]; }
@@ -48,6 +48,15 @@ class Metagraph {
   graph::NodeId intern(const std::string& module, const std::string& subprogram,
                        const std::string& canonical, int line,
                        bool is_intrinsic = false, bool is_prng_site = false);
+
+  /// Buffer edge u -> v for seal(); self-loops and duplicates are dropped
+  /// there, exactly as graph::Digraph's constructor drops them.
+  void add_edge(graph::NodeId u, graph::NodeId v);
+
+  /// Build the digraph over every interned node from the buffered edges, in
+  /// one pass. Every producer (builder, transaction splice, both snapshot
+  /// loaders) seals once; intern() and add_edge() afterwards fail RCA_CHECK.
+  void seal();
 
   /// Lookup without creation; returns kInvalidNode when absent.
   graph::NodeId find(const std::string& module, const std::string& subprogram,
@@ -93,6 +102,8 @@ class Metagraph {
   }
 
   graph::Digraph graph_;
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pending_edges_;
+  bool sealed_ = false;
   std::vector<NodeInfo> info_;
   std::unordered_map<std::string, graph::NodeId> by_scope_key_;
   std::unordered_map<std::string, std::vector<graph::NodeId>> by_canonical_;

@@ -133,8 +133,9 @@ Metagraph load_v1(std::istream& in) {
     if (u >= mg.node_count() || v >= mg.node_count()) {
       throw Error("load_metagraph: edge references unknown node");
     }
-    mg.graph().add_edge(u, v);
+    mg.add_edge(u, v);
   }
+  mg.seal();
   for (const auto& [label, nodes] : io) {
     for (NodeId v : nodes) {
       if (v >= mg.node_count()) {
@@ -361,9 +362,10 @@ Metagraph load_v2(std::istream& in) {
     prev_u += edges.read_varint();
     const NodeId u = checked_node_id(prev_u, node_count, "edge");
     const NodeId v = checked_node_id(edges.read_varint(), node_count, "edge");
-    mg.graph().add_edge(u, v);
+    mg.add_edge(u, v);
   }
   if (!edges.done()) throw Error("load_metagraph: trailing bytes in E section");
+  mg.seal();
 
   Reader io{sections[2].payload};
   const std::uint64_t label_count = io.read_varint();

@@ -231,6 +231,7 @@ TxnResult run_transaction(const std::vector<TxnInput>& inputs,
       RCA_FAULT_POINT("meta.txn.splice");
       replay_fragment(*e.frag, *mg);
     }
+    mg->seal();
     result.mg = std::move(mg);
   }
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -12,7 +13,6 @@
 #include "graph/centrality.hpp"
 #include "graph/girvan_newman.hpp"
 #include "graph/louvain.hpp"
-#include "graph/nonbacktracking.hpp"
 #include "model/corpus.hpp"
 #include "obs/obs.hpp"
 #include "service/build_info.hpp"
@@ -490,48 +490,23 @@ Response Router::handle_rank(const JsonValue& body) {
   const std::string kind = body.get_string("kind", "eigenvector");
   const std::size_t top = static_cast<std::size_t>(body.get_int("top", 15));
 
-  const graph::Digraph* g = &mg.graph();
-  graph::Digraph quotient;
-  std::vector<std::string> names;
-  if (body.get_bool("modules", false)) {
-    quotient = graph::quotient_graph(mg.graph(), mg.module_classes(),
-                                     mg.modules().size());
-    g = &quotient;
-    names = mg.modules();
-  } else {
-    for (graph::NodeId v = 0; v < mg.node_count(); ++v) {
-      names.push_back(mg.info(v).unique_name);
-    }
-  }
-
-  std::vector<double> scores;
-  if (kind == "eigenvector") {
-    scores = eigenvector_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "degree") {
-    scores = degree_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "pagerank") {
-    scores = pagerank(*g, graph::Direction::kIn);
-  } else if (kind == "katz") {
-    scores = katz_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "closeness") {
-    scores = closeness_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "nonbacktracking") {
-    scores = nonbacktracking_centrality(*g, graph::Direction::kIn).centrality;
-  } else if (kind == "betweenness") {
-    // O(V·E) exact — "samples" caps the Brandes sweeps (seeded pivots) so
-    // the endpoint stays interactive on full sessions.
-    graph::BetweennessOptions opts;
+  // O(V·E) exact betweenness — "samples" caps the Brandes sweeps (seeded
+  // pivots) so the endpoint stays interactive on full sessions.
+  graph::BetweennessOptions betweenness;
+  if (kind == "betweenness") {
     const long long samples = body.get_int("samples", 0);
     if (samples < 0) fail(400, "bad_request", "samples must be >= 0");
-    opts.samples = static_cast<std::size_t>(samples);
-    opts.seed = static_cast<std::uint64_t>(body.get_int("seed", 2019));
-    scores = node_betweenness(*g, opts);
-  } else if (kind == "inout-eigenvector") {
-    const auto cin = eigenvector_centrality(*g, graph::Direction::kIn);
-    const auto cout = eigenvector_centrality(*g, graph::Direction::kOut);
-    scores.resize(cin.size());
-    for (std::size_t i = 0; i < cin.size(); ++i) scores[i] = cin[i] + cout[i];
-  } else {
+    betweenness.samples = static_cast<std::size_t>(samples);
+    betweenness.seed = static_cast<std::uint64_t>(body.get_int("seed", 2019));
+  }
+  const bool modules = body.get_bool("modules", false);
+  const std::vector<graph::NodeId> module_of =
+      modules ? mg.module_classes() : std::vector<graph::NodeId>{};
+  const std::optional<graph::NamedScores> ranked = graph::rank_by_kind(
+      kind, mg.graph(),
+      [&mg](graph::NodeId v) { return mg.info(v).unique_name; },
+      modules ? &module_of : nullptr, mg.modules(), betweenness);
+  if (!ranked) {
     fail(400, "bad_request", "unknown centrality kind '" + kind + "'");
   }
 
@@ -543,14 +518,14 @@ Response Router::handle_rank(const JsonValue& body) {
   w.key("ranking");
   w.begin_array();
   long long rank = 1;
-  for (graph::NodeId v : graph::top_k(scores, top)) {
+  for (graph::NodeId v : graph::top_k(ranked->scores, top)) {
     w.begin_object();
     w.key("rank");
     w.integer(rank++);
     w.key("name");
-    w.string_value(names[v]);
+    w.string_value(ranked->names[v]);
     w.key("score");
-    w.number(scores[v]);
+    w.number(ranked->scores[v]);
     w.end_object();
   }
   w.end_array();

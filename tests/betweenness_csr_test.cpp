@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -199,21 +200,25 @@ std::vector<double> ref_node_betweenness(const Digraph& g) {
 /// one undirected edge) is exercised.
 Digraph make_random_digraph(std::size_t n, std::uint64_t seed) {
   SplitMix64 rng(seed);
-  Digraph g(1);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::set<std::pair<NodeId, NodeId>> seen;
   std::vector<NodeId> pool = {0};
   for (NodeId v = 1; v < n; ++v) {
-    g.add_nodes(1);
     for (int e = 0; e < 2; ++e) {
       const NodeId t = pool[rng.next() % pool.size()];
       if (t == v) continue;
-      if (g.add_edge(v, t)) {
+      edges.emplace_back(v, t);
+      if (seen.insert({v, t}).second) {
         pool.push_back(t);
         pool.push_back(v);
       }
-      if (rng.next() % 4 == 0) (void)g.add_edge(t, v);
+      if (rng.next() % 4 == 0) {
+        edges.emplace_back(t, v);
+        seen.insert({t, v});
+      }
     }
   }
-  return g;
+  return Digraph(n, std::move(edges));
 }
 
 std::string read_file(const std::filesystem::path& path) {

@@ -418,10 +418,8 @@ TEST_F(ChaosTest, EvictionHoldsUnderConcurrentDelayedColdBuilds) {
 
 TEST_F(ChaosTest, GnBudgetFallsBackToLouvain) {
   // Two triangles joined by a bridge — clean 2-community structure.
-  graph::Digraph g(6);
-  const std::pair<int, int> edges[] = {{0, 1}, {1, 2}, {2, 0}, {3, 4},
-                                       {4, 5}, {5, 3}, {2, 3}};
-  for (const auto& [u, v] : edges) g.add_edge(u, v);
+  const graph::Digraph g(
+      6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}});
 
   graph::GirvanNewmanOptions gn;
   gn.min_community_size = 2;

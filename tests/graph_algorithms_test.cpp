@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "graph/centrality.hpp"
 #include "graph/girvan_newman.hpp"
@@ -14,16 +16,20 @@
 namespace rca::graph {
 namespace {
 
-Digraph two_cliques_with_bridge() {
-  Digraph g(8);
+std::vector<std::pair<NodeId, NodeId>> two_cliques_with_bridge_edges() {
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId i = 0; i < 4; ++i) {
-    for (NodeId j = i + 1; j < 4; ++j) g.add_edge(i, j);
+    for (NodeId j = i + 1; j < 4; ++j) edges.emplace_back(i, j);
   }
   for (NodeId i = 4; i < 8; ++i) {
-    for (NodeId j = i + 1; j < 8; ++j) g.add_edge(i, j);
+    for (NodeId j = i + 1; j < 8; ++j) edges.emplace_back(i, j);
   }
-  g.add_edge(3, 4);
-  return g;
+  edges.emplace_back(3, 4);
+  return edges;
+}
+
+Digraph two_cliques_with_bridge() {
+  return Digraph(8, two_cliques_with_bridge_edges());
 }
 
 TEST(Modularity, PerfectSplitBeatsTrivialPartitions) {
@@ -59,11 +65,12 @@ TEST(Louvain, RecoversTwoCliques) {
 
 TEST(Louvain, DeterministicPerSeed) {
   SplitMix64 rng(55);
-  Digraph g(80);
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (int e = 0; e < 200; ++e) {
-    g.add_edge(static_cast<NodeId>(rng.next() % 80),
-               static_cast<NodeId>(rng.next() % 80));
+    edges.emplace_back(static_cast<NodeId>(rng.next() % 80),
+                       static_cast<NodeId>(rng.next() % 80));
   }
+  Digraph g(80, std::move(edges));
   LouvainResult a = louvain(g);
   LouvainResult b = louvain(g);
   EXPECT_EQ(a.assignment, b.assignment);
@@ -79,9 +86,9 @@ TEST(Louvain, EmptyAndSingletonGraphs) {
 }
 
 TEST(Louvain, MinCommunitySizeFilters) {
-  Digraph g = two_cliques_with_bridge();
-  g.add_nodes(2);
-  g.add_edge(8, 9);  // isolated pair
+  auto edges = two_cliques_with_bridge_edges();
+  edges.emplace_back(8, 9);  // isolated pair
+  Digraph g(10, std::move(edges));
   LouvainOptions opts;
   opts.min_community_size = 3;
   LouvainResult r = louvain(g, opts);
@@ -89,21 +96,17 @@ TEST(Louvain, MinCommunitySizeFilters) {
 }
 
 TEST(Scc, DagIsAllSingletons) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  Digraph g(4, {{0, 1}, {1, 2}, {2, 3}});
   SccResult scc = strongly_connected_components(g);
   EXPECT_EQ(scc.count, 4u);
 }
 
 TEST(Scc, CycleCollapsesToOneComponent) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);  // 3-cycle
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
+  Digraph g(5, {{0, 1},
+                {1, 2},
+                {2, 0},  // 3-cycle
+                {2, 3},
+                {3, 4}});
   SccResult scc = strongly_connected_components(g);
   EXPECT_EQ(scc.count, 3u);  // {0,1,2}, {3}, {4}
   EXPECT_EQ(scc.component[0], scc.component[1]);
@@ -118,13 +121,12 @@ TEST(Scc, CycleCollapsesToOneComponent) {
 
 TEST(Scc, CondensationIsAcyclic) {
   // Two cycles joined by an edge.
-  Digraph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(4, 2);
-  g.add_edge(1, 2);  // cycle A -> cycle B
+  Digraph g(6, {{0, 1},
+                {1, 0},
+                {2, 3},
+                {3, 4},
+                {4, 2},
+                {1, 2}});  // cycle A -> cycle B
   SccResult scc = strongly_connected_components(g);
   EXPECT_EQ(scc.count, 3u);  // {0,1}, {2,3,4}, {5}
   Digraph cond = condensation(g, scc);
@@ -138,25 +140,23 @@ TEST(Scc, CondensationIsAcyclic) {
 TEST(Scc, DeepChainDoesNotOverflow) {
   // 200k-node chain: a recursive Tarjan would blow the stack.
   const std::size_t n = 200000;
-  Digraph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  Digraph g(n, std::move(edges));
   SccResult scc = strongly_connected_components(g);
   EXPECT_EQ(scc.count, n);
 }
 
 TEST(Closeness, CenterOfStarIsMostCentral) {
   // Star with edges into the hub: hub has max in-closeness.
-  Digraph g(5);
-  for (NodeId leaf = 1; leaf < 5; ++leaf) g.add_edge(leaf, 0);
+  Digraph g(5, {{1, 0}, {2, 0}, {3, 0}, {4, 0}});
   auto c = closeness_centrality(g, Direction::kIn);
   for (NodeId leaf = 1; leaf < 5; ++leaf) EXPECT_GT(c[0], c[leaf]);
 }
 
 TEST(Closeness, PathGraphOrdering) {
   // 0 -> 1 -> 2: node 2 reaches everything along in-edges.
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  Digraph g(3, {{0, 1}, {1, 2}});
   auto cin = closeness_centrality(g, Direction::kIn);
   EXPECT_GT(cin[2], cin[1]);
   EXPECT_GT(cin[1], cin[0]);
@@ -166,9 +166,7 @@ TEST(Closeness, PathGraphOrdering) {
 }
 
 TEST(Closeness, DisconnectedGraphStaysFinite) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  Digraph g(4, {{0, 1}, {2, 3}});
   auto c = closeness_centrality(g, Direction::kIn);
   for (double v : c) {
     EXPECT_GE(v, 0.0);
@@ -187,21 +185,13 @@ TEST(Bridges, FindsTheCliqueBridge) {
 }
 
 TEST(Bridges, TreeIsAllBridges) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.add_edge(2, 4);
+  Digraph g(5, {{0, 1}, {0, 2}, {2, 3}, {2, 4}});
   UGraph ug(g);
   EXPECT_EQ(find_bridges(ug).size(), 4u);
 }
 
 TEST(Bridges, CycleHasNone) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 0);
+  Digraph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   UGraph ug(g);
   EXPECT_TRUE(find_bridges(ug).empty());
 }
@@ -221,14 +211,13 @@ EdgeId edge_between(const UGraph& ug, NodeId u, NodeId v) {
 // counts per step are pinned exactly, so a scan that revisits removed edges
 // (or loses the lowest-id tie-break) changes these numbers.
 TEST(GirvanNewmanStep, BridgeBetweenTrianglesGoesFirst) {
-  Digraph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  g.add_edge(3, 5);
-  g.add_edge(4, 5);
-  g.add_edge(2, 3);  // bridge: the unique max-betweenness edge
+  Digraph g(6, {{0, 1},
+                {0, 2},
+                {1, 2},
+                {3, 4},
+                {3, 5},
+                {4, 5},
+                {2, 3}});  // bridge: the unique max-betweenness edge
   UGraph ug(g);
   EXPECT_EQ(girvan_newman_step(ug), 1u);
   std::size_t count = 0;
@@ -241,8 +230,7 @@ TEST(GirvanNewmanStep, SixCycleNeedsExactlyTwoRemovals) {
   // All six edges tie on betweenness, so the lowest id (0-1) goes first.
   // That leaves the path 1-2-3-4-5-0, whose middle edge (3-4, id 3) is the
   // next unique maximum; removing it splits the graph and ends the step.
-  Digraph g(6);
-  for (NodeId v = 0; v < 6; ++v) g.add_edge(v, (v + 1) % 6);
+  Digraph g(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
   UGraph ug(g);
   EXPECT_EQ(girvan_newman_step(ug), 2u);
   EXPECT_TRUE(ug.is_removed(0));
@@ -255,14 +243,7 @@ TEST(GirvanNewmanStep, SixCycleNeedsExactlyTwoRemovals) {
 TEST(GirvanNewmanStep, SkipsEdgesRemovedBeforeTheStep) {
   // Pre-removing the bridge must keep it out of the live scan: the step then
   // splits one triangle (lowest-id edge, then one of the tied remainder).
-  Digraph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  g.add_edge(3, 5);
-  g.add_edge(4, 5);
-  g.add_edge(2, 3);
+  Digraph g(6, {{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}, {2, 3}});
   UGraph ug(g);
   ug.remove_edge(edge_between(ug, 2, 3));  // the bridge
   EXPECT_EQ(girvan_newman_step(ug), 2u);
@@ -290,11 +271,7 @@ TEST(GirvanNewmanStep, RepeatedStepsKeepPeelingDeterministically) {
 
 TEST(Bridges, RespectsRemovedEdges) {
   // Removing one cycle edge turns the rest into bridges.
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 0);
+  Digraph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   UGraph ug(g);
   ug.remove_edge(0);
   EXPECT_EQ(find_bridges(ug).size(), 3u);

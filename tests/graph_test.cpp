@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/betweenness.hpp"
 #include "graph/bfs.hpp"
@@ -18,49 +22,110 @@ namespace rca::graph {
 namespace {
 
 Digraph path_graph(std::size_t n) {
-  Digraph g(n);
-  for (NodeId i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  return Digraph(n, std::move(edges));
 }
 
 /// Two 4-cliques joined by one bridge edge (3 -- 4): the canonical
 /// Girvan-Newman fixture.
 Digraph two_cliques_with_bridge() {
-  Digraph g(8);
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId i = 0; i < 4; ++i) {
-    for (NodeId j = i + 1; j < 4; ++j) g.add_edge(i, j);
+    for (NodeId j = i + 1; j < 4; ++j) edges.emplace_back(i, j);
   }
   for (NodeId i = 4; i < 8; ++i) {
-    for (NodeId j = i + 1; j < 8; ++j) g.add_edge(i, j);
+    for (NodeId j = i + 1; j < 8; ++j) edges.emplace_back(i, j);
   }
-  g.add_edge(3, 4);
-  return g;
+  edges.emplace_back(3, 4);
+  return Digraph(8, std::move(edges));
+}
+
+/// Naive replay of one-edge-at-a-time insertion: drop self-loops, keep the
+/// first occurrence of each (u, v), append to out[u] and in[v].
+struct ReplayedEdges {
+  std::vector<std::vector<NodeId>> out;
+  std::vector<std::vector<NodeId>> in;
+  std::set<std::pair<NodeId, NodeId>> kept;
+};
+
+ReplayedEdges replay_insertions(
+    std::size_t n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  ReplayedEdges r{std::vector<std::vector<NodeId>>(n),
+                  std::vector<std::vector<NodeId>>(n), {}};
+  for (const auto& [u, v] : edges) {
+    if (u == v || !r.kept.insert({u, v}).second) continue;
+    r.out[u].push_back(v);
+    r.in[v].push_back(u);
+  }
+  return r;
+}
+
+TEST(Digraph, ConstructionMatchesOneEdgeAtATimeInsertion) {
+  SplitMix64 rng(2019);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.next() % 40;
+    const std::size_t m = rng.next() % (4 * n);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto u = static_cast<NodeId>(rng.next() % n);
+      const std::uint64_t kind = rng.next() % 8;
+      if (kind == 0) {
+        edges.emplace_back(u, u);  // self-loop
+      } else if (kind == 1 && !edges.empty()) {
+        edges.push_back(edges[rng.next() % edges.size()]);  // duplicate
+      } else if (kind == 2 && !edges.empty()) {
+        const auto [a, b] = edges[rng.next() % edges.size()];
+        edges.emplace_back(b, a);  // antiparallel
+      } else {
+        edges.emplace_back(u, static_cast<NodeId>(rng.next() % n));
+      }
+    }
+    const ReplayedEdges want = replay_insertions(n, edges);
+    const Digraph g(n, edges);
+    ASSERT_EQ(g.node_count(), n);
+    ASSERT_EQ(g.edge_count(), want.kept.size());
+    for (NodeId u = 0; u < n; ++u) {
+      const auto out = g.out_neighbors(u);
+      const auto in = g.in_neighbors(u);
+      EXPECT_EQ(std::vector<NodeId>(out.begin(), out.end()), want.out[u]);
+      EXPECT_EQ(std::vector<NodeId>(in.begin(), in.end()), want.in[u]);
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(g.has_edge(u, v), want.kept.count({u, v}) != 0);
+      }
+      EXPECT_FALSE(g.has_edge(u, static_cast<NodeId>(n)));
+    }
+    // One out-of-range endpoint anywhere in the list throws, even when the
+    // offending edge is a self-loop or a duplicate of nothing else.
+    const auto bad = static_cast<NodeId>(n + rng.next() % 3);
+    auto with_bad = edges;
+    with_bad.insert(with_bad.begin() + static_cast<long>(
+                                           rng.next() % (edges.size() + 1)),
+                    rng.next() % 2 ? std::pair<NodeId, NodeId>{bad, 0}
+                                   : std::pair<NodeId, NodeId>{0, bad});
+    EXPECT_THROW(Digraph(n, with_bad), Error);
+    EXPECT_THROW(Digraph(n, {{bad, bad}}), Error);
+  }
 }
 
 TEST(Digraph, AddEdgeDeduplicatesAndRejectsSelfLoops) {
-  Digraph g(3);
-  EXPECT_TRUE(g.add_edge(0, 1));
-  EXPECT_FALSE(g.add_edge(0, 1));
-  EXPECT_FALSE(g.add_edge(2, 2));
+  Digraph g(3, {{0, 1}, {0, 1}, {2, 2}});
+  EXPECT_EQ(g.out_degree(0), 1u);  // the duplicate 0 -> 1 collapsed
+  EXPECT_EQ(g.out_degree(2), 0u);  // the self-loop 2 -> 2 dropped
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(1, 0));
 }
 
 TEST(Digraph, InAndOutAdjacencyAgree) {
-  Digraph g(4);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  Digraph g(4, {{0, 2}, {1, 2}, {2, 3}});
   EXPECT_EQ(g.in_degree(2), 2u);
   EXPECT_EQ(g.out_degree(2), 1u);
   EXPECT_EQ(g.degree(2), 3u);
 }
 
 TEST(Digraph, ReversedSwapsDirections) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  Digraph g(3, {{0, 1}, {1, 2}});
   Digraph r = g.reversed();
   EXPECT_TRUE(r.has_edge(1, 0));
   EXPECT_TRUE(r.has_edge(2, 1));
@@ -68,16 +133,11 @@ TEST(Digraph, ReversedSwapsDirections) {
 }
 
 TEST(Digraph, EdgeEndpointRangeChecked) {
-  Digraph g(2);
-  EXPECT_THROW(g.add_edge(0, 5), Error);
+  EXPECT_THROW(Digraph(2, {{0, 5}}), Error);
 }
 
 TEST(InducedSubgraph, KeepsOnlyInternalEdges) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
+  Digraph g(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   std::vector<NodeId> map;
   Digraph sub = induced_subgraph(g, {1, 2, 4}, &map);
   EXPECT_EQ(sub.node_count(), 3u);
@@ -90,11 +150,7 @@ TEST(InducedSubgraph, KeepsOnlyInternalEdges) {
 
 TEST(QuotientGraph, CollapsesClassesAndDropsSelfLoops) {
   // 0,1 in class 0; 2,3 in class 1; intra-class edges vanish.
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 0);
+  Digraph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   Digraph q = quotient_graph(g, {0, 0, 1, 1}, 2);
   EXPECT_EQ(q.node_count(), 2u);
   EXPECT_EQ(q.edge_count(), 2u);
@@ -113,11 +169,7 @@ TEST(Bfs, DistancesAlongAPath) {
 
 TEST(Bfs, AncestorsAreTheBackwardSlice) {
   // Diamond into 3 plus an unrelated node 4.
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
+  Digraph g(5, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   auto anc = ancestors_of(g, {3});
   EXPECT_EQ(anc.size(), 4u);  // 0,1,2,3 — not 4
   auto desc = descendants_of(g, {0});
@@ -131,10 +183,9 @@ TEST(Bfs, ReachesAny) {
 }
 
 TEST(Bfs, WeaklyConnectedComponents) {
-  Digraph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(2, 1);  // weakly connects {0,1,2}
-  g.add_edge(3, 4);
+  Digraph g(6, {{0, 1},
+                {2, 1},  // weakly connects {0,1,2}
+                {3, 4}});
   std::size_t count = 0;
   auto comp = weakly_connected_components(g, &count);
   EXPECT_EQ(count, 3u);  // {0,1,2}, {3,4}, {5}
@@ -143,10 +194,7 @@ TEST(Bfs, WeaklyConnectedComponents) {
 }
 
 TEST(UGraph, MergesAntiparallelEdges) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
-  g.add_edge(1, 2);
+  Digraph g(3, {{0, 1}, {1, 0}, {1, 2}});
   UGraph ug(g);
   EXPECT_EQ(ug.edge_count(), 2u);
   EXPECT_EQ(ug.degree(1), 2u);
@@ -197,12 +245,13 @@ TEST(EdgeBetweenness, BridgeDominatesCliques) {
 
 TEST(EdgeBetweenness, ParallelMatchesSerial) {
   SplitMix64 rng(31337);
-  Digraph g(60);
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (int i = 0; i < 150; ++i) {
     NodeId u = static_cast<NodeId>(rng.next() % 60);
     NodeId v = static_cast<NodeId>(rng.next() % 60);
-    if (u != v) g.add_edge(u, v);
+    if (u != v) edges.emplace_back(u, v);
   }
+  Digraph g(60, std::move(edges));
   UGraph ug(g);
   ThreadPool pool(4);
   auto serial = edge_betweenness(ug, nullptr);
@@ -227,11 +276,7 @@ TEST(GirvanNewman, SplitsTwoCliques) {
 
 TEST(GirvanNewman, MinCommunitySizeFilters) {
   // A triangle plus an isolated pair.
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  g.add_edge(3, 4);
+  Digraph g(5, {{0, 1}, {1, 2}, {2, 0}, {3, 4}});
   GirvanNewmanOptions opts;
   opts.iterations = 0;  // just component split, no removals
   auto result = girvan_newman(g, opts);
@@ -242,17 +287,18 @@ TEST(GirvanNewman, MinCommunitySizeFilters) {
 
 TEST(GirvanNewman, SecondIterationSplitsFurther) {
   // Chain of three 4-cliques: two iterations should split twice.
-  Digraph g(12);
-  auto clique = [&g](NodeId base) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  auto clique = [&edges](NodeId base) {
     for (NodeId i = base; i < base + 4; ++i) {
-      for (NodeId j = i + 1; j < base + 4; ++j) g.add_edge(i, j);
+      for (NodeId j = i + 1; j < base + 4; ++j) edges.emplace_back(i, j);
     }
   };
   clique(0);
   clique(4);
   clique(8);
-  g.add_edge(3, 4);
-  g.add_edge(7, 8);
+  edges.emplace_back(3, 4);
+  edges.emplace_back(7, 8);
+  Digraph g(12, std::move(edges));
   GirvanNewmanOptions opts;
   opts.iterations = 2;
   auto result = girvan_newman(g, opts);
@@ -261,31 +307,25 @@ TEST(GirvanNewman, SecondIterationSplitsFurther) {
 
 TEST(EigenvectorCentrality, StarFavorsHub) {
   // Undirected-style star encoded with both directions.
-  Digraph g(5);
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId leaf = 1; leaf < 5; ++leaf) {
-    g.add_edge(0, leaf);
-    g.add_edge(leaf, 0);
+    edges.emplace_back(0, leaf);
+    edges.emplace_back(leaf, 0);
   }
+  Digraph g(5, std::move(edges));
   auto c = eigenvector_centrality(g, Direction::kIn);
   for (NodeId leaf = 1; leaf < 5; ++leaf) EXPECT_GT(c[0], c[leaf]);
 }
 
 TEST(EigenvectorCentrality, CycleIsUniform) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 0);
+  Digraph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   auto c = eigenvector_centrality(g, Direction::kIn);
   for (NodeId v = 1; v < 4; ++v) EXPECT_NEAR(c[v], c[0], 1e-6);
 }
 
 TEST(EigenvectorCentrality, InCentralityRanksSinks) {
   // 0 -> 1 -> 2 and 3 -> 2: node 2 is the information sink.
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 2);
+  Digraph g(4, {{0, 1}, {1, 2}, {3, 2}});
   auto cin = eigenvector_centrality(g, Direction::kIn);
   EXPECT_GT(cin[2], cin[0]);
   EXPECT_GT(cin[2], cin[1]);
@@ -294,19 +334,14 @@ TEST(EigenvectorCentrality, InCentralityRanksSinks) {
 }
 
 TEST(DegreeCentrality, MatchesDegreeOverNMinusOne) {
-  Digraph g(3);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
+  Digraph g(3, {{0, 2}, {1, 2}});
   auto c = degree_centrality(g, Direction::kIn);
   EXPECT_DOUBLE_EQ(c[2], 1.0);
   EXPECT_DOUBLE_EQ(c[0], 0.0);
 }
 
 TEST(PageRank, SumsToOneAndRanksSink) {
-  Digraph g(4);
-  g.add_edge(0, 3);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
+  Digraph g(4, {{0, 3}, {1, 3}, {2, 3}});
   auto pr = pagerank(g, Direction::kIn);
   double sum = 0.0;
   for (double v : pr) sum += v;
@@ -315,10 +350,7 @@ TEST(PageRank, SumsToOneAndRanksSink) {
 }
 
 TEST(KatzCentrality, UniformOnRegularGraph) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
+  Digraph g(3, {{0, 1}, {1, 2}, {2, 0}});
   auto c = katz_centrality(g, Direction::kIn);
   EXPECT_NEAR(c[0], c[1], 1e-8);
   EXPECT_NEAR(c[1], c[2], 1e-8);
@@ -334,10 +366,7 @@ TEST(TopK, DeterministicTieBreaks) {
 }
 
 TEST(NonBacktracking, ZeroForIsolatedNodes) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
+  Digraph g(4, {{0, 1}, {1, 2}, {2, 0}});
   // Node 3 isolated: excluded from the line graph.
   auto result = nonbacktracking_centrality(g, Direction::kIn);
   EXPECT_DOUBLE_EQ(result.centrality[3], 0.0);
@@ -348,12 +377,13 @@ TEST(NonBacktracking, ZeroForIsolatedNodes) {
 TEST(NonBacktracking, AgreesWithEigenvectorOnSymmetricCore) {
   // On a clique (fully symmetric), both centralities are uniform over
   // members.
-  Digraph g(5);
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId i = 0; i < 4; ++i) {
     for (NodeId j = 0; j < 4; ++j) {
-      if (i != j) g.add_edge(i, j);
+      if (i != j) edges.emplace_back(i, j);
     }
   }
+  Digraph g(5, std::move(edges));
   auto nbt = nonbacktracking_centrality(g, Direction::kIn);
   for (NodeId v = 1; v < 4; ++v) {
     EXPECT_NEAR(nbt.centrality[v], nbt.centrality[0], 1e-6);
@@ -373,18 +403,20 @@ TEST(DegreeDistribution, PowerLawExponentRecovered) {
   // Synthesize a graph whose degree sequence follows p(d) ~ d^-2.5 by
   // preferential attachment; MLE should land in a plausible band.
   SplitMix64 rng(7);
-  Digraph g(1);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::set<std::pair<NodeId, NodeId>> accepted;
   std::vector<NodeId> targets = {0};
   for (NodeId v = 1; v < 3000; ++v) {
-    g.add_nodes(1);
     for (int e = 0; e < 2; ++e) {
       NodeId t = targets[rng.next() % targets.size()];
-      if (g.add_edge(v, t)) {
+      if (t != v && accepted.insert({v, t}).second) {
+        edges.emplace_back(v, t);
         targets.push_back(t);
         targets.push_back(v);
       }
     }
   }
+  Digraph g(3000, std::move(edges));
   auto dist = degree_distribution(g, 2);
   EXPECT_GT(dist.mle_exponent, 1.8);
   EXPECT_LT(dist.mle_exponent, 3.8);
@@ -392,8 +424,7 @@ TEST(DegreeDistribution, PowerLawExponentRecovered) {
 }
 
 TEST(DotExport, ContainsNodesAndEdges) {
-  Digraph g(2);
-  g.add_edge(0, 1);
+  Digraph g(2, {{0, 1}});
   std::vector<std::string> labels = {"a", "b"};
   std::vector<NodeId> classes = {0, 1};
   std::string dot = to_dot(g, &labels, &classes, "test");

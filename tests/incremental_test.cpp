@@ -12,7 +12,7 @@
 // Also pinned here (satellites): generation pins vs LRU eviction (including
 // an 8-thread evict-during-patch stress), snapshot-tier orphan hygiene after
 // rollbacks, key uniqueness across generations, incremental lint equality,
-// the meta.txn.splice chaos contract, and epoch-granular CSR invalidation.
+// and the meta.txn.splice chaos contract.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -28,7 +28,6 @@
 
 #include "analysis/diagnostics.hpp"
 #include "fault/fault.hpp"
-#include "graph/digraph.hpp"
 #include "meta/serialize.hpp"
 #include "meta/snapshot_cache.hpp"
 #include "model/corpus.hpp"
@@ -733,34 +732,6 @@ TEST(IncrementalPin, EvictDuringPatchStressEightThreads) {
   EXPECT_GT(total, 0);
   // All pins released: nothing should be stuck pinned after the dust settles.
   EXPECT_FALSE(store.pinned(base_key));
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-granular CSR invalidation (src/graph satellite)
-// ---------------------------------------------------------------------------
-
-TEST(IncrementalCsr, RebuildsOnlyAfterMutation) {
-  graph::Digraph g(4);
-  g.add_edge(0, 1);
-  (void)g.csr();
-  EXPECT_EQ(g.csr_builds(), 1u);
-  (void)g.csr();
-  (void)g.csr();
-  EXPECT_EQ(g.csr_builds(), 1u);  // cached across reads
-
-  g.add_edge(1, 2);
-  (void)g.csr();
-  EXPECT_EQ(g.csr_builds(), 2u);  // one rebuild per mutation epoch
-
-  g.add_edge(0, 1);  // duplicate: rejected, no mutation
-  g.add_edge(2, 2);  // self-loop: rejected, no mutation
-  (void)g.csr();
-  EXPECT_EQ(g.csr_builds(), 2u);
-
-  g.add_nodes(2);
-  g.resize(8);
-  (void)g.csr();
-  EXPECT_EQ(g.csr_builds(), 3u);  // epoch bumps coalesce into one rebuild
 }
 
 }  // namespace

@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "lang/parser.hpp"
 #include "meta/builder.hpp"
+#include "meta/serialize.hpp"
+#include "meta/transaction.hpp"
+#include "support/error.hpp"
 
 namespace rca::meta {
 namespace {
@@ -380,6 +390,78 @@ end module
   EXPECT_EQ(key.module, "m");
   EXPECT_EQ(key.subprogram, "");
   EXPECT_EQ(key.name, "field");
+}
+
+// ---------------------------------------------------------------------------
+// Seal contract: every producer builds the digraph once, over all nodes
+// ---------------------------------------------------------------------------
+
+/// The tests/golden fixture corpus, parsed in sorted-path order like
+/// `rca-tool graph` does.
+std::vector<lang::SourceFile> golden_files() {
+  std::vector<std::pair<std::string, std::string>> sources;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RCA_GOLDEN_DIR)) {
+    if (entry.path().extension() != ".F90") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    sources.emplace_back(entry.path().string(), text.str());
+  }
+  std::sort(sources.begin(), sources.end());
+  std::vector<lang::SourceFile> files;
+  for (const auto& [path, text] : sources) {
+    files.push_back(lang::Parser(path, text).parse_file());
+  }
+  return files;
+}
+
+TEST(MetagraphSeal, InternAndAddEdgeAfterSealThrow) {
+  Metagraph mg;
+  const NodeId a = mg.intern("m", "", "a", 1);
+  const NodeId b = mg.intern("m", "", "b", 2);
+  mg.add_edge(a, b);
+  mg.add_edge(b, b);  // self-loop: dropped by seal()
+  mg.add_edge(a, b);  // duplicate: dropped by seal()
+  EXPECT_EQ(mg.graph().node_count(), 0u);  // nothing built before seal()
+  mg.seal();
+  EXPECT_EQ(mg.graph().node_count(), 2u);
+  EXPECT_EQ(mg.graph().edge_count(), 1u);
+  EXPECT_THROW(mg.intern("m", "", "c", 3), Error);
+  EXPECT_THROW(mg.intern("m", "", "a", 1), Error);  // even a known key
+  EXPECT_THROW(mg.add_edge(a, b), Error);
+  EXPECT_THROW(mg.seal(), Error);
+}
+
+TEST(MetagraphSeal, EveryProducerSealsOverAllNodes) {
+  const std::vector<lang::SourceFile> files = golden_files();
+  std::vector<const lang::Module*> mods;
+  std::vector<TxnInput> inputs;
+  for (const auto& f : files) {
+    for (const auto& m : f.modules) {
+      mods.push_back(&m);
+      inputs.push_back(TxnInput{f.path, &m, /*dirty=*/true, nullptr});
+    }
+  }
+
+  Metagraph built = build_metagraph(mods);
+  ASSERT_GT(built.node_count(), 0u);
+  ASSERT_GT(built.graph().edge_count(), 0u);
+  EXPECT_EQ(built.graph().node_count(), built.node_count());
+  EXPECT_THROW(built.intern("m", "", "late", 1), Error);
+
+  for (SnapshotFormat format :
+       {SnapshotFormat::kV1Text, SnapshotFormat::kV2Binary}) {
+    Metagraph loaded =
+        load_metagraph_from_string(save_metagraph_to_string(built, format));
+    EXPECT_EQ(loaded.graph().node_count(), loaded.node_count());
+    EXPECT_EQ(loaded.graph().edges(), built.graph().edges());
+    EXPECT_THROW(loaded.add_edge(0, 1), Error);
+  }
+
+  const TxnResult txn = run_transaction(inputs, nullptr, BuilderOptions{});
+  EXPECT_EQ(txn.mg->graph().node_count(), txn.mg->node_count());
+  EXPECT_EQ(txn.mg->graph().edges(), built.graph().edges());
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "ect/ect.hpp"
 #include "graph/betweenness.hpp"
@@ -32,12 +34,12 @@ using graph::NodeId;
 
 Digraph random_digraph(std::uint64_t seed, std::size_t n, std::size_t m) {
   SplitMix64 rng(seed);
-  Digraph g(n);
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (std::size_t e = 0; e < m; ++e) {
-    g.add_edge(static_cast<NodeId>(rng.next() % n),
-               static_cast<NodeId>(rng.next() % n));
+    edges.emplace_back(static_cast<NodeId>(rng.next() % n),
+                       static_cast<NodeId>(rng.next() % n));
   }
-  return g;
+  return Digraph(n, std::move(edges));
 }
 
 // ---------------------------------------------------------------------------
