@@ -37,6 +37,28 @@ bool is_fp_kind(const std::string& kind) {
 
 }  // namespace
 
+ScenarioScore score_outcome(const model::ScenarioSpec& s,
+                            const engine::ExperimentOutcome& out,
+                            const graph::Digraph& graph, std::size_t top_m) {
+  ScenarioScore score;
+  score.name = s.name;
+  score.kind = model::cause_kind_name(s.kind);
+  score.planted_nodes = out.bug_nodes.size();
+  score.ect_detected = !out.verdict.pass;
+  score.slice_nodes = out.slice.nodes.size();
+  score.final_nodes = out.refinement.final_nodes.size();
+  score.iterations = out.refinement.iterations.size();
+  score.stalled = out.refinement.stalled;
+  score.bug_in_final =
+      model::contains_any(out.refinement.final_nodes, out.bug_nodes);
+  score.bug_instrumented_at = out.refinement.bug_instrumented_at;
+  score.baseline_rank = centrality_rank(graph, out.slice.nodes, out.bug_nodes);
+  score.refined_rank =
+      centrality_rank(graph, out.refinement.final_nodes, out.bug_nodes);
+  score.hit = score.refined_rank < top_m;
+  return score;
+}
+
 Scoreboard score_scenarios(const ScoreOptions& opts) {
   engine::Pipeline pipeline(opts.pipeline);
   Scoreboard board;
@@ -49,27 +71,9 @@ Scoreboard score_scenarios(const ScoreOptions& opts) {
     }
     obs::Span span("campaign.score");
     span.attr("scenario", s.name);
-    engine::ExperimentOutcome out =
-        pipeline.run_scenario(s, opts.runtime_sampling);
-
-    ScenarioScore score;
-    score.name = s.name;
-    score.kind = model::cause_kind_name(s.kind);
-    score.planted_nodes = out.bug_nodes.size();
-    score.ect_detected = !out.verdict.pass;
-    score.slice_nodes = out.slice.nodes.size();
-    score.final_nodes = out.refinement.final_nodes.size();
-    score.iterations = out.refinement.iterations.size();
-    score.stalled = out.refinement.stalled;
-    score.bug_in_final =
-        model::contains_any(out.refinement.final_nodes, out.bug_nodes);
-    score.bug_instrumented_at = out.refinement.bug_instrumented_at;
-    score.baseline_rank = centrality_rank(pipeline.metagraph().graph(),
-                                          out.slice.nodes, out.bug_nodes);
-    score.refined_rank =
-        centrality_rank(pipeline.metagraph().graph(),
-                        out.refinement.final_nodes, out.bug_nodes);
-    score.hit = score.refined_rank < opts.top_m;
+    ScenarioScore score = score_outcome(
+        s, pipeline.run_scenario(s, opts.runtime_sampling),
+        pipeline.metagraph().graph(), opts.top_m);
     span.attr("hit", score.hit);
     board.scores.push_back(std::move(score));
   }

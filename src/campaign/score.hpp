@@ -39,6 +39,8 @@ struct ScenarioScore {
   std::size_t baseline_rank = SIZE_MAX;
   std::size_t refined_rank = SIZE_MAX;
   bool hit = false;
+
+  bool operator==(const ScenarioScore&) const = default;
 };
 
 struct ScoreOptions {
@@ -60,6 +62,12 @@ struct Scoreboard {
   std::size_t fp_scenarios = 0;  // FP-perturbation scenarios scored
   double hit_rate = 0.0;
 };
+
+/// The scoreboard row of one scenario's outcome; `graph` is the pipeline's
+/// full metagraph digraph.
+ScenarioScore score_outcome(const model::ScenarioSpec& s,
+                            const engine::ExperimentOutcome& out,
+                            const graph::Digraph& graph, std::size_t top_m);
 
 /// Runs every selected scenario through one shared Pipeline (bug corpora are
 /// built once per BugId and cached) and scores it.

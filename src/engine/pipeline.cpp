@@ -208,20 +208,24 @@ ExperimentOutcome Pipeline::run_scenario(const model::ScenarioSpec& s,
   obs::Span refinement_span("refinement");
   RCA_FAULT_POINT("engine.refinement");
   std::unique_ptr<Sampler> sampler;
+  RuntimeSampler* runtime = nullptr;
   if (runtime_sampling) {
     model::RunConfig control_config = config_.base_run;
     control_config.member_seed = 31;  // one accepted member
     model::RunConfig experiment_config = exp_config;
     experiment_config.member_seed = 31;
-    sampler = std::make_unique<RuntimeSampler>(mg_, *control_, exp_model,
-                                               control_config,
-                                               experiment_config);
+    auto owned = std::make_unique<RuntimeSampler>(
+        mg_, *control_, exp_model, control_config, experiment_config, 1e-12,
+        control_trace_);
+    runtime = owned.get();
+    sampler = std::move(owned);
   } else {
     sampler = std::make_unique<SimulatedSampler>(mg_, outcome.bug_nodes);
   }
   RefinementEngine engine(mg_, *sampler, config_.refinement);
   outcome.refinement = engine.run(outcome.slice.nodes, outcome.bug_nodes,
                                   outcome.slice.targets);
+  if (runtime != nullptr) control_trace_ = runtime->control_trace();
   refinement_span.attr("iterations", outcome.refinement.iterations.size());
   refinement_span.attr("final_nodes", outcome.refinement.final_nodes.size());
   refinement_span.attr("stalled", outcome.refinement.stalled);

@@ -83,7 +83,9 @@ class Pipeline {
   /// Full pipeline for a library scenario (model/scenario.hpp): ECT ->
   /// selection -> slice -> refinement, scored against the scenario's planted
   /// sites. Simulated sampling is the paper's mode; `runtime_sampling`
-  /// samples through real interpreter runs instead.
+  /// samples through real interpreter runs instead: one recorded
+  /// experimental run per scenario, against a control run recorded once per
+  /// Pipeline.
   ExperimentOutcome run_scenario(const model::ScenarioSpec& s,
                                  bool runtime_sampling = false);
 
@@ -106,6 +108,9 @@ class Pipeline {
   std::unique_ptr<ect::EnsembleConsistencyTest> ect_;
   std::vector<std::unique_ptr<model::CesmModel>> bug_models_;
   std::vector<model::BugId> bug_model_ids_;
+  /// Fully watched run of the runtime sampler's control member, recorded by
+  /// the first scenario that samples and shared by every later one.
+  std::shared_ptr<const RunTrace> control_trace_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

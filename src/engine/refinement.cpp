@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "fault/fault.hpp"
 #include "graph/bfs.hpp"
 #include "graph/centrality.hpp"
 #include "graph/girvan_newman.hpp"
@@ -53,6 +54,57 @@ std::vector<Difference> SimulatedSampler::detect_with_magnitudes(
 }
 
 // ---------------------------------------------------------------------------
+// RunTrace.
+// ---------------------------------------------------------------------------
+
+std::vector<NodeId> nodes_with_module_twin(const meta::Metagraph& mg) {
+  std::unordered_set<std::string> module_level;  // "module::name"
+  for (NodeId v = 0; v < mg.node_count(); ++v) {
+    const meta::NodeInfo& n = mg.info(v);
+    if (n.subprogram.empty()) {
+      module_level.insert(n.module + "::" + n.canonical_name);
+    }
+  }
+  std::vector<NodeId> twins;
+  for (NodeId v = 0; v < mg.node_count(); ++v) {
+    const meta::NodeInfo& n = mg.info(v);
+    if (!n.subprogram.empty() &&
+        module_level.count(n.module + "::" + n.canonical_name)) {
+      twins.push_back(v);
+    }
+  }
+  return twins;
+}
+
+RunTrace RunTrace::record(const meta::Metagraph& mg,
+                          const model::CesmModel& model,
+                          model::RunConfig config) {
+  RCA_FAULT_POINT("engine.sample");
+  const std::vector<NodeId> twins = nodes_with_module_twin(mg);
+  RCA_CHECK_MSG(twins.empty(),
+                "node " + mg.info(twins.front()).unique_name +
+                    " has a module-level twin; a fully watched run would not "
+                    "reproduce per-site sampling");
+  config.watches.clear();
+  config.watches.reserve(mg.node_count());
+  for (NodeId v = 0; v < mg.node_count(); ++v) {
+    config.watches.push_back(mg.watch_key(v));
+  }
+  const model::RunResult run = model.run(config);
+  RunTrace trace;
+  trace.stats_.reserve(config.watches.size());
+  for (const interp::WatchKey& key : config.watches) {
+    trace.stats_.push_back(run.watch_stats.at(key));
+  }
+  return trace;
+}
+
+const interp::WatchStats& RunTrace::stats(NodeId v) const {
+  RCA_CHECK_MSG(v < stats_.size(), "node id out of range");
+  return stats_[v];
+}
+
+// ---------------------------------------------------------------------------
 // RuntimeSampler.
 // ---------------------------------------------------------------------------
 
@@ -61,13 +113,26 @@ RuntimeSampler::RuntimeSampler(const meta::Metagraph& mg,
                                const model::CesmModel& experiment_model,
                                model::RunConfig control_config,
                                model::RunConfig experiment_config,
-                               double rms_threshold)
+                               double rms_threshold,
+                               std::shared_ptr<const RunTrace> control_trace)
     : mg_(mg),
-      control_model_(control_model),
-      experiment_model_(experiment_model),
-      control_config_(std::move(control_config)),
-      experiment_config_(std::move(experiment_config)),
+      control_{control_model, std::move(control_config), "control",
+               std::move(control_trace), {}},
+      experiment_{experiment_model, std::move(experiment_config),
+                  "experiment", nullptr, {}},
       rms_threshold_(rms_threshold) {}
+
+const RunTrace& RuntimeSampler::trace(LazyTrace& lazy) {
+  std::call_once(lazy.once, [this, &lazy] {
+    if (lazy.trace) return;
+    obs::Span span("sampler.record");
+    span.attr("role", lazy.role);
+    lazy.trace = std::make_shared<const RunTrace>(
+        RunTrace::record(mg_, lazy.model, lazy.config));
+    span.attr("bytes", lazy.trace->bytes());
+  });
+  return *lazy.trace;
+}
 
 std::vector<NodeId> RuntimeSampler::detect_differences(
     const std::vector<NodeId>& sites) {
@@ -80,29 +145,18 @@ std::vector<NodeId> RuntimeSampler::detect_differences(
 
 std::vector<Difference> RuntimeSampler::detect_with_magnitudes(
     const std::vector<NodeId>& sites) {
-  model::RunConfig control = control_config_;
-  model::RunConfig experiment = experiment_config_;
-  control.watches.clear();
-  experiment.watches.clear();
-  for (NodeId v : sites) {
-    control.watches.push_back(mg_.watch_key(v));
-    experiment.watches.push_back(mg_.watch_key(v));
-  }
-  const model::RunResult a = control_model_.run(control);
-  const model::RunResult b = experiment_model_.run(experiment);
-
+  const RunTrace& a = trace(control_);
+  const RunTrace& b = trace(experiment_);
   std::vector<Difference> differing;
   for (NodeId v : sites) {
-    const interp::WatchKey key = mg_.watch_key(v);
-    auto ait = a.watch_stats.find(key);
-    auto bit = b.watch_stats.find(key);
-    if (ait == a.watch_stats.end() || bit == b.watch_stats.end()) continue;
-    const double ra = ait->second.rms();
-    const double rb = bit->second.rms();
-    if (ait->second.count == 0 && bit->second.count == 0) continue;
+    const interp::WatchStats& sa = a.stats(v);
+    const interp::WatchStats& sb = b.stats(v);
+    if (sa.count == 0 && sb.count == 0) continue;
+    const double ra = sa.rms();
+    const double rb = sb.rms();
     const double scale = std::max({std::abs(ra), std::abs(rb), 1e-300});
     const double rel = std::abs(ra - rb) / scale;
-    if (rel > rms_threshold_ || ait->second.count != bit->second.count) {
+    if (rel > rms_threshold_ || sa.count != sb.count) {
       differing.push_back(Difference{v, rel});
     }
   }
@@ -229,10 +283,13 @@ RefinementResult RefinementEngine::run(
         cr.sampled.push_back(full);
         cr.sampled_centrality.push_back(centrality[t]);
       }
+      obs::Span sample_span("refinement.sample");
+      sample_span.attr("sites", cr.sampled.size());
       for (const Difference& d : sampler_.detect_with_magnitudes(cr.sampled)) {
         cr.differing.push_back(d.node);
         cr.difference_magnitudes.push_back(d.magnitude);
       }
+      sample_span.attr("differing", cr.differing.size());
     };
     if (opts_.pool && opts_.pool->size() > 1) {
       opts_.pool->parallel_for(report.communities.size(), sample_community);

@@ -22,11 +22,15 @@
 // mode (differences deduced from directed reachability from known bug
 // sites); RuntimeSampler actually executes the model with watchpoints —
 // the "challenging undertaking that remains to be done" of the paper's
-// conclusion, which our interpreter substrate makes possible.
+// conclusion, which our interpreter substrate makes possible. Like KGen, it
+// records values once per run and compares them offline: one fully watched
+// control run and one fully watched experimental run (RunTrace) answer
+// every step-7 round by lookup.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -86,9 +90,41 @@ class SimulatedSampler : public Sampler {
   std::vector<std::uint32_t> bug_distance_; // hops from the bug set
 };
 
-/// Real runtime sampling: watch the sites in one control run and one
-/// experimental run and compare per-variable normalized RMS (the KGen
-/// criterion, threshold 1e-12).
+/// Local nodes (module, subprogram, name) of `mg` whose module-level twin
+/// (module, "", name) is also a node. See RunTrace.
+std::vector<graph::NodeId> nodes_with_module_twin(const meta::Metagraph& mg);
+
+/// The watch statistics of one model run with every metagraph node's watch
+/// key bound, stored densely by NodeId.
+///
+/// Watching more keys changes one thing in the interpreter: a local
+/// assignment whose own key is watched no longer falls back to its
+/// (module, "", name) watch. A lookup therefore equals a run that watches
+/// only the looked-up sites exactly when no local node has such a
+/// module-level twin in the metagraph; record() checks that precondition.
+class RunTrace {
+ public:
+  /// One run of `model` under `config` (its watches replaced by every node
+  /// of `mg`). Throws rca::Error when nodes_with_module_twin(mg) is not
+  /// empty.
+  static RunTrace record(const meta::Metagraph& mg,
+                         const model::CesmModel& model,
+                         model::RunConfig config);
+
+  const interp::WatchStats& stats(graph::NodeId v) const;
+  /// Heap bytes held by the per-node statistics.
+  std::size_t bytes() const { return stats_.capacity() * sizeof(stats_[0]); }
+
+ private:
+  std::vector<interp::WatchStats> stats_;
+};
+
+/// Real runtime sampling: compare each site's per-variable normalized RMS
+/// (the KGen criterion, threshold 1e-12) between one control run and one
+/// experimental run. Each run is recorded once as a RunTrace, on the first
+/// detect_* call; concurrent callers wait for it, and a recording that
+/// throws is retried by the next call. A control trace recorded elsewhere
+/// for the same (model, config) can be passed in and is never re-recorded.
 class RuntimeSampler : public Sampler {
  public:
   RuntimeSampler(const meta::Metagraph& mg,
@@ -96,19 +132,34 @@ class RuntimeSampler : public Sampler {
                  const model::CesmModel& experiment_model,
                  model::RunConfig control_config,
                  model::RunConfig experiment_config,
-                 double rms_threshold = 1e-12);
+                 double rms_threshold = 1e-12,
+                 std::shared_ptr<const RunTrace> control_trace = nullptr);
   std::vector<graph::NodeId> detect_differences(
       const std::vector<graph::NodeId>& sites) override;
   /// Magnitude = relative normalized-RMS difference.
   std::vector<Difference> detect_with_magnitudes(
       const std::vector<graph::NodeId>& sites) override;
 
+  /// The control trace, once recorded or passed in; null before that.
+  /// Not synchronized with concurrent detect_* calls.
+  std::shared_ptr<const RunTrace> control_trace() const {
+    return control_.trace;
+  }
+
  private:
+  /// A trace recorded at most once, on first use.
+  struct LazyTrace {
+    const model::CesmModel& model;
+    model::RunConfig config;
+    const char* role;
+    std::shared_ptr<const RunTrace> trace;
+    std::once_flag once;
+  };
+  const RunTrace& trace(LazyTrace& lazy);
+
   const meta::Metagraph& mg_;
-  const model::CesmModel& control_model_;
-  const model::CesmModel& experiment_model_;
-  model::RunConfig control_config_;
-  model::RunConfig experiment_config_;
+  LazyTrace control_;
+  LazyTrace experiment_;
   double rms_threshold_;
 };
 

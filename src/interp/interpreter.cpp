@@ -1316,6 +1316,15 @@ Interpreter::watch_stats() const {
   return impl_->watch_stats_;
 }
 
+std::unordered_map<WatchKey, WatchStats, WatchKeyHash>
+Interpreter::take_watch_stats() {
+  auto taken = std::move(impl_->watch_stats_);
+  impl_->watch_stats_.clear();
+  impl_->any_watches_ = false;
+  impl_->watches_dirty_ = true;  // key_watch_ points into `taken`
+  return taken;
+}
+
 void Interpreter::set_record_assignments(bool enabled) {
   impl_->record_assignments_ = enabled;
 }

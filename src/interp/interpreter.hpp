@@ -132,6 +132,9 @@ class Interpreter {
   void add_watch(const WatchKey& key);
   const std::unordered_map<WatchKey, WatchStats, WatchKeyHash>& watch_stats()
       const;
+  /// Moves the statistics out without copying them; the interpreter is left
+  /// with no watches.
+  std::unordered_map<WatchKey, WatchStats, WatchKeyHash> take_watch_stats();
 
   /// When enabled, every executed assignment's (module, subprogram,
   /// canonical-name) identity is recorded — the dynamic counterpart of the

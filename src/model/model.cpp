@@ -119,7 +119,7 @@ RunResult CesmModel::run(const RunConfig& config) const {
     result.output_names.push_back(label);
     result.output_means.push_back(mean);
   }
-  result.watch_stats = interp->watch_stats();
+  result.watch_stats = interp->take_watch_stats();
   return result;
 }
 

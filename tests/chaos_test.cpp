@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/score.hpp"
+#include "engine/pipeline.hpp"
 #include "fault/fault.hpp"
 #include "graph/girvan_newman.hpp"
 #include "lang/parser.hpp"
@@ -496,6 +498,41 @@ TEST_F(ChaosTest, TransportFaultsDontKillTheDaemon) {
 
   server.request_shutdown();
   EXPECT_EQ(rc.get(), 0);  // graceful drain still works after the chaos
+}
+
+// ---------------------------------------------------------------------------
+// Engine stage faults: every stage of run_scenario fails cleanly
+// ---------------------------------------------------------------------------
+
+TEST_F(ChaosTest, EngineStageFaultsFailCleanlyAndPoisonNothing) {
+  engine::PipelineConfig config;
+  config.ensemble_members = 20;
+  config.experimental_runs = 6;
+  config.threads = 2;
+  const model::ScenarioSpec& s = *model::find_scenario("goffgratch");
+  auto row = [&s](engine::Pipeline& pipe) {
+    return campaign::score_outcome(s, pipe.run_scenario(s, true),
+                                   pipe.metagraph().graph(), 15);
+  };
+  engine::Pipeline reference_pipe(config);
+  const campaign::ScenarioScore reference = row(reference_pipe);
+  ASSERT_GT(reference.iterations, 0u);  // refinement really samples
+
+  // The chaos pipeline has recorded no control trace yet, so the first
+  // engine.sample fault fails the control recording itself. The disarmed
+  // rerun caches the control trace, so the second one fails the
+  // experimental recording.
+  engine::Pipeline pipe(config);
+  for (const char* spec :
+       {"engine.sample:1.0:throw", "engine.sample:1.0:throw",
+        "engine.ect:1.0:throw", "engine.selection:1.0:throw",
+        "engine.slice:1.0:throw", "engine.refinement:1.0:throw"}) {
+    fault::FaultRegistry::global().arm(spec);
+    EXPECT_THROW(pipe.run_scenario(s, true), fault::FaultInjected) << spec;
+    fault::FaultRegistry::global().disarm();
+    EXPECT_EQ(row(pipe), reference) << spec;
+  }
+  EXPECT_GE(counter("fault.injected.engine.sample"), 2u);
 }
 
 // ---------------------------------------------------------------------------

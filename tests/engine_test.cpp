@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <functional>
+#include <latch>
 #include <map>
 #include <memory>
+#include <thread>
 
 #include "engine/pipeline.hpp"
 #include "engine/refinement.hpp"
@@ -566,6 +572,298 @@ TEST(PipelineIntegration, ParallelSamplingMatchesSerial) {
                 parallel.refinement.iterations[i].communities[c].sampled);
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// RuntimeSampler: one recorded run per configuration, answers by lookup.
+// ---------------------------------------------------------------------------
+
+/// The runtime sampler's control and experimental run configurations for a
+/// scenario, as Pipeline::run_scenario builds them.
+struct SamplerConfigs {
+  model::RunConfig control;
+  model::RunConfig experiment;
+};
+
+SamplerConfigs sampler_configs(const Pipeline& pipe,
+                               const model::ScenarioSpec& s) {
+  SamplerConfigs c;
+  c.control = pipe.config().base_run;
+  c.control.member_seed = 31;
+  c.experiment = model::scenario_run_config(s, pipe.config().base_run);
+  c.experiment.member_seed = 31;
+  return c;
+}
+
+/// Reference: per-call sampling, one control run and one experimental run
+/// that watch exactly `sites` (the sampler's behaviour before RunTrace).
+std::vector<Difference> per_call_reference(const meta::Metagraph& mg,
+                                           const model::CesmModel& control,
+                                           const model::CesmModel& experiment,
+                                           const SamplerConfigs& configs,
+                                           const std::vector<NodeId>& sites) {
+  model::RunConfig control_config = configs.control;
+  model::RunConfig experiment_config = configs.experiment;
+  control_config.watches.clear();
+  experiment_config.watches.clear();
+  for (NodeId v : sites) {
+    control_config.watches.push_back(mg.watch_key(v));
+    experiment_config.watches.push_back(mg.watch_key(v));
+  }
+  const model::RunResult a = control.run(control_config);
+  const model::RunResult b = experiment.run(experiment_config);
+  std::vector<Difference> differing;
+  for (NodeId v : sites) {
+    const interp::WatchKey key = mg.watch_key(v);
+    const interp::WatchStats& sa = a.watch_stats.at(key);
+    const interp::WatchStats& sb = b.watch_stats.at(key);
+    if (sa.count == 0 && sb.count == 0) continue;
+    const double ra = sa.rms();
+    const double rb = sb.rms();
+    const double scale = std::max({std::abs(ra), std::abs(rb), 1e-300});
+    const double rel = std::abs(ra - rb) / scale;
+    if (rel > 1e-12 || sa.count != sb.count) {
+      differing.push_back(Difference{v, rel});
+    }
+  }
+  return differing;
+}
+
+/// Same nodes in the same order, bit-equal magnitudes.
+bool same_answer(const std::vector<Difference>& a,
+                 const std::vector<Difference>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].node != b[i].node ||
+        std::bit_cast<std::uint64_t>(a[i].magnitude) !=
+            std::bit_cast<std::uint64_t>(b[i].magnitude)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Passes every call through to `inner` and checks its answer against
+/// `reference` on the same sites.
+class CheckingSampler : public Sampler {
+ public:
+  using Reference =
+      std::function<std::vector<Difference>(const std::vector<NodeId>&)>;
+  CheckingSampler(Sampler& inner, Reference reference)
+      : inner_(inner), reference_(std::move(reference)) {}
+
+  std::vector<NodeId> detect_differences(
+      const std::vector<NodeId>& sites) override {
+    std::vector<NodeId> out;
+    for (const Difference& d : detect_with_magnitudes(sites)) {
+      out.push_back(d.node);
+    }
+    return out;
+  }
+  std::vector<Difference> detect_with_magnitudes(
+      const std::vector<NodeId>& sites) override {
+    std::vector<Difference> got = inner_.detect_with_magnitudes(sites);
+    ++calls_;
+    if (!same_answer(got, reference_(sites))) ++mismatches_;
+    return got;
+  }
+  std::size_t calls() const { return calls_; }
+  std::size_t mismatches() const { return mismatches_; }
+
+ private:
+  Sampler& inner_;
+  Reference reference_;
+  std::size_t calls_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
+std::size_t count_recordings(const std::string& role) {
+  std::size_t n = 0;
+  for (const obs::SpanRecord& span :
+       obs::global().spans_named("sampler.record")) {
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "role" && value.s == role) ++n;
+    }
+  }
+  return n;
+}
+
+TEST(RuntimeSamplerExactness, LookupMatchesPerCallRunsOnEveryLibraryScenario) {
+  Pipeline& pipe = shared_pipeline();
+  const meta::Metagraph& mg = pipe.metagraph();
+  std::size_t calls = 0;
+  std::size_t sampling_scenarios = 0;
+  for (const model::ScenarioSpec& s : model::scenario_library()) {
+    const ExperimentOutcome outcome = pipe.run_scenario(s, true);
+    // Replay the refinement on a fresh sampler whose every answer is checked
+    // against per-call runs on the same sites.
+    const model::CesmModel& exp_model = pipe.bug_model(s.bug);
+    const SamplerConfigs configs = sampler_configs(pipe, s);
+    RuntimeSampler lookup(mg, pipe.control_model(), exp_model,
+                          configs.control, configs.experiment);
+    CheckingSampler checked(lookup, [&](const std::vector<NodeId>& sites) {
+      return per_call_reference(mg, pipe.control_model(), exp_model, configs,
+                                sites);
+    });
+    const RefinementResult replay =
+        RefinementEngine(mg, checked, pipe.config().refinement)
+            .run(outcome.slice.nodes, outcome.bug_nodes,
+                 outcome.slice.targets);
+    EXPECT_EQ(checked.mismatches(), 0u) << s.name;
+
+    // The pipeline's run, on its shared control trace, answered alike.
+    EXPECT_EQ(replay.final_nodes, outcome.refinement.final_nodes) << s.name;
+    ASSERT_EQ(replay.iterations.size(), outcome.refinement.iterations.size())
+        << s.name;
+    for (std::size_t i = 0; i < replay.iterations.size(); ++i) {
+      const auto& want = replay.iterations[i].communities;
+      const auto& got = outcome.refinement.iterations[i].communities;
+      ASSERT_EQ(want.size(), got.size()) << s.name;
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        EXPECT_EQ(want[c].differing, got[c].differing) << s.name;
+        ASSERT_EQ(want[c].difference_magnitudes.size(),
+                  got[c].difference_magnitudes.size());
+        for (std::size_t d = 0; d < want[c].differing.size(); ++d) {
+          EXPECT_EQ(
+              std::bit_cast<std::uint64_t>(want[c].difference_magnitudes[d]),
+              std::bit_cast<std::uint64_t>(got[c].difference_magnitudes[d]))
+              << s.name;
+        }
+      }
+    }
+    calls += checked.calls();
+    if (checked.calls() > 0) ++sampling_scenarios;
+  }
+  EXPECT_GE(sampling_scenarios, 6u);  // all but wsub sample
+  EXPECT_GE(calls, 20u);
+}
+
+TEST(RuntimeSamplerExactness, NoLocalNodeHasAModuleLevelTwin) {
+  EXPECT_TRUE(nodes_with_module_twin(shared_pipeline().metagraph()).empty());
+  // The unfiltered cesm-scale metagraph holds every node of the
+  // coverage-filtered one a cesm-scale Pipeline samples.
+  const model::CesmModel cesm(model::cesm_scale_spec());
+  const meta::Metagraph mg = meta::build_metagraph(cesm.compiled_modules());
+  EXPECT_GT(mg.node_count(), 7737u);
+  EXPECT_TRUE(nodes_with_module_twin(mg).empty());
+}
+
+TEST_F(EngineUnitTest, ShadowingLocalIsReportedAsAModuleLevelTwin) {
+  meta::Metagraph mg = build(R"(
+module m
+  real :: x
+  real :: y
+contains
+  subroutine shadow()
+    real :: x
+    x = 1.0
+    y = x * 2.0
+  end subroutine
+  subroutine global()
+    x = 3.0
+  end subroutine
+end module
+)");
+  const std::vector<NodeId> twins = nodes_with_module_twin(mg);
+  ASSERT_EQ(twins.size(), 1u);
+  EXPECT_EQ(mg.info(twins[0]).subprogram, "shadow");
+  EXPECT_EQ(mg.info(twins[0]).canonical_name, "x");
+}
+
+TEST(RuntimeSamplerConcurrency, FirstCallsRecordEachTraceOnce) {
+  Pipeline& pipe = shared_pipeline();
+  const model::ScenarioSpec& s = *model::find_scenario("goffgratch");
+  const model::CesmModel& exp_model = pipe.bug_model(s.bug);
+  const SamplerConfigs configs = sampler_configs(pipe, s);
+  RuntimeSampler sampler(pipe.metagraph(), pipe.control_model(), exp_model,
+                         configs.control, configs.experiment);
+  std::vector<NodeId> sites = pipe.scenario_planted_nodes(s);
+  for (NodeId v = 0; v < 20; ++v) sites.push_back(v);
+
+  obs::global().set_enabled(true);
+  obs::global().reset();
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<Difference>> answers(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      answers[t] = sampler.detect_with_magnitudes(sites);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::size_t control = count_recordings("control");
+  const std::size_t experiment = count_recordings("experiment");
+  const std::uint64_t runs = obs::global().counter("model.runs");
+  obs::global().set_enabled(false);
+
+  EXPECT_EQ(control, 1u);
+  EXPECT_EQ(experiment, 1u);
+  EXPECT_EQ(runs, 2u);
+  ASSERT_FALSE(answers[0].empty());  // the planted sites differ
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_TRUE(same_answer(answers[t], answers[0])) << t;
+  }
+  EXPECT_TRUE(same_answer(
+      answers[0], per_call_reference(pipe.metagraph(), pipe.control_model(),
+                                     exp_model, configs, sites)));
+}
+
+TEST(PipelineIntegration, RuntimeScenariosShareOneControlRecording) {
+  PipelineConfig config;
+  config.ensemble_members = 20;
+  config.experimental_runs = 6;
+  config.threads = 2;
+  Pipeline pipe(std::move(config));
+  obs::global().set_enabled(true);
+  obs::global().reset();
+
+  const ExperimentOutcome outcome =
+      pipe.run_scenario(paper_row("GOFFGRATCH"), true);
+  EXPECT_EQ(count_recordings("control"), 1u);
+  EXPECT_EQ(count_recordings("experiment"), 1u);
+
+  // One refinement.sample span per community sampled, carrying its site
+  // and differing counts; the recordings happen inside sampler calls.
+  std::size_t communities = 0;
+  std::size_t sites = 0;
+  std::size_t differing = 0;
+  for (const IterationReport& it : outcome.refinement.iterations) {
+    for (const CommunityReport& cr : it.communities) {
+      ++communities;
+      sites += cr.sampled.size();
+      differing += cr.differing.size();
+    }
+  }
+  const auto samples = obs::global().spans_named("refinement.sample");
+  ASSERT_EQ(samples.size(), communities);
+  std::size_t span_sites = 0;
+  std::size_t span_differing = 0;
+  for (const obs::SpanRecord& span : samples) {
+    std::map<std::string, long long> attrs;
+    for (const auto& [key, value] : span.attrs) attrs[key] = value.i;
+    span_sites += static_cast<std::size_t>(attrs.at("sites"));
+    span_differing += static_cast<std::size_t>(attrs.at("differing"));
+  }
+  EXPECT_EQ(span_sites, sites);
+  EXPECT_EQ(span_differing, differing);
+  for (const obs::SpanRecord& record :
+       obs::global().spans_named("sampler.record")) {
+    EXPECT_TRUE(std::any_of(samples.begin(), samples.end(),
+                            [&](const obs::SpanRecord& sample) {
+                              return sample.id == record.parent;
+                            }));
+  }
+
+  // A second scenario records only its experimental run; wsub never
+  // samples, so it records nothing.
+  pipe.run_scenario(paper_row("RAND-MT"), true);
+  pipe.run_scenario(paper_row("WSUBBUG"), true);
+  obs::global().set_enabled(false);
+  EXPECT_EQ(count_recordings("control"), 1u);
+  EXPECT_EQ(count_recordings("experiment"), 2u);
 }
 
 }  // namespace

@@ -386,6 +386,25 @@ end module
   EXPECT_DOUBLE_EQ(it->second.rms(), std::sqrt(30.0 / 4.0));
 }
 
+TEST_F(InterpTest, TakenWatchStatsStopRecording) {
+  auto& in = load(R"(
+module m
+contains
+  subroutine go()
+    real :: dum
+    dum = 2.0
+  end subroutine
+end module
+)");
+  in.add_watch(WatchKey{"m", "go", "dum"});
+  in.call("m", "go");
+  const auto taken = in.take_watch_stats();
+  EXPECT_TRUE(in.watch_stats().empty());
+  in.call("m", "go");  // unwatched now; must not write into `taken`
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken.at(WatchKey{"m", "go", "dum"}).count, 1u);
+}
+
 TEST_F(InterpTest, WatchModuleVariableFromSubprogram) {
   auto& in = load(R"(
 module m
