@@ -329,6 +329,7 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
   span.attr("scenario",
             c->params.scenario.empty() ? "-" : c->params.scenario.c_str());
   span.attr("runtime_sampling", c->params.runtime_sampling);
+  CampaignState terminal = CampaignState::kFailed;
   try {
     const meta::Metagraph& mg = c->session->metagraph();
 
@@ -470,27 +471,29 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
       c->first_detection_at = res.first_detection_at;
       c->ranked = std::move(ranked);
       c->hit = hit;
-      c->state =
-          res.cancelled ? CampaignState::kCancelled : CampaignState::kDone;
     }
-    obs::count(res.cancelled ? "campaign.cancelled" : "campaign.completed");
+    terminal = res.cancelled ? CampaignState::kCancelled : CampaignState::kDone;
     span.attr("iterations", res.iterations.size());
     span.attr("final_nodes", res.final_nodes.size());
   } catch (const std::exception& e) {
     {
       std::lock_guard<std::mutex> lock(c->mu);
       c->error = e.what();
-      c->state = CampaignState::kFailed;
     }
-    obs::count("campaign.failed");
+    terminal = CampaignState::kFailed;
   }
+  // Release everything the run holds before publishing the terminal state:
+  // once wait() returns, the session is unpinned, the journal is gone (only
+  // campaigns that never finished are resumable) and the outcome is counted.
   c->release_pin();
-  // Terminal state: the journal's job is done, whatever the outcome — only
-  // campaigns that never finished are resumable.
   if (c->journaled) CampaignJournal::remove(opts_.journal_dir, c->id);
+  obs::count(terminal == CampaignState::kDone        ? "campaign.completed"
+             : terminal == CampaignState::kCancelled ? "campaign.cancelled"
+                                                     : "campaign.failed");
+  span.attr("state", campaign_state_name(terminal));
   {
     std::lock_guard<std::mutex> lock(c->mu);
-    span.attr("state", campaign_state_name(c->state));
+    c->state = terminal;
   }
   c->cv.notify_all();
 }

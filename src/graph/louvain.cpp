@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
+#include "graph/ugraph.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
@@ -11,52 +11,76 @@ namespace rca::graph {
 
 namespace {
 
-/// Undirected weighted adjacency built by collapsing the digraph (parallel
-/// and antiparallel edges merge with summed weight 1 each).
-struct WeightedGraph {
-  std::vector<std::vector<std::pair<NodeId, double>>> adj;
-  std::vector<double> self_loop;  // aggregated intra-community weight
-  double total_weight = 0.0;      // sum of edge weights (each edge once)
+/// One Louvain level as a weighted undirected CSR: v's neighbours are
+/// target[offsets[v] .. offsets[v+1]) with parallel `weight`s, every edge
+/// listed once from each endpoint and never as a self-arc. The weight already
+/// inside an aggregated node lives in `self_loop` instead. All weights are
+/// sums of unit level-0 edges — integers held exactly in a double — so every
+/// weight and degree sum below is exact whatever order it runs in.
+struct Level {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<NodeId> target;
+  std::vector<double> weight;
+  std::vector<double> self_loop;
 
-  std::size_t size() const { return adj.size(); }
+  std::size_t size() const { return offsets.size() - 1; }
+
+  /// Weighted degree, self-loop counted twice (Louvain convention).
+  double degree(NodeId v) const {
+    double d = 2.0 * self_loop[v];
+    for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) d += weight[i];
+    return d;
+  }
 };
 
-WeightedGraph from_digraph(const Digraph& g) {
-  WeightedGraph w;
-  w.adj.resize(g.node_count());
-  w.self_loop.assign(g.node_count(), 0.0);
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    for (NodeId v : g.out_neighbors(u)) {
-      if (u < v || !g.has_edge(v, u)) {
-        w.adj[u].emplace_back(v, 1.0);
-        w.adj[v].emplace_back(u, 1.0);
-        w.total_weight += 1.0;
-      }
-    }
+/// Level 0: the undirected view GN also uses, every edge with weight 1.
+Level level_zero(const Digraph& g) {
+  const UGraph ug(g);
+  Level out;
+  const std::size_t n = ug.node_count();
+  out.offsets.reserve(n + 1);
+  out.target.reserve(2 * ug.total_edges());
+  for (NodeId v = 0; v < n; ++v) {
+    for (const UGraph::Arc& arc : ug.incident(v)) out.target.push_back(arc.v);
+    out.offsets.push_back(static_cast<std::uint32_t>(out.target.size()));
   }
-  return w;
+  out.weight.assign(out.target.size(), 1.0);
+  out.self_loop.assign(n, 0.0);
+  return out;
 }
 
-/// Weighted degree (including self-loop counted twice, Louvain convention).
-double weighted_degree(const WeightedGraph& g, NodeId v) {
-  double d = 2.0 * g.self_loop[v];
-  for (const auto& [u, w] : g.adj[v]) {
-    (void)u;
-    d += w;
-  }
-  return d;
-}
+/// Sums arc weights into `weight_to[community of neighbour]`, recording each
+/// community's first touch so the dense array resets in O(degree). Weights
+/// are positive, so 0.0 marks an untouched slot.
+struct CommunityWeights {
+  std::vector<double> weight_to;
+  std::vector<NodeId> touched;
 
-/// One local-move phase; returns the per-node community assignment and the
-/// achieved gain. Communities are renumbered densely on exit.
-bool local_move(const WeightedGraph& g, std::vector<NodeId>* community,
+  explicit CommunityWeights(std::size_t count) : weight_to(count, 0.0) {}
+
+  void add(NodeId c, double w) {
+    if (weight_to[c] == 0.0) touched.push_back(c);
+    weight_to[c] += w;
+  }
+  void clear() {
+    for (NodeId c : touched) weight_to[c] = 0.0;
+    touched.clear();
+  }
+};
+
+/// One local-move phase over `g`, starting from `community`. Each visit
+/// moves v to the neighbouring community with the largest modularity gain
+/// (ties to the smallest id) when that gain beats staying by more than
+/// `min_gain`; sweeps repeat until one moves nothing. Returns whether any
+/// node moved.
+bool local_move(const Level& g, std::vector<NodeId>* community,
                 std::uint64_t seed, double min_gain) {
   const std::size_t n = g.size();
   std::vector<double> degree(n);
-  double m2 = 2.0 * g.total_weight;
+  double m2 = 0.0;
   for (NodeId v = 0; v < n; ++v) {
-    degree[v] = weighted_degree(g, v);
-    m2 += 2.0 * g.self_loop[v];
+    degree[v] = g.degree(v);
+    m2 += degree[v];
   }
   if (m2 <= 0.0) return false;
 
@@ -74,105 +98,134 @@ bool local_move(const WeightedGraph& g, std::vector<NodeId>* community,
 
   bool any_move = false;
   bool improved = true;
-  std::unordered_map<NodeId, double> weight_to;
+  CommunityWeights acc(n);
   while (improved) {
     improved = false;
     for (NodeId v : order) {
       const NodeId old_comm = (*community)[v];
-      weight_to.clear();
-      for (const auto& [u, w] : g.adj[v]) {
-        if (u != v) weight_to[(*community)[u]] += w;
+      for (std::uint32_t i = g.offsets[v]; i < g.offsets[v + 1]; ++i) {
+        acc.add((*community)[g.target[i]], g.weight[i]);
       }
-      comm_degree[old_comm] -= degree[v];
+      const double k = degree[v];
+      comm_degree[old_comm] -= k;
 
+      const double stay =
+          acc.weight_to[old_comm] - comm_degree[old_comm] * k / m2;
       NodeId best_comm = old_comm;
-      double best_gain = weight_to.count(old_comm)
-                             ? weight_to[old_comm] -
-                                   comm_degree[old_comm] * degree[v] / m2
-                             : -comm_degree[old_comm] * degree[v] / m2;
-      for (const auto& [c, w] : weight_to) {
-        const double gain = w - comm_degree[c] * degree[v] / m2;
-        if (gain > best_gain + min_gain) {
+      double best_gain = 0.0;
+      for (NodeId c : acc.touched) {
+        if (c == old_comm) continue;
+        const double gain = acc.weight_to[c] - comm_degree[c] * k / m2;
+        if (best_comm == old_comm || gain > best_gain ||
+            (gain == best_gain && c < best_comm)) {
           best_gain = gain;
           best_comm = c;
         }
       }
-      comm_degree[best_comm] += degree[v];
-      if (best_comm != old_comm) {
+      acc.clear();
+      if (best_comm != old_comm && best_gain > stay + min_gain) {
         (*community)[v] = best_comm;
         improved = true;
         any_move = true;
+      } else {
+        best_comm = old_comm;
       }
+      comm_degree[best_comm] += k;
     }
   }
   return any_move;
 }
 
-/// Aggregates communities into super-nodes.
-WeightedGraph aggregate(const WeightedGraph& g,
-                        const std::vector<NodeId>& community,
-                        std::size_t community_count) {
-  WeightedGraph out;
-  out.adj.resize(community_count);
+/// Aggregates communities into super-nodes. Members are bucketed by
+/// community first, so each super-node's arcs are accumulated and emitted
+/// in one pass.
+Level aggregate(const Level& g, const std::vector<NodeId>& community,
+                std::size_t community_count) {
+  const std::size_t n = g.size();
+  std::vector<std::uint32_t> start(community_count + 1, 0);
+  for (NodeId v = 0; v < n; ++v) ++start[community[v] + 1];
+  for (std::size_t c = 0; c < community_count; ++c) start[c + 1] += start[c];
+  std::vector<NodeId> members(n);
+  std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
+  for (NodeId v = 0; v < n; ++v) members[cursor[community[v]]++] = v;
+
+  Level out;
+  out.offsets.reserve(community_count + 1);
   out.self_loop.assign(community_count, 0.0);
-  std::unordered_map<std::uint64_t, double> edges;
-  for (NodeId v = 0; v < g.size(); ++v) {
-    out.self_loop[community[v]] += g.self_loop[v];
-    for (const auto& [u, w] : g.adj[v]) {
-      if (u < v) continue;  // each undirected edge once
-      const NodeId a = community[v];
-      const NodeId b = community[u];
-      if (a == b) {
-        out.self_loop[a] += w;
-      } else {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(std::min(a, b)) << 32) |
-            std::max(a, b);
-        edges[key] += w;
+  CommunityWeights acc(community_count);
+  for (NodeId c = 0; c < community_count; ++c) {
+    double inside = 0.0;
+    for (std::uint32_t m = start[c]; m < start[c + 1]; ++m) {
+      const NodeId v = members[m];
+      out.self_loop[c] += g.self_loop[v];
+      for (std::uint32_t i = g.offsets[v]; i < g.offsets[v + 1]; ++i) {
+        const NodeId d = community[g.target[i]];
+        if (d == c) {
+          inside += g.weight[i];
+        } else {
+          acc.add(d, g.weight[i]);
+        }
       }
     }
-  }
-  for (const auto& [key, w] : edges) {
-    const NodeId a = static_cast<NodeId>(key >> 32);
-    const NodeId b = static_cast<NodeId>(key & 0xffffffffu);
-    out.adj[a].emplace_back(b, w);
-    out.adj[b].emplace_back(a, w);
-    out.total_weight += w;
+    out.self_loop[c] += inside / 2.0;  // each inner edge seen from both ends
+    for (NodeId d : acc.touched) {
+      out.target.push_back(d);
+      out.weight.push_back(acc.weight_to[d]);
+    }
+    acc.clear();
+    out.offsets.push_back(static_cast<std::uint32_t>(out.target.size()));
   }
   return out;
 }
 
+/// Renumbers ids (each < community->size()) densely in first-occurrence
+/// order; returns the count.
 std::size_t renumber(std::vector<NodeId>* community) {
-  std::unordered_map<NodeId, NodeId> remap;
+  std::vector<NodeId> remap(community->size(), kInvalidNode);
+  NodeId next = 0;
   for (NodeId& c : *community) {
-    auto [it, inserted] = remap.emplace(c, static_cast<NodeId>(remap.size()));
-    c = it->second;
+    if (remap[c] == kInvalidNode) remap[c] = next++;
+    c = remap[c];
   }
-  return remap.size();
+  return next;
+}
+
+/// Newman Q of a partition with dense ids < `count` over a level-0 graph,
+/// the per-community terms summed in ascending id.
+double modularity_of(const Level& g, const std::vector<NodeId>& community,
+                     std::size_t count) {
+  const double m2 = static_cast<double>(g.target.size());
+  if (m2 <= 0.0) return 0.0;
+  // `intra` counts each inner edge from both ends: intra/m2 is in/m.
+  std::vector<double> intra(count, 0.0);
+  std::vector<double> comm_degree(count, 0.0);
+  for (NodeId v = 0; v < g.size(); ++v) {
+    const NodeId c = community[v];
+    comm_degree[c] += g.degree(v);
+    for (std::uint32_t i = g.offsets[v]; i < g.offsets[v + 1]; ++i) {
+      if (community[g.target[i]] == c) intra[c] += g.weight[i];
+    }
+  }
+  double q = 0.0;
+  for (std::size_t c = 0; c < count; ++c) {
+    q += intra[c] / m2 - (comm_degree[c] / m2) * (comm_degree[c] / m2);
+  }
+  return q;
 }
 
 }  // namespace
 
 double modularity(const Digraph& g, const std::vector<NodeId>& community) {
   RCA_CHECK_MSG(community.size() == g.node_count(), "partition size mismatch");
-  WeightedGraph w = from_digraph(g);
-  const double m2 = 2.0 * w.total_weight;
-  if (m2 <= 0.0) return 0.0;
-
-  std::unordered_map<NodeId, double> intra, comm_degree;
-  for (NodeId v = 0; v < w.size(); ++v) {
-    comm_degree[community[v]] += weighted_degree(w, v);
-    for (const auto& [u, weight] : w.adj[v]) {
-      if (u < v) continue;
-      if (community[u] == community[v]) intra[community[u]] += weight;
-    }
+  std::vector<NodeId> ids = community;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<NodeId> dense(community.size());
+  for (std::size_t v = 0; v < community.size(); ++v) {
+    dense[v] = static_cast<NodeId>(
+        std::lower_bound(ids.begin(), ids.end(), community[v]) - ids.begin());
   }
-  double q = 0.0;
-  for (const auto& [c, deg] : comm_degree) {
-    const double in = intra.count(c) ? intra.at(c) : 0.0;
-    q += in / w.total_weight - (deg / m2) * (deg / m2);
-  }
-  return q;
+  return modularity_of(level_zero(g), dense, ids.size());
 }
 
 LouvainResult louvain(const Digraph& g, const LouvainOptions& opts) {
@@ -186,35 +239,34 @@ LouvainResult louvain(const Digraph& g, const LouvainOptions& opts) {
   std::iota(result.assignment.begin(), result.assignment.end(), 0);
   if (n == 0) return result;
 
-  WeightedGraph level_graph = from_digraph(g);
+  const Level base = level_zero(g);
+  Level aggregated;
+  const Level* level_graph = &base;
   // node -> community at the current level, composed down to original nodes.
   std::vector<NodeId> node_to_top(n);
   std::iota(node_to_top.begin(), node_to_top.end(), 0);
 
   for (std::size_t level = 0; level < opts.max_levels; ++level) {
-    std::vector<NodeId> community(level_graph.size());
+    std::vector<NodeId> community(level_graph->size());
     std::iota(community.begin(), community.end(), 0);
     const bool moved =
-        local_move(level_graph, &community, opts.seed + level, opts.min_gain);
+        local_move(*level_graph, &community, opts.seed + level, opts.min_gain);
     if (!moved) break;
     ++result.levels;
     const std::size_t count = renumber(&community);
     for (NodeId v = 0; v < n; ++v) {
       node_to_top[v] = community[node_to_top[v]];
     }
-    if (count == level_graph.size()) break;
-    level_graph = aggregate(level_graph, community, count);
+    if (count == level_graph->size()) break;
+    aggregated = aggregate(*level_graph, community, count);
+    level_graph = &aggregated;
   }
 
   result.assignment = node_to_top;
-  renumber(&result.assignment);
-  result.modularity = modularity(g, result.assignment);
+  const std::size_t count = renumber(&result.assignment);
+  result.modularity = modularity_of(base, result.assignment, count);
 
   // Materialize community node lists.
-  std::size_t count = 0;
-  for (NodeId c : result.assignment) {
-    count = std::max<std::size_t>(count, c + 1);
-  }
   std::vector<std::vector<NodeId>> buckets(count);
   for (NodeId v = 0; v < n; ++v) buckets[result.assignment[v]].push_back(v);
   for (auto& b : buckets) {

@@ -23,7 +23,10 @@ struct LouvainOptions {
   std::size_t max_levels = 10;
   /// Node visiting order is shuffled with this seed (deterministic).
   std::uint64_t seed = 1;
-  /// Stop a local-move phase when a full sweep improves Q by less.
+  /// Per-move margin. A visited node moves to the neighbouring community
+  /// with the largest modularity gain (ties to the smallest community id),
+  /// and only when that gain beats staying by more than `min_gain`; a
+  /// local-move phase ends after a sweep that moves no node.
   double min_gain = 1e-9;
   /// Communities smaller than this are dropped from `communities` (kept in
   /// the per-node assignment).
