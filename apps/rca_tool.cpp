@@ -84,8 +84,6 @@
 #include "graph/dot_export.hpp"
 #include "graph/girvan_newman.hpp"
 #include "graph/louvain.hpp"
-#include "lang/parser.hpp"
-#include "meta/builder.hpp"
 #include "meta/serialize.hpp"
 #include "meta/snapshot_cache.hpp"
 #include "model/corpus.hpp"
@@ -264,9 +262,10 @@ int cmd_generate(const Args& args) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared front-end helpers (graph, lint). Source collection and parsing live
-// in src/service/front_end.* so the CLI and the resident daemon run the
-// exact same front end.
+// Shared front-end helpers (graph, lint, watch). Source collection, parsing
+// and the build-list filter live in src/service/front_end.*, and `graph`
+// builds through service::SessionStore, so the CLI and the resident daemon
+// run the exact same front end.
 // ---------------------------------------------------------------------------
 
 /// Optional build-configuration list (one module name per line).
@@ -306,107 +305,51 @@ int cmd_graph(const Args& args) {
   std::unique_ptr<ThreadPool> pool;
   if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs);
 
-  const std::vector<std::string> build_list = read_build_list(args);
-  auto in_build = [&build_list](const std::string& module) {
-    if (build_list.empty()) return true;
-    for (const auto& name : build_list) {
-      if (name == module) return true;
-    }
-    return false;
-  };
-
-  const std::vector<std::pair<std::string, std::string>> sources =
-      service::collect_fortran_sources(src_dir.string());
-
-  const bool coverage = args.has("coverage");
-  const int cov_steps = static_cast<int>(args.get_int("coverage-steps", 2));
+  service::SessionConfig config;
+  config.build_list = read_build_list(args);
+  config.coverage = args.has("coverage");
+  config.coverage_steps = static_cast<int>(args.get_int("coverage-steps", 2));
   // --summary-prune sharpens the liveness pruning with interprocedural
   // mod/ref summaries; it implies --prune-dead-stores.
-  const bool summary_prune = args.has("summary-prune");
-  const bool prune = args.has("prune-dead-stores") || summary_prune;
+  config.summary_informed_pruning = args.has("summary-prune");
+  config.prune_dead_stores =
+      args.has("prune-dead-stores") || config.summary_informed_pruning;
 
-  // Snapshot cache key: every (path, text) pair plus the build/coverage/
-  // pruning configuration. A hit skips parse+build entirely.
-  std::optional<meta::SnapshotCache> cache;
-  meta::SnapshotKey key;
-  if (args.has("snapshot")) {
-    cache.emplace(args.get("snapshot"));
-    key.add("rca-graph-snapshot-v3");
-    key.add_u64(coverage ? 1 : 0);
-    key.add_u64(static_cast<std::uint64_t>(cov_steps));
-    key.add_u64(prune ? 1 : 0);
-    key.add_u64(summary_prune ? 1 : 0);
-    for (const auto& name : build_list) key.add(name);
-    for (const auto& [path, text] : sources) {
-      key.add(path);
-      key.add(text);
-    }
-  }
-
-  std::optional<meta::Metagraph> mg;
-  if (cache) mg = cache->try_load(key);
-  if (mg) {
+  // The session store is the corpus front end: it keys the snapshot cache,
+  // runs the coverage filter and builds the graph for `watch` and `serve`
+  // too, so a snapshot written here warm-starts them (and vice versa).
+  service::SessionStoreOptions store_opts;
+  store_opts.snapshot_dir = args.get("snapshot");
+  store_opts.build_pool = pool.get();
+  service::SessionStore store(store_opts);
+  const std::shared_ptr<const service::Session> session = store.get_or_build(
+      config, service::collect_fortran_sources(src_dir.string()));
+  const meta::Metagraph& mg = session->metagraph();
+  if (session->warm_started()) {
     std::printf("snapshot cache hit: skipping parse+build (%s)\n",
-                cache->path_for(key).c_str());
+                meta::SnapshotCache(store_opts.snapshot_dir)
+                    .path_for(service::SessionStore::snapshot_key(
+                        config, session->sources()))
+                    .c_str());
   } else {
-    std::vector<std::pair<std::string, std::string>> parse_errors;
-    std::vector<lang::SourceFile> files =
-        service::parse_sources(sources, pool.get(), &parse_errors);
+    const auto& parse_errors = session->parse_errors();
     for (const auto& [path, message] : parse_errors) {
       (void)path;
       std::fprintf(stderr, "parse failure: %s\n", message.c_str());
     }
-    const std::size_t parse_failures = parse_errors.size();
-    std::vector<const lang::Module*> modules;
-    for (const auto& f : files) {
-      for (const auto& m : f.modules) {
-        if (in_build(m.name)) modules.push_back(&m);
-      }
-    }
     std::printf("parsed %zu files (%zu failures), %zu modules in build "
-                "configuration\n", files.size(), parse_failures,
-                modules.size());
-
-    meta::BuilderOptions opts;
-    opts.pool = pool.get();
-    opts.prune_dead_stores = prune;
-    opts.summary_informed_pruning = summary_prune;
-    std::unique_ptr<interp::Interpreter> cov_interp;
-    interp::CoverageRecorder recorder;
-    if (coverage) {
-      // Instrumented short run: requires the corpus driver convention
-      // (cam_driver::cam_init / cam_step), as `generate` emits.
-      cov_interp = std::make_unique<interp::Interpreter>(modules);
-      cov_interp->call("cam_driver", "cam_init");
-      for (int s = 0; s < cov_steps; ++s) {
-        cov_interp->call("cam_driver", "cam_step");
-      }
-      recorder = cov_interp->coverage();
-      // Declaration-only modules are always kept (cannot register execution).
-      opts.module_filter = [&recorder, &modules](const std::string& m) {
-        if (recorder.module_executed(m)) return true;
-        for (const lang::Module* mod : modules) {
-          if (mod->name == m) return mod->subprograms.empty();
-        }
-        return false;
-      };
-      opts.subprogram_filter = [&recorder](const std::string& m,
-                                           const std::string& s) {
-        return recorder.subprogram_executed(m, s);
-      };
+                "configuration\n",
+                session->sources().size() - parse_errors.size(),
+                parse_errors.size(), session->modules().size());
+    if (config.prune_dead_stores) {
+      std::printf("dead stores pruned: %zu\n", mg.dead_stores_pruned);
     }
-
-    mg = meta::build_metagraph(modules, opts);
-    if (prune) {
-      std::printf("dead stores pruned: %zu\n", mg->dead_stores_pruned);
-    }
-    if (cache) cache->store(key, *mg);
   }
 
   std::ofstream out(out_path, std::ios::binary);
-  meta::save_metagraph(*mg, out, format);
+  meta::save_metagraph(mg, out, format);
   std::printf("metagraph: %zu nodes, %zu edges, %zu I/O labels -> %s\n",
-              mg->node_count(), mg->graph().edge_count(), mg->io_map().size(),
+              mg.node_count(), mg.graph().edge_count(), mg.io_map().size(),
               out_path.string().c_str());
   return 0;
 }
@@ -429,23 +372,14 @@ int cmd_lint(const Args& args) {
   if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs);
 
   const std::vector<std::string> build_list = read_build_list(args);
-  auto in_build = [&build_list](const std::string& module) {
-    if (build_list.empty()) return true;
-    for (const auto& name : build_list) {
-      if (name == module) return true;
-    }
-    return false;
-  };
-
-  const std::vector<std::pair<std::string, std::string>> sources =
-      service::collect_fortran_sources(src_dir.string());
   std::vector<std::pair<std::string, std::string>> parse_errors;
-  std::vector<lang::SourceFile> files =
-      service::parse_sources(sources, pool.get(), &parse_errors);
+  std::vector<lang::SourceFile> files = service::parse_sources(
+      service::collect_fortran_sources(src_dir.string()), pool.get(),
+      &parse_errors);
   std::vector<const lang::Module*> modules;
   for (const auto& f : files) {
     for (const auto& m : f.modules) {
-      if (in_build(m.name)) modules.push_back(&m);
+      if (service::in_build_list(build_list, m.name)) modules.push_back(&m);
     }
   }
 
@@ -460,18 +394,7 @@ int cmd_lint(const Args& args) {
                                  ? analysis::PassManager::default_passes()
                                  : analysis::PassManager::intraprocedural_passes();
   analysis::AnalysisResult result = pm.run(modules);
-  // A file the front end cannot parse is itself a finding; fold parse
-  // failures into the diagnostic stream so every emitter sees them.
-  for (const auto& [path, message] : parse_errors) {
-    analysis::Diagnostic d;
-    d.rule = "parse-error";
-    d.severity = analysis::Severity::kError;
-    d.file = path;
-    d.message = message;
-    result.diagnostics.push_back(std::move(d));
-  }
-  std::sort(result.diagnostics.begin(), result.diagnostics.end(),
-            analysis::diagnostic_less);
+  analysis::fold_parse_errors(parse_errors, &result.diagnostics);
 
   std::fputs(analysis::diagnostics_to_text(result.diagnostics).c_str(),
              stdout);

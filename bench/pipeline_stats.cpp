@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   const model::CesmModel& model = pipe.control_model();
   const meta::Metagraph& mg = pipe.metagraph();
 
-  const auto filter = cov::CoverageFilter(pipe.coverage());
+  const cov::CoverageFilter filter(model.coverage_run(2),
+                                   &model.compiled_modules());
   const auto stats =
       cov::compute_filter_stats(model.compiled_modules(), filter);
 

@@ -1,5 +1,6 @@
 #include "analysis/diagnostics.hpp"
 
+#include <algorithm>
 #include <tuple>
 
 #include "support/json.hpp"
@@ -19,6 +20,20 @@ const char* severity_name(Severity s) {
 bool diagnostic_less(const Diagnostic& a, const Diagnostic& b) {
   return std::tie(a.module, a.line, a.column, a.rule, a.name, a.message) <
          std::tie(b.module, b.line, b.column, b.rule, b.name, b.message);
+}
+
+void fold_parse_errors(
+    const std::vector<std::pair<std::string, std::string>>& parse_errors,
+    std::vector<Diagnostic>* diags) {
+  for (const auto& [path, message] : parse_errors) {
+    Diagnostic d;
+    d.rule = kParseErrorRule;
+    d.severity = Severity::kError;
+    d.file = path;
+    d.message = message;
+    diags->push_back(std::move(d));
+  }
+  std::sort(diags->begin(), diags->end(), diagnostic_less);
 }
 
 std::string diagnostics_to_text(const std::vector<Diagnostic>& diags) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rca::analysis {
@@ -37,6 +38,16 @@ struct Diagnostic {
 /// Orders by (module, line, column, rule, name, message): source order
 /// within a module, deterministic everywhere.
 bool diagnostic_less(const Diagnostic& a, const Diagnostic& b);
+
+/// Rule id of the diagnostic a file the front end could not parse becomes.
+inline constexpr const char* kParseErrorRule = "parse-error";
+
+/// Folds front-end parse failures, (path, message) pairs, into `diags` as
+/// kParseErrorRule errors, then re-sorts by diagnostic_less — a file that
+/// cannot be parsed is itself a finding, so every emitter reports it.
+void fold_parse_errors(
+    const std::vector<std::pair<std::string, std::string>>& parse_errors,
+    std::vector<Diagnostic>* diags);
 
 /// `file:line:col: severity: message [rule] (module::subprogram)` lines.
 std::string diagnostics_to_text(const std::vector<Diagnostic>& diags);

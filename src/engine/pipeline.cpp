@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "cov/coverage_filter.hpp"
 #include "fault/fault.hpp"
 #include "meta/builder.hpp"
 #include "meta/snapshot_cache.hpp"
@@ -53,11 +54,12 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
   }
   if (!cache_hit) {
     // Coverage run (time step 2, like the paper) and filtered metagraph.
-    coverage_ = control_->coverage_run(kCoverageTimesteps);
-    filter_ = cov::CoverageFilter(coverage_, &control_->compiled_modules());
+    const cov::CoverageFilter filter(
+        control_->coverage_run(kCoverageTimesteps),
+        &control_->compiled_modules());
     meta::BuilderOptions builder_opts;
-    builder_opts.module_filter = filter_.module_predicate();
-    builder_opts.subprogram_filter = filter_.subprogram_predicate();
+    builder_opts.module_filter = filter.module_predicate();
+    builder_opts.subprogram_filter = filter.subprogram_predicate();
     builder_opts.pool = pool_.get();
     builder_opts.prune_dead_stores = config_.prune_dead_stores;
     mg_ = meta::build_metagraph(control_->compiled_modules(), builder_opts);

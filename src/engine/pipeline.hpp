@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "cov/coverage_filter.hpp"
 #include "ect/ect.hpp"
 #include "engine/refinement.hpp"
 #include "meta/metagraph.hpp"
@@ -75,7 +74,6 @@ class Pipeline {
   const model::CesmModel& control_model() const { return *control_; }
   /// Coverage-filtered metagraph of the control corpus.
   const meta::Metagraph& metagraph() const { return mg_; }
-  const interp::CoverageRecorder& coverage() const { return coverage_; }
   const ect::EnsembleConsistencyTest& ect() const { return *ect_; }
   const std::vector<std::string>& output_names() const { return names_; }
   const stats::Matrix& ensemble() const { return ensemble_; }
@@ -100,8 +98,6 @@ class Pipeline {
  private:
   PipelineConfig config_;
   std::unique_ptr<model::CesmModel> control_;
-  interp::CoverageRecorder coverage_;
-  cov::CoverageFilter filter_;
   meta::Metagraph mg_;
   std::vector<std::string> names_;
   stats::Matrix ensemble_;

@@ -163,14 +163,6 @@ std::vector<double> edge_betweenness(const UGraph& g,
   return result;
 }
 
-std::vector<double> edge_betweenness(const UGraph& g, ThreadPool* pool,
-                                     const std::vector<NodeId>* sources) {
-  BetweennessOptions opts;
-  opts.pool = pool;
-  opts.sources = sources;
-  return edge_betweenness(g, opts);
-}
-
 std::vector<double> node_betweenness(const Digraph& g,
                                      const BetweennessOptions& opts) {
   const std::size_t n = g.node_count();
@@ -248,12 +240,6 @@ std::vector<double> node_betweenness(const Digraph& g,
     for (double& v : result) v *= scale;
   }
   return result;
-}
-
-std::vector<double> node_betweenness(const Digraph& g, ThreadPool* pool) {
-  BetweennessOptions opts;
-  opts.pool = pool;
-  return node_betweenness(g, opts);
 }
 
 }  // namespace rca::graph

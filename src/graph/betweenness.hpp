@@ -43,18 +43,11 @@ struct BetweennessOptions {
 /// pair dependencies are halved as in NetworkX so values match the
 /// single-count convention.
 std::vector<double> edge_betweenness(const UGraph& g,
-                                     const BetweennessOptions& opts);
-
-/// Back-compat shim for the pre-sampling call sites.
-std::vector<double> edge_betweenness(
-    const UGraph& g, ThreadPool* pool = nullptr,
-    const std::vector<NodeId>* sources = nullptr);
+                                     const BetweennessOptions& opts = {});
 
 /// Node betweenness on a digraph (directed shortest paths), endpoints
 /// excluded. Provided for analysis tooling and ablations.
 std::vector<double> node_betweenness(const Digraph& g,
-                                     const BetweennessOptions& opts);
-std::vector<double> node_betweenness(const Digraph& g,
-                                     ThreadPool* pool = nullptr);
+                                     const BetweennessOptions& opts = {});
 
 }  // namespace rca::graph

@@ -125,17 +125,6 @@ std::size_t girvan_newman_step(UGraph& g, const GnStepOptions& opts,
   return removed;
 }
 
-std::size_t girvan_newman_step(
-    UGraph& g, ThreadPool* pool,
-    const std::chrono::steady_clock::time_point* deadline,
-    bool* budget_exceeded) {
-  GnStepOptions opts;
-  opts.pool = pool;
-  opts.deadline = deadline;
-  opts.budget_exceeded = budget_exceeded;
-  return girvan_newman_step(g, opts, nullptr);
-}
-
 GirvanNewmanResult girvan_newman(const Digraph& g,
                                  const GirvanNewmanOptions& opts) {
   RCA_CHECK_MSG(opts.iterations >= 0, "negative G-N iteration count");

@@ -84,14 +84,8 @@ struct GnStepState {
 /// count. Exposed separately for tests and ablations. `state` (optional)
 /// carries betweenness across steps; pass the same object to every step on
 /// one graph and the full step-entry recompute happens only once.
-std::size_t girvan_newman_step(UGraph& g, const GnStepOptions& opts,
+std::size_t girvan_newman_step(UGraph& g, const GnStepOptions& opts = {},
                                GnStepState* state = nullptr);
-
-/// Back-compat shim for the pre-options call sites.
-std::size_t girvan_newman_step(
-    UGraph& g, ThreadPool* pool = nullptr,
-    const std::chrono::steady_clock::time_point* deadline = nullptr,
-    bool* budget_exceeded = nullptr);
 
 /// Graceful degradation for interactive callers: Girvan–Newman under a
 /// wall-clock budget, falling back to Louvain (counter: community.fallback)

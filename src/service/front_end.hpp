@@ -1,7 +1,9 @@
-// Shared corpus front-end helpers: on-disk source collection and (optionally
-// parallel) parsing. Factored out of apps/rca_tool.cpp so the CLI's graph/
-// lint subcommands and the resident service's session store run the exact
-// same front end — same file ordering, same failure folding.
+// Shared corpus front-end helpers: on-disk source collection, (optionally
+// parallel) parsing and the build-list filter. The session store builds
+// every metagraph outside engine::Pipeline from these (`rca-tool graph`,
+// `watch`, `serve`, `refine` all go through it), and `rca-tool lint` uses
+// them directly — so every path sees the same file order, the same module
+// selection and the same parse-failure records.
 #pragma once
 
 #include <string>
@@ -35,5 +37,10 @@ std::vector<std::string> collect_fortran_paths(const std::string& src_dir);
 std::vector<lang::SourceFile> parse_sources(
     const std::vector<std::pair<std::string, std::string>>& sources,
     ThreadPool* pool, std::vector<std::pair<std::string, std::string>>* errors);
+
+/// True when `module` is in the build configuration: listed in
+/// `build_list`, or any module when the list is empty.
+bool in_build_list(const std::vector<std::string>& build_list,
+                   const std::string& module);
 
 }  // namespace rca::service

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "analysis/summaries.hpp"
+#include "cov/coverage_filter.hpp"
 #include "fault/fault.hpp"
 #include "interp/interpreter.hpp"
 #include "meta/builder.hpp"
@@ -20,13 +21,6 @@
 namespace rca::service {
 
 namespace {
-
-bool in_build_list(const std::vector<std::string>& build_list,
-                   const std::string& module) {
-  if (build_list.empty()) return true;
-  return std::find(build_list.begin(), build_list.end(), module) !=
-         build_list.end();
-}
 
 std::size_t approx_graph_bytes(const meta::Metagraph& mg) {
   std::size_t bytes =
@@ -162,18 +156,7 @@ const analysis::AnalysisResult& Session::lint() const {
     } else {
       result = pm.run(modules_);
     }
-    // A file the front end cannot parse is itself a finding; fold parse
-    // failures into the diagnostic stream like `rca-tool lint` does.
-    for (const auto& [path, message] : parse_errors_) {
-      analysis::Diagnostic d;
-      d.rule = "parse-error";
-      d.severity = analysis::Severity::kError;
-      d.file = path;
-      d.message = message;
-      result.diagnostics.push_back(std::move(d));
-    }
-    std::sort(result.diagnostics.begin(), result.diagnostics.end(),
-              analysis::diagnostic_less);
+    analysis::fold_parse_errors(parse_errors_, &result.diagnostics);
     lint_ = std::move(result);
   }
   return *lint_;
@@ -190,7 +173,7 @@ SessionStore::SessionStore(SessionStoreOptions opts) : opts_(std::move(opts)) {
 meta::SnapshotKey SessionStore::snapshot_key(const SessionConfig& config,
                                              const SourceList& sources) {
   meta::SnapshotKey key;
-  key.add("rca-graph-snapshot-v3");  // shared with `rca-tool graph --snapshot`
+  key.add("rca-graph-snapshot-v3");
   key.add_u64(config.coverage ? 1 : 0);
   key.add_u64(static_cast<std::uint64_t>(config.coverage_steps));
   key.add_u64(config.prune_dead_stores ? 1 : 0);
@@ -318,32 +301,17 @@ std::shared_ptr<Session> SessionStore::build_session_once(
   opts.pool = opts_.build_pool;
   opts.prune_dead_stores = config.prune_dead_stores;
   opts.summary_informed_pruning = config.summary_informed_pruning;
-  std::unique_ptr<interp::Interpreter> cov_interp;
-  interp::CoverageRecorder recorder;
   if (config.coverage) {
     // Instrumented short run: requires the corpus driver convention
     // (cam_driver::cam_init / cam_step), as `rca-tool generate` emits.
-    const std::vector<const lang::Module*>& modules = session->modules_;
-    cov_interp = std::make_unique<interp::Interpreter>(modules);
-    cov_interp->call("cam_driver", "cam_init");
+    interp::Interpreter cov_interp(session->modules_);
+    cov_interp.call("cam_driver", "cam_init");
     for (int s = 0; s < config.coverage_steps; ++s) {
-      cov_interp->call("cam_driver", "cam_step");
+      cov_interp.call("cam_driver", "cam_step");
     }
-    recorder = cov_interp->coverage();
-    // Declaration-only modules are always kept (cannot register execution).
-    opts.module_filter = [&recorder, &modules](const std::string& m) {
-      if (recorder.module_executed(m)) return true;
-      for (const lang::Module* mod : modules) {
-        if (mod->name == m) return mod->subprograms.empty();
-      }
-      return false;
-    };
-    opts.subprogram_filter = [&recorder](const std::string& m,
-                                         const std::string& s) {
-      return recorder.subprogram_executed(m, s);
-    };
-  }
-  if (config.coverage) {
+    const cov::CoverageFilter filter(cov_interp.coverage(), &session->modules_);
+    opts.module_filter = filter.module_predicate();
+    opts.subprogram_filter = filter.subprogram_predicate();
     // Coverage filters select nodes by runtime execution, which the
     // fragment transaction deliberately does not model — coverage sessions
     // build monolithically and patch via cold rebuild.
@@ -638,7 +606,7 @@ SessionStore::PatchResult SessionStore::patch_build(
       Session::LintSeed seed;
       seed.dirty = dirty_mask;
       for (const auto& d : *base_diags) {
-        if (d.rule == "parse-error") continue;  // re-folded by lint()
+        if (d.rule == analysis::kParseErrorRule) continue;  // re-folded
         if (changed_set.count(d.file) != 0) continue;  // recomputed
         if (present.count(d.file) == 0) continue;      // file removed
         seed.carried.push_back(d);

@@ -1,11 +1,15 @@
 // Resident session store for the RCA query service.
 //
 // A *session* is a parsed corpus plus its built metagraph, keyed by a
-// content hash over the exact inputs that determine the graph (same recipe
-// as the on-disk SnapshotCache): every (path, text) source pair plus the
-// build configuration. The store keeps sessions hot so repeated slice/
+// content hash over the exact inputs that determine the graph (the key of
+// its on-disk SnapshotCache entry too): every (path, text) source pair plus
+// the build configuration. The store keeps sessions hot so repeated slice/
 // community/rank/lint queries never re-pay process startup or graph
 // materialization — the cost the paper's whole design fights.
+//
+// It is also the one path outside engine::Pipeline that turns a source tree
+// into a metagraph: `rca-tool graph`, `watch`, `serve` and `refine` all
+// build through it, so a snapshot any of them writes warm-starts the rest.
 //
 // Behaviour:
 //   * LRU eviction under a configurable byte budget (sources + graph
@@ -70,7 +74,8 @@ class ThreadPool;
 
 namespace rca::service {
 
-/// Build configuration for one session (mirrors `rca-tool graph` flags).
+/// Build configuration for one session; `rca-tool graph` maps its flags
+/// onto these fields one to one.
 struct SessionConfig {
   std::vector<std::string> build_list;  // empty = every module
   bool coverage = false;                // interpreter-driven coverage filter
@@ -200,10 +205,8 @@ class SessionStore {
  public:
   explicit SessionStore(SessionStoreOptions opts);
 
-  /// Content hash for (config, sources) — the session identity. Exposed so
-  /// clients and tests can predict keys. Deliberately the same recipe as
-  /// `rca-tool graph --snapshot`, so a CLI-populated snapshot directory
-  /// warm-starts the daemon (and vice versa).
+  /// Content hash for (config, sources) — the session identity and its
+  /// snapshot-cache key. Exposed so clients and tests can predict keys.
   static meta::SnapshotKey snapshot_key(const SessionConfig& config,
                                         const SourceList& sources);
   static std::string compute_key(const SessionConfig& config,

@@ -488,6 +488,34 @@ end module m
   EXPECT_TRUE(std::is_sorted(diags.begin(), diags.end(), diagnostic_less));
 }
 
+TEST(Diagnostics, FoldParseErrorsAddsSortedErrors) {
+  Parsed p(R"(module m
+contains
+  subroutine s(out)
+    real, intent(out) :: out
+    real :: unused
+    out = 1.0
+  end subroutine s
+end module m
+)");
+  std::vector<Diagnostic> diags = lint(p);
+  const std::size_t found = diags.size();
+  fold_parse_errors({{"b.f90", "b: unexpected token"},
+                     {"a.f90", "a: unexpected token"}},
+                    &diags);
+  ASSERT_EQ(diags.size(), found + 2);
+  EXPECT_TRUE(std::is_sorted(diags.begin(), diags.end(), diagnostic_less));
+  std::vector<std::string> files;
+  for (const Diagnostic& d : diags) {
+    if (d.rule != kParseErrorRule) continue;
+    EXPECT_EQ(d.severity, Severity::kError);
+    EXPECT_TRUE(d.module.empty());
+    EXPECT_EQ(d.message, d.file.substr(0, 1) + ": unexpected token");
+    files.push_back(d.file);
+  }
+  EXPECT_EQ(files, (std::vector<std::string>{"a.f90", "b.f90"}));
+}
+
 // ---------------------------------------------------------------------------
 // Golden corpus: lint-clean, pinned as exact TSV bytes.
 

@@ -168,7 +168,8 @@ TEST(PipelineIntegration, MetagraphAndCoverageAreReasonable) {
   EXPECT_GT(pipe.metagraph().graph().edge_count(),
             pipe.metagraph().node_count());
   EXPECT_FALSE(pipe.output_names().empty());
-  EXPECT_TRUE(pipe.coverage().module_executed("dyn_core"));
+  EXPECT_TRUE(
+      pipe.control_model().coverage_run(2).module_executed("dyn_core"));
 }
 
 /// The library row of one of the paper's experiments, by its paper id.

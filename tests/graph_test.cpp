@@ -254,8 +254,10 @@ TEST(EdgeBetweenness, ParallelMatchesSerial) {
   Digraph g(60, std::move(edges));
   UGraph ug(g);
   ThreadPool pool(4);
-  auto serial = edge_betweenness(ug, nullptr);
-  auto parallel = edge_betweenness(ug, &pool);
+  BetweennessOptions pooled;
+  pooled.pool = &pool;
+  auto serial = edge_betweenness(ug);
+  auto parallel = edge_betweenness(ug, pooled);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t e = 0; e < serial.size(); ++e) {
     EXPECT_NEAR(serial[e], parallel[e], 1e-9);

@@ -185,3 +185,14 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(same_rc EQUAL 0)
   message(FATAL_ERROR "--prune-dead-stores had no effect on the corpus graph")
 endif()
+
+# ---------------------------------------------------------------------------
+# `graph` builds through the same session store as `watch` and `serve`, so a
+# snapshot the CLI writes warm-starts a resident session on the same tree:
+# no parse, no build, one snapshot hit.
+run(graph --src corpus --build-list corpus/build_list.txt
+    --snapshot wcache --out mg_session.tsv)
+run(watch --src corpus --build-list corpus/build_list.txt --snapshot wcache
+    --iterations 1 --interval-ms 1 --metrics-out w.json)
+expect_counter(w.json service.session.snapshot_warm 1)
+expect_counter(w.json meta.snapshot.hits 1)

@@ -198,6 +198,24 @@ TEST_F(SessionStoreTest, SnapshotWarmStartSkipsParsing) {
   fs::remove_all(dir);
 }
 
+TEST_F(SessionStoreTest, UnparsableFileIsSkippedAndLintedAsParseError) {
+  SessionStore store(SessionStoreOptions{});
+  SourceList sources = make_corpus("ok");
+  sources.emplace_back("mem/zz_broken.f90", "module broken\n  x = = (\n");
+  auto session = store.get_or_build(SessionConfig{}, sources);
+  EXPECT_GT(session->metagraph().node_count(), 0u);
+  EXPECT_EQ(session->skipped_modules(),
+            std::vector<std::string>{"mem/zz_broken.f90"});
+  std::size_t parse_errors = 0;
+  for (const analysis::Diagnostic& d : session->lint().diagnostics) {
+    if (d.rule != analysis::kParseErrorRule) continue;
+    ++parse_errors;
+    EXPECT_EQ(d.file, "mem/zz_broken.f90");
+    EXPECT_EQ(d.severity, analysis::Severity::kError);
+  }
+  EXPECT_EQ(parse_errors, 1u);
+}
+
 TEST_F(SessionStoreTest, BuildFailurePropagatesAndIsNotCached) {
   SessionStore store(SessionStoreOptions{});
   SourceList bad = {{"mem/bad.f90", "module broken\n  this is not fortran"}};

@@ -145,6 +145,31 @@ TEST(CoverageFilterTest, RecorderBackedFiltering) {
   EXPECT_FALSE(filter.keep_subprogram("mod_a", "sub_2"));
 }
 
+TEST(CoverageFilterTest, KeepsDeclarationOnlyModulesGivenTheModuleList) {
+  lang::Parser parser("<t>", R"(
+module decls
+  integer, parameter :: n = 4
+end module
+module idle
+contains
+  subroutine never()
+  end subroutine
+end module
+)");
+  lang::SourceFile file = parser.parse_file();
+  std::vector<const lang::Module*> mods;
+  for (const auto& m : file.modules) mods.push_back(&m);
+
+  // Neither module executed. Without the module list the filter cannot tell
+  // a declaration-only module from an idle one and drops both.
+  const interp::CoverageRecorder recorder;
+  EXPECT_FALSE(cov::CoverageFilter(recorder).keep_module("decls"));
+  const cov::CoverageFilter filter(recorder, &mods);
+  EXPECT_TRUE(filter.keep_module("decls"));
+  EXPECT_FALSE(filter.keep_module("idle"));
+  EXPECT_FALSE(filter.keep_subprogram("idle", "never"));
+}
+
 TEST(CoverageFilterTest, FilterStatsComputeReductions) {
   lang::Parser parser("<t>", R"(
 module covered

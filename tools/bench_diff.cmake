@@ -64,8 +64,13 @@ function(to_fixed value out)
       string(SUBSTRING "${digits}" 0 ${keep} digits)
     endif()
   endif()
-  # Strip leading zeros so math() cannot misread the literal.
-  string(REGEX REPLACE "^0+([0-9])" "\\1" digits "${digits}")
+  # Strip leading zeros so math() cannot misread the literal. A single
+  # "^0+" match is the whole job: CMake re-anchors "^" after each match, so
+  # a pattern that also consumes the next digit would strip interior zeros.
+  string(REGEX REPLACE "^0+" "" digits "${digits}")
+  if(digits STREQUAL "")
+    set(digits 0)
+  endif()
   set(${out} "${sign}${digits}" PARENT_SCOPE)
 endfunction()
 
