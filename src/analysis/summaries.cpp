@@ -8,6 +8,7 @@
 #include "fault/fault.hpp"
 #include "interp/intrinsics.hpp"
 #include "lang/printer.hpp"
+#include "support/hash.hpp"
 
 namespace rca::analysis {
 
@@ -32,19 +33,17 @@ class SummarySig {
  public:
   void add(const std::string& s) {
     add_u64(s.size());
-    for (const char c : s) step(static_cast<unsigned char>(c));
+    h_ = fnv1a64(s, h_);
   }
   void add_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) step(static_cast<unsigned char>(v >> (i * 8)));
+    char le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<char>(v >> (i * 8));
+    h_ = fnv1a64(std::string_view(le, sizeof le), h_);
   }
   std::uint64_t digest() const { return h_; }
 
  private:
-  void step(unsigned char b) {
-    h_ ^= b;
-    h_ *= 1099511628211ull;
-  }
-  std::uint64_t h_ = 14695981039346656037ull;
+  std::uint64_t h_ = kFnvOffsetBasis;
 };
 
 std::uint64_t pack_flags(const ProcSummary& p) {

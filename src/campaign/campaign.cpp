@@ -39,13 +39,6 @@ class FaultableSampler : public engine::Sampler {
  public:
   explicit FaultableSampler(engine::Sampler* inner) : inner_(inner) {}
 
-  std::vector<NodeId> detect_differences(
-      const std::vector<NodeId>& sites) override {
-    RCA_FAULT_POINT("campaign.sample");
-    obs::count("campaign.samples");
-    return inner_->detect_differences(sites);
-  }
-
   std::vector<engine::Difference> detect_with_magnitudes(
       const std::vector<NodeId>& sites) override {
     RCA_FAULT_POINT("campaign.sample");
@@ -69,18 +62,17 @@ std::vector<RankedSite> rank_final_nodes(const meta::Metagraph& mg,
                                          const std::vector<NodeId>& final_nodes,
                                          const std::vector<NodeId>& planted,
                                          std::size_t top) {
+  std::vector<double> scores;
+  const std::vector<NodeId> top_nodes =
+      graph::rank_by_in_centrality(mg.graph(), final_nodes, top, &scores);
   std::vector<RankedSite> ranked;
-  if (final_nodes.empty()) return ranked;
-  const graph::Digraph sub = graph::induced_subgraph(mg.graph(), final_nodes);
-  const std::vector<double> scores =
-      graph::eigenvector_centrality(sub, graph::Direction::kIn);
-  for (NodeId local : graph::top_k(scores, top)) {
-    const NodeId global = final_nodes[local];
+  for (std::size_t r = 0; r < top_nodes.size(); ++r) {
+    const NodeId global = top_nodes[r];
     const meta::NodeInfo& info = mg.info(global);
     RankedSite site;
     site.unique_name = info.unique_name;
     site.module = info.module;
-    site.centrality = scores[local];
+    site.centrality = scores[r];
     site.planted = std::find(planted.begin(), planted.end(), global) !=
                    planted.end();
     ranked.push_back(std::move(site));

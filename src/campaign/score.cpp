@@ -19,16 +19,8 @@ namespace {
 std::size_t centrality_rank(const graph::Digraph& full,
                             const std::vector<NodeId>& nodes,
                             const std::vector<NodeId>& planted) {
-  if (nodes.empty()) return SIZE_MAX;
-  const graph::Digraph sub = graph::induced_subgraph(full, nodes);
-  const std::vector<double> scores =
-      graph::eigenvector_centrality(sub, graph::Direction::kIn);
-  std::vector<NodeId> ranked;
-  ranked.reserve(nodes.size());
-  for (NodeId local : graph::top_k(scores, nodes.size())) {
-    ranked.push_back(nodes[local]);
-  }
-  return model::best_rank(ranked, planted);
+  return model::best_rank(
+      graph::rank_by_in_centrality(full, nodes, nodes.size()), planted);
 }
 
 bool is_fp_kind(const std::string& kind) {

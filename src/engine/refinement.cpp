@@ -9,13 +9,25 @@
 #include "graph/centrality.hpp"
 #include "graph/girvan_newman.hpp"
 #include "graph/louvain.hpp"
-#include "graph/nonbacktracking.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
 namespace rca::engine {
 
 using graph::NodeId;
+
+// ---------------------------------------------------------------------------
+// Sampler.
+// ---------------------------------------------------------------------------
+
+std::vector<NodeId> Sampler::detect_differences(
+    const std::vector<NodeId>& sites) {
+  std::vector<NodeId> out;
+  for (const Difference& d : detect_with_magnitudes(sites)) {
+    out.push_back(d.node);
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // SimulatedSampler.
@@ -30,15 +42,6 @@ SimulatedSampler::SimulatedSampler(const meta::Metagraph& mg,
   for (NodeId v = 0; v < mg.node_count(); ++v) {
     if (bug_distance_[v] != graph::kUnreached) influenced_[v] = true;
   }
-}
-
-std::vector<NodeId> SimulatedSampler::detect_differences(
-    const std::vector<NodeId>& sites) {
-  std::vector<NodeId> differing;
-  for (NodeId v : sites) {
-    if (v < influenced_.size() && influenced_[v]) differing.push_back(v);
-  }
-  return differing;
 }
 
 std::vector<Difference> SimulatedSampler::detect_with_magnitudes(
@@ -134,15 +137,6 @@ const RunTrace& RuntimeSampler::trace(LazyTrace& lazy) {
   return *lazy.trace;
 }
 
-std::vector<NodeId> RuntimeSampler::detect_differences(
-    const std::vector<NodeId>& sites) {
-  std::vector<NodeId> out;
-  for (const Difference& d : detect_with_magnitudes(sites)) {
-    out.push_back(d.node);
-  }
-  return out;
-}
-
 std::vector<Difference> RuntimeSampler::detect_with_magnitudes(
     const std::vector<NodeId>& sites) {
   const RunTrace& a = trace(control_);
@@ -169,25 +163,6 @@ std::vector<Difference> RuntimeSampler::detect_with_magnitudes(
 
 namespace {
 
-std::vector<double> compute_centrality(const graph::Digraph& g,
-                                       CentralityKind kind) {
-  switch (kind) {
-    case CentralityKind::kEigenvector:
-      return eigenvector_centrality(g, graph::Direction::kIn);
-    case CentralityKind::kDegree:
-      return degree_centrality(g, graph::Direction::kIn);
-    case CentralityKind::kPageRank:
-      return pagerank(g, graph::Direction::kIn);
-    case CentralityKind::kKatz:
-      return katz_centrality(g, graph::Direction::kIn);
-    case CentralityKind::kNonBacktracking:
-      return nonbacktracking_centrality(g, graph::Direction::kIn).centrality;
-    case CentralityKind::kCloseness:
-      return closeness_centrality(g, graph::Direction::kIn);
-  }
-  throw Error("unknown centrality kind");
-}
-
 std::vector<std::vector<NodeId>> detect_communities(
     const graph::Digraph& g, const RefinementOptions& opts) {
   if (opts.community_method == CommunityMethod::kLouvain) {
@@ -199,8 +174,6 @@ std::vector<std::vector<NodeId>> detect_communities(
   gn.iterations = opts.gn_iterations;
   gn.min_community_size = opts.min_community_size;
   gn.budget_ms = opts.gn_budget_ms;
-  gn.betweenness_samples = opts.betweenness_samples;
-  gn.betweenness_seed = opts.betweenness_seed;
   gn.pool = opts.pool;
   return graph::communities_with_budget(g, gn).communities;
 }
@@ -243,10 +216,9 @@ RefinementResult RefinementEngine::run(
 
     // Step 5: community detection on the weakly connected (undirected)
     // view — Girvan-Newman by default, Louvain optionally.
-    struct {
-      std::vector<std::vector<NodeId>> communities;
-    } communities{detect_communities(sub, opts_)};
-    if (communities.communities.empty()) {
+    const std::vector<std::vector<NodeId>> communities =
+        detect_communities(sub, opts_);
+    if (communities.empty()) {
       // Paper's issue 2: increasingly disconnected subgraphs eventually
       // yield no communities; the remaining nodes go to manual analysis.
       result.iterations.push_back(std::move(report));
@@ -259,29 +231,26 @@ RefinementResult RefinementEngine::run(
 
     // Step 6: eigenvector in-centrality per community, top-m sites.
     // Step 7: sample each community independently (parallel tasks).
-    iter_span.attr("communities", communities.communities.size());
-    for (const auto& comm : communities.communities) {
+    iter_span.attr("communities", communities.size());
+    for (const auto& comm : communities) {
       obs::observe("refinement.community_size",
                    static_cast<double>(comm.size()));
     }
-    report.communities.resize(communities.communities.size());
+    report.communities.resize(communities.size());
     auto sample_community = [&](std::size_t c) {
-      const std::vector<NodeId>& members_local = communities.communities[c];
-      graph::Digraph comm_graph =
-          induced_subgraph(sub, members_local, nullptr);
-      const std::vector<double> centrality =
-          compute_centrality(comm_graph, opts_.centrality);
+      const std::vector<NodeId>& members_local = communities[c];
       // Rank everything, then take the top m sampleable (non-excluded) sites.
-      const std::vector<NodeId> ranked =
-          graph::top_k(centrality, centrality.size());
+      std::vector<double> centrality;
+      const std::vector<NodeId> ranked = graph::rank_by_in_centrality(
+          sub, members_local, members_local.size(), &centrality);
       CommunityReport& cr = report.communities[c];
       for (NodeId local : members_local) cr.members.push_back(current[local]);
-      for (NodeId t : ranked) {
+      for (std::size_t r = 0; r < ranked.size(); ++r) {
         if (cr.sampled.size() >= opts_.samples_per_community) break;
-        const NodeId full = current[members_local[t]];
+        const NodeId full = current[ranked[r]];
         if (is_excluded[full]) continue;
         cr.sampled.push_back(full);
-        cr.sampled_centrality.push_back(centrality[t]);
+        cr.sampled_centrality.push_back(centrality[r]);
       }
       obs::Span sample_span("refinement.sample");
       sample_span.attr("sites", cr.sampled.size());

@@ -54,20 +54,16 @@ struct Difference {
 class Sampler {
  public:
   virtual ~Sampler() = default;
-  /// Returns the subset of `sites` (full-metagraph node ids) whose runtime
-  /// values differ between the ensemble and the experimental run.
-  virtual std::vector<graph::NodeId> detect_differences(
+  /// The subset of `sites` (full-metagraph node ids) whose runtime values
+  /// differ between the ensemble and the experimental run, in site order,
+  /// each with its magnitude. RefinementEngine calls only this.
+  virtual std::vector<Difference> detect_with_magnitudes(
       const std::vector<graph::NodeId>& sites) = 0;
 
-  /// Differences with magnitudes; the default adapter assigns magnitude 1.
-  virtual std::vector<Difference> detect_with_magnitudes(
-      const std::vector<graph::NodeId>& sites) {
-    std::vector<Difference> out;
-    for (graph::NodeId v : detect_differences(sites)) {
-      out.push_back(Difference{v, 1.0});
-    }
-    return out;
-  }
+  /// The nodes of detect_with_magnitudes(sites), in order. Virtual only so
+  /// that timing decorators (perfbench's TimingSampler) can wrap it.
+  virtual std::vector<graph::NodeId> detect_differences(
+      const std::vector<graph::NodeId>& sites);
 };
 
 /// Paper evaluation mode: a site takes different values iff it is reachable
@@ -78,8 +74,6 @@ class SimulatedSampler : public Sampler {
  public:
   SimulatedSampler(const meta::Metagraph& mg,
                    const std::vector<graph::NodeId>& bug_nodes);
-  std::vector<graph::NodeId> detect_differences(
-      const std::vector<graph::NodeId>& sites) override;
   /// Magnitude surrogate: 1 / (1 + hops from the nearest bug node) — sites
   /// closer to the source are "most affected".
   std::vector<Difference> detect_with_magnitudes(
@@ -134,8 +128,6 @@ class RuntimeSampler : public Sampler {
                  model::RunConfig experiment_config,
                  double rms_threshold = 1e-12,
                  std::shared_ptr<const RunTrace> control_trace = nullptr);
-  std::vector<graph::NodeId> detect_differences(
-      const std::vector<graph::NodeId>& sites) override;
   /// Magnitude = relative normalized-RMS difference.
   std::vector<Difference> detect_with_magnitudes(
       const std::vector<graph::NodeId>& sites) override;
@@ -163,17 +155,6 @@ class RuntimeSampler : public Sampler {
   double rms_threshold_;
 };
 
-/// Which centrality ranks sampling sites (paper: eigenvector; the rest feed
-/// bench/ablation_centrality).
-enum class CentralityKind {
-  kEigenvector,
-  kDegree,
-  kPageRank,
-  kKatz,
-  kNonBacktracking,
-  kCloseness,
-};
-
 /// Which community detector partitions the subgraph (paper: Girvan-Newman;
 /// Louvain is the near-linear alternative for large slices).
 enum class CommunityMethod { kGirvanNewman, kLouvain };
@@ -186,20 +167,12 @@ struct RefinementOptions {
   /// the iteration degrades to Louvain (counter: community.fallback) —
   /// refinement keeps moving instead of stalling on one partition.
   long long gn_budget_ms = 0;
-  /// Pivot-sample size for each betweenness computation inside
-  /// Girvan–Newman; 0 = exact. Large slices become tractable interactively
-  /// at the cost of a seeded, reproducible approximation (see
-  /// graph::BetweennessOptions::samples).
-  std::size_t betweenness_samples = 0;
-  /// Seed for betweenness pivot sampling.
-  std::uint64_t betweenness_seed = 2019;
   std::size_t min_community_size = 4; // paper omits clusters < 4 nodes
   std::size_t samples_per_community = 10;
   std::size_t max_iterations = 8;
   /// Stop when the subgraph is at most this many nodes ("small enough for
   /// manual analysis").
   std::size_t small_enough = 10;
-  CentralityKind centrality = CentralityKind::kEigenvector;
   CommunityMethod community_method = CommunityMethod::kGirvanNewman;
   /// Paper §6.3 future work: when step 8b reproduces the same subgraph,
   /// rank the sampled differences by magnitude and re-slice on the single

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace rca::fault {
@@ -23,15 +24,6 @@ std::uint64_t splitmix64_next(std::uint64_t& state) {
 
 double splitmix64_uniform(std::uint64_t& state) {
   return static_cast<double>(splitmix64_next(state) >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 double parse_probability(const std::string& field, const std::string& entry) {

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "obs/obs.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 
@@ -60,22 +61,6 @@ bool is_refine_path(const std::string& path) {
 
 }  // namespace
 
-long long Gateway::retry_delay_ms(int attempt, long long base_ms,
-                                  long long cap_ms, std::uint64_t seed,
-                                  std::uint64_t key_hash) {
-  if (base_ms < 1) base_ms = 1;
-  if (cap_ms < base_ms) cap_ms = base_ms;
-  long long base = base_ms;
-  for (int i = 0; i < attempt && base < cap_ms; ++i) base *= 2;
-  base = std::min(base, cap_ms);
-  const std::uint64_t h =
-      fnv1a64(std::to_string(seed) + ":" + std::to_string(key_hash) + ":" +
-              std::to_string(attempt));
-  const double frac = 0.5 + 0.5 * static_cast<double>(h % 1024) / 1023.0;
-  return std::max(static_cast<long long>(static_cast<double>(base) * frac),
-                  1ll);
-}
-
 Gateway::Gateway(Supervisor* supervisor, GatewayOptions opts)
     : supervisor_(supervisor),
       opts_(opts),
@@ -108,7 +93,7 @@ Gateway::RouteDecision Gateway::route(const service::Request& req) const {
       d.pinned = true;
       d.campaign_routed = true;
       d.campaign_shard = shard;
-      d.key_hash = fnv1a64(id);
+      d.key_hash = fnv1a64(id, kFleetFnvBasis);
       d.forward_body = replace_token(req.body, id, rest);
       return d;
     }
@@ -121,7 +106,7 @@ Gateway::RouteDecision Gateway::route(const service::Request& req) const {
     const std::string scenario = body.get_string("scenario");
     if (!session.empty()) {
       key = "session:" + session;
-      d.key_hash = fnv1a64(key);
+      d.key_hash = fnv1a64(key, kFleetFnvBasis);
       std::size_t learned = 0;
       bool have_learned = false;
       {
@@ -150,7 +135,7 @@ Gateway::RouteDecision Gateway::route(const service::Request& req) const {
     }
   }
   if (key.empty()) key = "body:" + req.body + ":" + req.path;
-  d.key_hash = fnv1a64(key);
+  d.key_hash = fnv1a64(key, kFleetFnvBasis);
   d.shards = ring_.preference(key);
   return d;
 }
@@ -198,8 +183,9 @@ service::Response Gateway::proxy(const service::Request& req) {
     if (!client) {
       // Nothing admissible right now — the shard we need is restarting.
       std::this_thread::sleep_for(std::chrono::milliseconds(
-          retry_delay_ms(attempt, opts_.retry_base_ms, opts_.retry_cap_ms,
-                         opts_.retry_seed, d.key_hash)));
+          jittered_backoff_ms(attempt, opts_.retry_base_ms,
+                              opts_.retry_cap_ms, opts_.retry_seed,
+                              d.key_hash)));
       continue;
     }
 
@@ -215,8 +201,9 @@ service::Response Gateway::proxy(const service::Request& req) {
         obs::count("fleet.gateway.reroutes");
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(
-          retry_delay_ms(attempt, opts_.retry_base_ms, opts_.retry_cap_ms,
-                         opts_.retry_seed, d.key_hash)));
+          jittered_backoff_ms(attempt, opts_.retry_base_ms,
+                              opts_.retry_cap_ms, opts_.retry_seed,
+                              d.key_hash)));
       continue;
     }
 
@@ -230,8 +217,9 @@ service::Response Gateway::proxy(const service::Request& req) {
       have_worker_error = true;
       obs::count("fleet.gateway.backpressure");
       const long long backoff =
-          retry_delay_ms(attempt, opts_.retry_base_ms, opts_.retry_cap_ms,
-                         opts_.retry_seed, d.key_hash);
+          jittered_backoff_ms(attempt, opts_.retry_base_ms,
+                              opts_.retry_cap_ms, opts_.retry_seed,
+                              d.key_hash);
       const long long hinted =
           resp->retry_after_ms > 0
               ? std::min(resp->retry_after_ms, opts_.retry_cap_ms)

@@ -62,11 +62,6 @@ class Gateway {
   /// The HttpServer::Handler. Thread-safe.
   service::Response handle(const service::Request& req);
 
-  /// Pure retry schedule (unit-tested like Supervisor::restart_backoff_ms).
-  static long long retry_delay_ms(int attempt, long long base_ms,
-                                  long long cap_ms, std::uint64_t seed,
-                                  std::uint64_t key_hash);
-
  private:
   struct RouteDecision {
     std::vector<std::size_t> shards;  // preference order

@@ -4,17 +4,9 @@
 #include <string>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace rca::fleet {
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
 
 namespace {
 
@@ -41,14 +33,14 @@ HashRing::HashRing(std::size_t shards, std::size_t vnodes) : shards_(shards) {
     for (std::size_t v = 0; v < vnodes; ++v) {
       const std::string point =
           "shard-" + std::to_string(s) + "#" + std::to_string(v);
-      ring_.emplace_back(mix64(fnv1a64(point)), s);
+      ring_.emplace_back(mix64(fnv1a64(point, kFleetFnvBasis)), s);
     }
   }
   std::sort(ring_.begin(), ring_.end());
 }
 
 std::size_t HashRing::owner(std::string_view key) const {
-  const std::uint64_t h = mix64(fnv1a64(key));
+  const std::uint64_t h = mix64(fnv1a64(key, kFleetFnvBasis));
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const std::pair<std::uint64_t, std::size_t>& p, std::uint64_t v) {
@@ -59,7 +51,7 @@ std::size_t HashRing::owner(std::string_view key) const {
 }
 
 std::vector<std::size_t> HashRing::preference(std::string_view key) const {
-  const std::uint64_t h = mix64(fnv1a64(key));
+  const std::uint64_t h = mix64(fnv1a64(key, kFleetFnvBasis));
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const std::pair<std::uint64_t, std::size_t>& p, std::uint64_t v) {

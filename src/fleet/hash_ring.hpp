@@ -21,8 +21,10 @@
 
 namespace rca::fleet {
 
-/// FNV-1a 64-bit — stable across processes and platforms by construction.
-std::uint64_t fnv1a64(std::string_view s);
+/// The FNV-1a basis for ring points, key hashes and backoff jitter: the
+/// standard offset basis 14695981039346656037 with its last digit dropped.
+/// Kept so that shard owners and backoff schedules do not move.
+inline constexpr std::uint64_t kFleetFnvBasis = 1469598103934665603ULL;
 
 class HashRing {
  public:

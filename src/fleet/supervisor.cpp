@@ -20,6 +20,7 @@
 #include "fleet/hash_ring.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace rca::fleet {
@@ -52,22 +53,19 @@ extern "C" void rca_fleet_sigchld_handler(int /*signum*/) {
 
 }  // namespace
 
-long long Supervisor::restart_backoff_ms(std::uint64_t attempt,
-                                         long long initial_ms,
-                                         long long cap_ms, std::uint64_t seed,
-                                         std::size_t shard) {
-  if (initial_ms < 1) initial_ms = 1;
-  if (cap_ms < initial_ms) cap_ms = initial_ms;
-  long long base = initial_ms;
+long long jittered_backoff_ms(std::uint64_t attempt, long long base_ms,
+                              long long cap_ms, std::uint64_t seed,
+                              std::uint64_t key) {
+  if (base_ms < 1) base_ms = 1;
+  if (cap_ms < base_ms) cap_ms = base_ms;
+  long long base = base_ms;
   for (std::uint64_t i = 0; i < attempt && base < cap_ms; ++i) base *= 2;
   base = std::min(base, cap_ms);
-  // Deterministic multiplicative jitter in [0.5, 1.0]: respawn storms
-  // decorrelate across shards, yet every schedule is reproducible.
-  const std::uint64_t h =
-      fnv1a64(std::to_string(seed) + ":" + std::to_string(shard) + ":" +
-              std::to_string(attempt));
-  const double frac =
-      0.5 + 0.5 * static_cast<double>(h % 1024) / 1023.0;
+  const std::uint64_t h = fnv1a64(std::to_string(seed) + ":" +
+                                      std::to_string(key) + ":" +
+                                      std::to_string(attempt),
+                                  kFleetFnvBasis);
+  const double frac = 0.5 + 0.5 * static_cast<double>(h % 1024) / 1023.0;
   return std::max(static_cast<long long>(static_cast<double>(base) * frac),
                   1ll);
 }
@@ -206,9 +204,10 @@ bool Supervisor::bring_up(std::size_t i) {
     sh.pid = -1;
     sh.state = ShardState::kDown;
     sh.respawn_due =
-        Clock::now() + std::chrono::milliseconds(restart_backoff_ms(
-                           sh.backoff_attempt++, opts_.restart_backoff_initial_ms,
-                           opts_.restart_backoff_cap_ms, opts_.backoff_seed, i));
+        Clock::now() +
+        std::chrono::milliseconds(jittered_backoff_ms(
+            sh.backoff_attempt++, opts_.restart_backoff_initial_ms,
+            opts_.restart_backoff_cap_ms, opts_.backoff_seed, i));
     obs::count("fleet.worker.spawn_failures");
     return false;
   }
@@ -292,7 +291,7 @@ void Supervisor::reap_children() {
       if (sh->client) sh->client->close_all();
       sh->respawn_due =
           Clock::now() +
-          std::chrono::milliseconds(restart_backoff_ms(
+          std::chrono::milliseconds(jittered_backoff_ms(
               sh->backoff_attempt++, opts_.restart_backoff_initial_ms,
               opts_.restart_backoff_cap_ms, opts_.backoff_seed, sh->index));
       break;

@@ -16,7 +16,7 @@
 //     probe_timeout_ms for probe_failures_to_kill consecutive probes is
 //     presumed wedged and SIGKILLed (the death path then respawns it);
 //   * respawn with exponential, deterministically jittered, capped backoff
-//     per shard (restart_backoff_ms is pure — pinned by unit test); the
+//     per shard (jittered_backoff_ms is pure — pinned by unit test); the
 //     backoff streak resets once a respawned worker stays healthy.
 //
 // The shard's circuit breaker is force-opened on death evidence and reset
@@ -43,6 +43,15 @@
 #include "fleet/http_client.hpp"
 
 namespace rca::fleet {
+
+/// Pure backoff schedule shared by worker respawns and gateway retries
+/// (unit-tested): exponential from `base_ms` doubling per `attempt`
+/// (0-based), capped at `cap_ms`, times a multiplicative jitter in
+/// [0.5, 1.0] derived deterministically from (seed, key, attempt) — so
+/// respawn and retry storms decorrelate, yet every schedule reproduces.
+long long jittered_backoff_ms(std::uint64_t attempt, long long base_ms,
+                              long long cap_ms, std::uint64_t seed,
+                              std::uint64_t key);
 
 struct WorkerSpec {
   /// Worker executable (conventionally /proc/self/exe) and the arguments
@@ -115,14 +124,6 @@ class Supervisor {
   /// Request-level transport evidence from the gateway.
   void note_success(std::size_t shard);
   void note_failure(std::size_t shard);
-
-  /// Pure backoff schedule (unit-tested): exponential from `initial_ms`
-  /// doubling per `attempt` (0-based), multiplicative jitter in [0.5, 1.0]
-  /// derived deterministically from (seed, shard, attempt), capped at
-  /// `cap_ms`.
-  static long long restart_backoff_ms(std::uint64_t attempt,
-                                      long long initial_ms, long long cap_ms,
-                                      std::uint64_t seed, std::size_t shard);
 
  private:
   struct Shard {

@@ -206,6 +206,21 @@ std::vector<NodeId> top_k(const std::vector<double>& scores, std::size_t k) {
   return idx;
 }
 
+std::vector<NodeId> rank_by_in_centrality(const Digraph& g,
+                                          const std::vector<NodeId>& nodes,
+                                          std::size_t k,
+                                          std::vector<double>* scores) {
+  const std::vector<double> centrality =
+      eigenvector_centrality(induced_subgraph(g, nodes), Direction::kIn);
+  std::vector<NodeId> ranked = top_k(centrality, k);
+  if (scores != nullptr) scores->clear();
+  for (NodeId& local : ranked) {
+    if (scores != nullptr) scores->push_back(centrality[local]);
+    local = nodes[local];
+  }
+  return ranked;
+}
+
 std::optional<NamedScores> rank_by_kind(
     const std::string& kind, const Digraph& g,
     const std::function<std::string(NodeId)>& node_name,

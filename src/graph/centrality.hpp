@@ -78,6 +78,15 @@ std::vector<double> closeness_centrality(const Digraph& g, Direction dir);
 /// (lowest-id) tie-breaks.
 std::vector<NodeId> top_k(const std::vector<double>& scores, std::size_t k);
 
+/// The refinement engine's step-6 ranking (§5.3): the first k of `nodes`
+/// (ids of `g`) by eigenvector in-centrality over the subgraph they induce,
+/// ties to the lower position in `nodes`. When `scores` is set it receives
+/// each returned node's centrality, aligned with the result.
+std::vector<NodeId> rank_by_in_centrality(const Digraph& g,
+                                          const std::vector<NodeId>& nodes,
+                                          std::size_t k,
+                                          std::vector<double>* scores = nullptr);
+
 /// Parallel per-node names and scores, ready for top_k.
 struct NamedScores {
   std::vector<std::string> names;

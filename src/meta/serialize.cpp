@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace rca::meta {
@@ -21,15 +22,6 @@ void append_varint(std::string& out, std::uint64_t value) {
     value >>= 7;
   }
   out.push_back(static_cast<char>(value));
-}
-
-std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 }  // namespace detail
@@ -201,7 +193,7 @@ void save_v2(const Metagraph& mg, std::ostream& out) {
   append_section(body, 'I', io);
 
   std::string checksum;
-  const std::uint64_t h = detail::fnv1a64(body);
+  const std::uint64_t h = fnv1a64(body);
   for (int i = 0; i < 8; ++i) {
     checksum.push_back(static_cast<char>((h >> (8 * i)) & 0xFF));
   }
@@ -319,7 +311,7 @@ Metagraph load_v2(std::istream& in) {
               << (8 * i);
   }
   const std::uint64_t actual =
-      detail::fnv1a64(std::string_view(body).substr(0, trailer_offset));
+      fnv1a64(std::string_view(body).substr(0, trailer_offset));
   if (stored != actual) {
     // The offset and both digests go into the message so the cache layer can
     // log exactly where the payload diverged from its trailer.

@@ -60,9 +60,6 @@ namespace detail {
 /// LEB128 encode (exposed so tests can craft adversarial v2 payloads with
 /// valid framing and checksums).
 void append_varint(std::string& out, std::uint64_t value);
-/// FNV-1a 64-bit hash — the v2 trailer checksum and the snapshot cache key.
-std::uint64_t fnv1a64(std::string_view bytes,
-                      std::uint64_t seed = 14695981039346656037ULL);
 }  // namespace detail
 
 }  // namespace rca::meta

@@ -15,6 +15,7 @@
 #include "meta/serialize.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace rca::meta {
 
@@ -47,13 +48,13 @@ bool write_all_fd(int fd, const char* data, std::size_t size) {
 }  // namespace
 
 SnapshotKey& SnapshotKey::add(std::string_view bytes) {
-  hash_ = detail::fnv1a64(le64(bytes.size()), hash_);
-  hash_ = detail::fnv1a64(bytes, hash_);
+  hash_ = fnv1a64(le64(bytes.size()), hash_);
+  hash_ = fnv1a64(bytes, hash_);
   return *this;
 }
 
 SnapshotKey& SnapshotKey::add_u64(std::uint64_t value) {
-  hash_ = detail::fnv1a64(le64(value), hash_);
+  hash_ = fnv1a64(le64(value), hash_);
   return *this;
 }
 

@@ -26,6 +26,7 @@
 #include <string_view>
 
 #include "meta/metagraph.hpp"
+#include "support/hash.hpp"
 
 namespace rca::meta {
 
@@ -41,7 +42,7 @@ class SnapshotKey {
   std::string hex() const;
 
  private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
+  std::uint64_t hash_ = kFnvOffsetBasis;
 };
 
 class SnapshotCache {

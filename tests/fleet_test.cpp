@@ -38,6 +38,7 @@
 #include "service/http_server.hpp"
 #include "service/router.hpp"
 #include "service/session_store.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 
 namespace rca::fleet {
@@ -157,10 +158,8 @@ TEST(CircuitBreakerTest, ForceOpenAndResetAreImmediate) {
 TEST(Backoff, RestartScheduleIsDeterministicBoundedAndCapped) {
   long long prev_ceiling = 0;
   for (std::uint64_t attempt = 0; attempt < 12; ++attempt) {
-    const long long a =
-        Supervisor::restart_backoff_ms(attempt, 50, 2000, 2019, 1);
-    const long long b =
-        Supervisor::restart_backoff_ms(attempt, 50, 2000, 2019, 1);
+    const long long a = jittered_backoff_ms(attempt, 50, 2000, 2019, 1);
+    const long long b = jittered_backoff_ms(attempt, 50, 2000, 2019, 1);
     EXPECT_EQ(a, b) << "schedule must be deterministic";
     EXPECT_GE(a, 1);
     EXPECT_LE(a, 2000) << "attempt " << attempt << " exceeded the cap";
@@ -172,23 +171,45 @@ TEST(Backoff, RestartScheduleIsDeterministicBoundedAndCapped) {
     prev_ceiling = ceiling;
   }
   // Deep in the schedule the delay saturates near the cap.
-  const long long late =
-      Supervisor::restart_backoff_ms(20, 50, 2000, 2019, 3);
+  const long long late = jittered_backoff_ms(20, 50, 2000, 2019, 3);
   EXPECT_GE(late, 1000);
   EXPECT_LE(late, 2000);
   // Different shards decorrelate.
   bool any_differ = false;
   for (std::uint64_t attempt = 0; attempt < 8 && !any_differ; ++attempt) {
-    any_differ = Supervisor::restart_backoff_ms(attempt, 50, 2000, 2019, 0) !=
-                 Supervisor::restart_backoff_ms(attempt, 50, 2000, 2019, 1);
+    any_differ = jittered_backoff_ms(attempt, 50, 2000, 2019, 0) !=
+                 jittered_backoff_ms(attempt, 50, 2000, 2019, 1);
   }
   EXPECT_TRUE(any_differ);
 }
 
+TEST(Backoff, RingOwnersAndSchedulesArePinned) {
+  // Values of the fleet's original hashing: restarts, retries and ring
+  // points hash with kFleetFnvBasis, and moving any of them reshuffles
+  // shard ownership or a backoff schedule.
+  EXPECT_EQ(fnv1a64("a", kFleetFnvBasis), 0x44bd8ad473cd9906ULL);
+  const std::vector<long long> restart = {45,  62,   168,  221,  453,  1246,
+                                          1983, 1407, 1434, 1859, 1114, 1690};
+  const std::vector<long long> retry = {17,  44,  76,  194, 334, 273,
+                                        455, 311, 492, 348, 392, 286};
+  for (std::uint64_t attempt = 0; attempt < 12; ++attempt) {
+    EXPECT_EQ(jittered_backoff_ms(attempt, 50, 2000, 2019, 1),
+              restart[attempt]);
+    EXPECT_EQ(jittered_backoff_ms(attempt, 25, 500, 7, 42), retry[attempt]);
+  }
+  const HashRing ring(4);
+  const std::vector<std::size_t> owners = {3, 0, 1, 2, 0, 2, 3, 1,
+                                           3, 2, 3, 2, 1, 3, 0, 0};
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    EXPECT_EQ(ring.owner("key-" + std::to_string(i)), owners[i]) << i;
+  }
+  EXPECT_EQ(ring.preference("key-0"), (std::vector<std::size_t>{3, 1, 0, 2}));
+}
+
 TEST(Backoff, GatewayRetryScheduleIsBounded) {
   for (int attempt = 0; attempt < 12; ++attempt) {
-    const long long d = Gateway::retry_delay_ms(attempt, 25, 500, 7, 42);
-    EXPECT_EQ(d, Gateway::retry_delay_ms(attempt, 25, 500, 7, 42));
+    const long long d = jittered_backoff_ms(attempt, 25, 500, 7, 42);
+    EXPECT_EQ(d, jittered_backoff_ms(attempt, 25, 500, 7, 42));
     EXPECT_GE(d, 1);
     EXPECT_LE(d, 500);
   }

@@ -367,6 +367,62 @@ TEST(TopK, DeterministicTieBreaks) {
   EXPECT_EQ(top[2], 2u);
 }
 
+TEST(RankByInCentrality, MatchesInducedSubgraphCentralityTopK) {
+  KissRng rng(2019);
+  auto below = [&rng](std::size_t n) {
+    return static_cast<NodeId>(rng.uniform() * static_cast<double>(n));
+  };
+  for (std::size_t trial = 0; trial < 24; ++trial) {
+    const std::size_t n = 6 + 3 * trial;
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (std::size_t e = 0; e < 2 * n; ++e) {
+      edges.emplace_back(below(n), below(n));
+    }
+    const Digraph g(n, std::move(edges));
+    // A random subset in shuffled order: positions, not ids, break ties.
+    std::vector<NodeId> nodes;
+    for (NodeId v = 0; v < n; ++v) {
+      if (rng.uniform() < 0.6) nodes.push_back(v);
+    }
+    for (std::size_t i = nodes.size(); i > 1; --i) {
+      std::swap(nodes[i - 1], nodes[below(i)]);
+    }
+    const std::vector<double> inline_scores =
+        eigenvector_centrality(induced_subgraph(g, nodes), Direction::kIn);
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, nodes.size() / 2,
+                          nodes.size(), nodes.size() + 5}) {
+      std::vector<double> scores = {-1.0};  // replaced, not appended to
+      const std::vector<NodeId> ranked =
+          rank_by_in_centrality(g, nodes, k, &scores);
+      const std::vector<NodeId> local = top_k(inline_scores, k);
+      ASSERT_EQ(ranked.size(), std::min(k, nodes.size()));
+      ASSERT_EQ(ranked.size(), local.size());
+      ASSERT_EQ(scores.size(), ranked.size());
+      for (std::size_t r = 0; r < ranked.size(); ++r) {
+        EXPECT_EQ(ranked[r], nodes[local[r]]) << "trial " << trial;
+        EXPECT_EQ(scores[r], inline_scores[local[r]]) << "trial " << trial;
+      }
+      EXPECT_EQ(rank_by_in_centrality(g, nodes, k), ranked);
+    }
+  }
+}
+
+TEST(RankByInCentrality, TiesGoToTheLowerPosition) {
+  // Every node of a directed cycle has the same in-centrality, so the
+  // ranking is `nodes` in the order given; edges leaving the subset (4, 5)
+  // do not count.
+  const Digraph g(6, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {5, 0}});
+  const std::vector<NodeId> nodes = {3, 1, 2, 0};
+  std::vector<double> scores;
+  EXPECT_EQ(rank_by_in_centrality(g, nodes, 4, &scores), nodes);
+  ASSERT_EQ(scores.size(), 4u);
+  for (double s : scores) EXPECT_EQ(s, scores[0]);
+  EXPECT_EQ(rank_by_in_centrality(g, nodes, 2),
+            (std::vector<NodeId>{3, 1}));
+  EXPECT_TRUE(rank_by_in_centrality(g, {}, 3, &scores).empty());
+  EXPECT_TRUE(scores.empty());
+}
+
 TEST(NonBacktracking, ZeroForIsolatedNodes) {
   Digraph g(4, {{0, 1}, {1, 2}, {2, 0}});
   // Node 3 isolated: excluded from the line graph.

@@ -8,6 +8,7 @@
 #include "meta/serialize.hpp"
 #include "model/corpus.hpp"
 #include "model/model.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace rca::meta {
@@ -152,7 +153,7 @@ std::string make_v2(const std::string& nodes, const std::string& edges,
   section('E', edges);
   section('I', io);
   std::string checksum;
-  const std::uint64_t h = detail::fnv1a64(body);
+  const std::uint64_t h = fnv1a64(body);
   for (int i = 0; i < 8; ++i) {
     checksum.push_back(static_cast<char>((h >> (8 * i)) & 0xFF));
   }
@@ -238,7 +239,7 @@ TEST(SerializeV2, RejectsMissingOrReorderedSections) {
   section('I', empty_count());
   section('E', empty_count());
   std::string checksum;
-  const std::uint64_t h = detail::fnv1a64(body);
+  const std::uint64_t h = fnv1a64(body);
   for (int i = 0; i < 8; ++i) {
     checksum.push_back(static_cast<char>((h >> (8 * i)) & 0xFF));
   }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/http_wire.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -18,6 +19,14 @@
 
 namespace rca {
 namespace {
+
+TEST(Fnv1a64, StandardTestVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // Passing a hash as the basis continues it.
+  EXPECT_EQ(fnv1a64("bar", fnv1a64("foo")), fnv1a64("foobar"));
+}
 
 TEST(Strings, TrimRemovesSurroundingWhitespace) {
   EXPECT_EQ(trim("  hello \t\n"), "hello");
