@@ -19,8 +19,7 @@
 //                        (NAME: a scenario name, or the paper's experiment
 //                        wsubbug|rand-mt|goffgratch|avx2|randombug|dyn3bug)
 //                        [--members N] [--seed N] [--jobs N]
-//                        [--snapshot DIR] [--graph-out FILE]
-//                        [--prune-dead-stores]
+//                        [--graph-out FILE] [--prune-dead-stores]
 //   rca-tool serve       [--port N] [--port-file FILE] [--snapshot DIR]
 //                        [--jobs N] [--request-threads N]
 //                        [--max-in-flight N] [--deadline-ms N]
@@ -41,7 +40,7 @@
 //                        [--top N] [--max-iterations N] [--samples N]
 //                        [--min-size N] [--small-enough N]
 //                        [--method gn|louvain] [--cam-only] [--drop-small N]
-//                        [--jobs N] [--json FILE]
+//                        [--jobs N] [--json FILE] [--snapshot DIR]
 //   rca-tool score       [--scenario NAME]... [--top N] [--runtime]
 //                        [--members N] [--jobs N] [--json FILE]
 //   rca-tool watch       --src DIR [--build-list FILE] [--prune-dead-stores]
@@ -49,8 +48,9 @@
 //                        [--snapshot DIR]
 //
 // `--jobs N` parses/builds on N worker threads (bit-identical to serial);
-// `--snapshot DIR` caches built metagraphs keyed on source content, so an
-// unchanged corpus skips parse+build (counter meta.snapshot.hits).
+// `--snapshot DIR` (graph, serve, fleet, refine, watch) caches built
+// metagraphs keyed on source content, so an unchanged corpus skips
+// parse+build (counter meta.snapshot.hits).
 //
 // `generate` writes a synthetic-CESM source tree; `graph` parses any
 // directory of Fortran-subset files into a serialized metagraph; the rest
@@ -645,12 +645,11 @@ int cmd_analyze(const Args& args) {
       static_cast<std::size_t>(args.get_int("members", 30));
   config.corpus.seed = static_cast<std::uint64_t>(args.get_int("seed", 2019));
   config.threads = static_cast<std::size_t>(args.get_int("jobs", 0));
-  config.snapshot_dir = args.get("snapshot");
   config.prune_dead_stores = args.has("prune-dead-stores");
   engine::Pipeline pipe(std::move(config));
   if (args.has("graph-out")) {
-    // The coverage-filtered metagraph as v1 text, so cold- and warm-cache
-    // runs can be byte-compared.
+    // The coverage-filtered metagraph as v1 text, for byte comparison with
+    // other builds of the same corpus.
     write_file(args.get("graph-out"),
                meta::save_metagraph_to_string(pipe.metagraph()));
   }
@@ -991,7 +990,6 @@ int cmd_score(const Args& args) {
   opts.pipeline.ensemble_members =
       static_cast<std::size_t>(args.get_int("members", 40));
   opts.pipeline.threads = static_cast<std::size_t>(args.get_int("jobs", 0));
-  opts.pipeline.snapshot_dir = args.get("snapshot");
   opts.pipeline.refinement.rank_differences_on_stall = true;
 
   const campaign::Scoreboard board = campaign::score_scenarios(opts);

@@ -82,9 +82,9 @@ int main() {
 
   const bool shape_holds =
       lv_result.modularity >= 0.0 &&
-      bench::contains_bug(lv_outcome.refinement.final_nodes,
+      model::contains_any(lv_outcome.refinement.final_nodes,
                           lv_outcome.bug_nodes) &&
-      bench::contains_bug(gn_outcome.refinement.final_nodes,
+      model::contains_any(gn_outcome.refinement.final_nodes,
                           gn_outcome.bug_nodes);
   std::printf("shape check (both detectors localize the bug): %s\n",
               shape_holds ? "HOLDS" : "VIOLATED");

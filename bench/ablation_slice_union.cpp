@@ -39,9 +39,9 @@ int main() {
     if (count[v] == per_target.size()) intersection_set.push_back(v);
   }
 
-  const bool union_has_bug = bench::contains_bug(union_set, outcome.bug_nodes);
+  const bool union_has_bug = model::contains_any(union_set, outcome.bug_nodes);
   const bool inter_has_bug =
-      bench::contains_bug(intersection_set, outcome.bug_nodes);
+      model::contains_any(intersection_set, outcome.bug_nodes);
 
   Table table("GOFFGRATCH slice variants");
   table.set_header({"Variant", "nodes", "contains bug"});

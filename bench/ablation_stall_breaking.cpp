@@ -35,7 +35,7 @@ int main() {
     engine::Pipeline ranked_pipe(ranked_config);
     engine::ExperimentOutcome ranked = ranked_pipe.run_scenario(s);
 
-    const bool retained = bench::contains_bug(ranked.refinement.final_nodes,
+    const bool retained = model::contains_any(ranked.refinement.final_nodes,
                                               ranked.bug_nodes);
     all_retained = all_retained && retained;
     if (ranked.refinement.final_nodes.size() <

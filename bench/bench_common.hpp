@@ -156,13 +156,6 @@ inline void print_refinement_trace(const meta::Metagraph& mg,
   }
 }
 
-/// True if any ground-truth bug node is inside `nodes` (thin alias for the
-/// scenario-library helper, so every harness scores with one implementation).
-inline bool contains_bug(const std::vector<graph::NodeId>& nodes,
-                         const std::vector<graph::NodeId>& bugs) {
-  return model::contains_any(nodes, bugs);
-}
-
 inline void print_selection(const engine::ExperimentOutcome& outcome) {
   std::printf("lasso-selected outputs:");
   for (const auto& s : outcome.lasso_selected) std::printf(" %s", s.c_str());

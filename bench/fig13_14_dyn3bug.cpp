@@ -63,7 +63,7 @@ int main() {
   const bool shape_holds =
       !outcome.verdict.pass && !iters.empty() && iters[0].detected &&
       outcome.refinement.stalled &&
-      bench::contains_bug(outcome.refinement.final_nodes, outcome.bug_nodes);
+      model::contains_any(outcome.refinement.final_nodes, outcome.bug_nodes);
   std::printf("shape check (fail, detect, fixed point, bug retained): %s\n",
               shape_holds ? "HOLDS" : "VIOLATED");
   return shape_holds ? 0 : 1;

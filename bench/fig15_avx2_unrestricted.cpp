@@ -72,7 +72,7 @@ int main() {
       unrestricted.slice.nodes.size() > restricted.slice.nodes.size() &&
       !restricted_names.empty() &&
       overlap * 2 >= restricted_names.size() &&
-      bench::contains_bug(unrestricted.refinement.final_nodes,
+      model::contains_any(unrestricted.refinement.final_nodes,
                           unrestricted.bug_nodes);
   std::printf("shape check (larger slice, same MG1 central nodes, bug "
               "retained): %s\n", shape_holds ? "HOLDS" : "VIOLATED");

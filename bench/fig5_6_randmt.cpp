@@ -39,7 +39,7 @@ int main() {
       !outcome.verdict.pass && iters.size() >= 2 && !iters[0].detected &&
       iters[0].applied_8a && iters[1].detected &&
       iters[1].subgraph_nodes * 4 < iters[0].subgraph_nodes &&
-      bench::contains_bug(outcome.refinement.final_nodes, outcome.bug_nodes);
+      model::contains_any(outcome.refinement.final_nodes, outcome.bug_nodes);
   std::printf("\nshape check (miss -> 8a shrink >4x -> detect, bug retained): "
               "%s\n", shape_holds ? "HOLDS" : "VIOLATED");
   return shape_holds ? 0 : 1;

@@ -50,7 +50,7 @@ int main() {
   const bool shape_holds =
       !outcome.verdict.pass && !iters.empty() && iters[0].detected &&
       bug_reaches_samples && outcome.refinement.stalled &&
-      bench::contains_bug(outcome.refinement.final_nodes, outcome.bug_nodes);
+      model::contains_any(outcome.refinement.final_nodes, outcome.bug_nodes);
   std::printf("shape check (detect on iter 1, fixed point after, bug "
               "retained): %s\n", shape_holds ? "HOLDS" : "VIOLATED");
   return shape_holds ? 0 : 1;

@@ -31,6 +31,10 @@ const char* campaign_state_name(CampaignState s) {
 
 namespace {
 
+/// Campaigns retained for result polling; the oldest finished ones are
+/// forgotten beyond this.
+constexpr std::size_t kMaxRetained = 64;
+
 /// Wraps the campaign's inner sampler with the campaign.sample fault site
 /// and a sample counter. Called from the engine pool's community tasks; an
 /// injected fault propagates out of RefinementEngine::run and fails the
@@ -289,7 +293,7 @@ std::size_t CampaignManager::resume_unfinished(service::Router& router) {
 }
 
 void CampaignManager::prune_finished_locked() {
-  while (campaigns_.size() > opts_.max_retained) {
+  while (campaigns_.size() > kMaxRetained) {
     bool pruned = false;
     for (auto it = order_.begin(); it != order_.end(); ++it) {
       auto cit = campaigns_.find(*it);

@@ -99,9 +99,6 @@ struct CampaignManagerOptions {
   std::size_t max_running = 8;
   /// Threads in the shared engine pool campaigns sample communities on.
   std::size_t engine_threads = 2;
-  /// Finished campaigns retained for result polling; the oldest finished
-  /// ones are forgotten beyond this.
-  std::size_t max_retained = 64;
   /// Directory for per-campaign crash journals (see campaign/journal.hpp);
   /// conventionally `<snapshot_dir>/campaigns`. Empty disables durability.
   std::string journal_dir;
@@ -177,7 +174,7 @@ class CampaignManager {
                     bool bypass_capacity);
   void run(const std::shared_ptr<Campaign>& c);
   void write_progress(JsonWriter& w, const Campaign& c) const;
-  /// Drops the oldest finished campaigns beyond max_retained (mu_ held).
+  /// Drops the oldest finished campaigns beyond kMaxRetained (mu_ held).
   void prune_finished_locked();
 
   service::SessionStore* store_;

@@ -1,12 +1,10 @@
 #include "engine/pipeline.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "cov/coverage_filter.hpp"
 #include "fault/fault.hpp"
 #include "meta/builder.hpp"
-#include "meta/snapshot_cache.hpp"
 #include "model/corpus.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
@@ -25,47 +23,15 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
   RCA_CHECK_MSG(control_->parse_failures() == 0,
                 "control corpus failed to parse");
 
-  // Snapshot cache key: the exact inputs that determine the coverage-filtered
-  // metagraph — every corpus file's (path, text), the compiled-module list
-  // and the coverage configuration. Any touched source changes the key.
-  constexpr int kCoverageTimesteps = 2;
-  std::optional<meta::SnapshotCache> cache;
-  meta::SnapshotKey key;
-  if (!config_.snapshot_dir.empty()) {
-    cache.emplace(config_.snapshot_dir);
-    key.add("rca-pipeline-snapshot-v2");
-    key.add_u64(static_cast<std::uint64_t>(kCoverageTimesteps));
-    key.add_u64(config_.prune_dead_stores ? 1 : 0);
-    for (const auto& name : control_->corpus().compiled_modules) {
-      key.add(name);
-    }
-    for (const model::GeneratedFile& file : control_->corpus().files) {
-      key.add(file.path);
-      key.add(file.text);
-    }
-  }
-
-  bool cache_hit = false;
-  if (cache) {
-    if (std::optional<meta::Metagraph> snap = cache->try_load(key)) {
-      mg_ = std::move(*snap);
-      cache_hit = true;
-    }
-  }
-  if (!cache_hit) {
-    // Coverage run (time step 2, like the paper) and filtered metagraph.
-    const cov::CoverageFilter filter(
-        control_->coverage_run(kCoverageTimesteps),
-        &control_->compiled_modules());
-    meta::BuilderOptions builder_opts;
-    builder_opts.module_filter = filter.module_predicate();
-    builder_opts.subprogram_filter = filter.subprogram_predicate();
-    builder_opts.pool = pool_.get();
-    builder_opts.prune_dead_stores = config_.prune_dead_stores;
-    mg_ = meta::build_metagraph(control_->compiled_modules(), builder_opts);
-    if (cache) cache->store(key, mg_);
-  }
-  span.attr("snapshot_cache_hit", cache_hit);
+  // Coverage run (time step 2, like the paper) and filtered metagraph.
+  const cov::CoverageFilter filter(control_->coverage_run(2),
+                                   &control_->compiled_modules());
+  meta::BuilderOptions builder_opts;
+  builder_opts.module_filter = filter.module_predicate();
+  builder_opts.subprogram_filter = filter.subprogram_predicate();
+  builder_opts.pool = pool_.get();
+  builder_opts.prune_dead_stores = config_.prune_dead_stores;
+  mg_ = meta::build_metagraph(control_->compiled_modules(), builder_opts);
   if (config_.prune_dead_stores) {
     span.attr("dead_stores_pruned", mg_.dead_stores_pruned);
     obs::count("meta.dead_stores_pruned", mg_.dead_stores_pruned);

@@ -32,15 +32,8 @@ struct PipelineConfig {
   /// build, multi-target slice) plus per-community sampling and parallel
   /// betweenness (Algorithm 5.4's "performed in parallel"). 0 = serial.
   std::size_t threads = 0;
-  /// Metagraph snapshot-cache directory. Non-empty enables the cache: the
-  /// coverage run + metagraph build are skipped when a snapshot keyed on the
-  /// corpus content already exists (meta.snapshot.hits counter; the loaded
-  /// graph is byte-identical to a fresh build). Empty disables caching.
-  std::string snapshot_dir;
   /// Forwarded to BuilderOptions::prune_dead_stores: drop assignments the
   /// liveness analysis (src/analysis) proves dead before they add edges.
-  /// Part of the snapshot key, so pruned and unpruned graphs never collide
-  /// in the cache.
   bool prune_dead_stores = false;
 
   PipelineConfig() {

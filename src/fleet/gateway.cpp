@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "obs/obs.hpp"
+#include "support/backoff.hpp"
 #include "support/hash.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -14,6 +15,9 @@ namespace rca::fleet {
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+/// Seeds every request's retry-backoff jitter (with the request's key hash).
+constexpr std::uint64_t kRetrySeed = 7;
 
 /// "w<digits>:<rest>" -> (shard, rest). Returns false when `id` carries no
 /// gateway prefix (a raw worker-local id, or garbage the worker will 400).
@@ -184,13 +188,13 @@ service::Response Gateway::proxy(const service::Request& req) {
       // Nothing admissible right now — the shard we need is restarting.
       std::this_thread::sleep_for(std::chrono::milliseconds(
           jittered_backoff_ms(attempt, opts_.retry_base_ms,
-                              opts_.retry_cap_ms, opts_.retry_seed,
+                              opts_.retry_cap_ms, kRetrySeed,
                               d.key_hash)));
       continue;
     }
 
     const std::optional<ClientResponse> resp = client->request(
-        req.method, req.path, d.forward_body, opts_.request_timeout_ms);
+        req.method, req.path, d.forward_body);
 
     if (!resp.has_value()) {
       // Transport-level failure on a fresh socket: shard evidence.
@@ -202,7 +206,7 @@ service::Response Gateway::proxy(const service::Request& req) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(
           jittered_backoff_ms(attempt, opts_.retry_base_ms,
-                              opts_.retry_cap_ms, opts_.retry_seed,
+                              opts_.retry_cap_ms, kRetrySeed,
                               d.key_hash)));
       continue;
     }
@@ -218,7 +222,7 @@ service::Response Gateway::proxy(const service::Request& req) {
       obs::count("fleet.gateway.backpressure");
       const long long backoff =
           jittered_backoff_ms(attempt, opts_.retry_base_ms,
-                              opts_.retry_cap_ms, opts_.retry_seed,
+                              opts_.retry_cap_ms, kRetrySeed,
                               d.key_hash);
       const long long hinted =
           resp->retry_after_ms > 0

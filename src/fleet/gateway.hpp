@@ -50,9 +50,6 @@ struct GatewayOptions {
   /// from a worker raises the delay up to the cap.
   long long retry_base_ms = 25;
   long long retry_cap_ms = 500;
-  std::uint64_t retry_seed = 7;
-  /// Per-proxied-request timeout; <= 0 uses the shard client's io_timeout.
-  int request_timeout_ms = 0;
 };
 
 class Gateway {

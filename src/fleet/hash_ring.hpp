@@ -21,11 +21,6 @@
 
 namespace rca::fleet {
 
-/// The FNV-1a basis for ring points, key hashes and backoff jitter: the
-/// standard offset basis 14695981039346656037 with its last digit dropped.
-/// Kept so that shard owners and backoff schedules do not move.
-inline constexpr std::uint64_t kFleetFnvBasis = 1469598103934665603ULL;
-
 class HashRing {
  public:
   /// `shards` >= 1; `vnodes` virtual points per shard smooth the partition

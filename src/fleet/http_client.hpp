@@ -27,7 +27,6 @@ namespace rca::fleet {
 
 struct HttpClientOptions {
   std::size_t max_connections = 8;
-  int connect_timeout_ms = 2000;
   int io_timeout_ms = 30000;
 };
 

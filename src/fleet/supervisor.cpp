@@ -17,10 +17,9 @@
 #include <fstream>
 #include <thread>
 
-#include "fleet/hash_ring.hpp"
 #include "obs/obs.hpp"
+#include "support/backoff.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace rca::fleet {
@@ -40,6 +39,11 @@ const char* shard_state_name(ShardState s) {
 
 namespace {
 
+/// Seeds every shard's respawn-backoff jitter.
+constexpr std::uint64_t kBackoffSeed = 2019;
+/// Healthy uptime after which a shard's backoff streak resets.
+constexpr long long kBackoffResetAfterMs = 5000;
+
 /// Self-pipe the SIGCHLD handler pokes; async-signal-safe.
 std::atomic<int> g_sigchld_fd{-1};
 
@@ -52,23 +56,6 @@ extern "C" void rca_fleet_sigchld_handler(int /*signum*/) {
 }
 
 }  // namespace
-
-long long jittered_backoff_ms(std::uint64_t attempt, long long base_ms,
-                              long long cap_ms, std::uint64_t seed,
-                              std::uint64_t key) {
-  if (base_ms < 1) base_ms = 1;
-  if (cap_ms < base_ms) cap_ms = base_ms;
-  long long base = base_ms;
-  for (std::uint64_t i = 0; i < attempt && base < cap_ms; ++i) base *= 2;
-  base = std::min(base, cap_ms);
-  const std::uint64_t h = fnv1a64(std::to_string(seed) + ":" +
-                                      std::to_string(key) + ":" +
-                                      std::to_string(attempt),
-                                  kFleetFnvBasis);
-  const double frac = 0.5 + 0.5 * static_cast<double>(h % 1024) / 1023.0;
-  return std::max(static_cast<long long>(static_cast<double>(base) * frac),
-                  1ll);
-}
 
 Supervisor::Supervisor(WorkerSpec spec, SupervisorOptions opts)
     : spec_(std::move(spec)), opts_(opts) {
@@ -207,13 +194,12 @@ bool Supervisor::bring_up(std::size_t i) {
         Clock::now() +
         std::chrono::milliseconds(jittered_backoff_ms(
             sh.backoff_attempt++, opts_.restart_backoff_initial_ms,
-            opts_.restart_backoff_cap_ms, opts_.backoff_seed, i));
+            opts_.restart_backoff_cap_ms, kBackoffSeed, i));
     obs::count("fleet.worker.spawn_failures");
     return false;
   }
 
   HttpClientOptions copts;
-  copts.max_connections = opts_.client_connections;
   copts.io_timeout_ms = opts_.probe_timeout_ms > 0
                             ? std::max(opts_.probe_timeout_ms, 30000)
                             : 30000;
@@ -258,7 +244,7 @@ void Supervisor::start() {
 
   shards_.clear();
   for (std::size_t i = 0; i < opts_.workers; ++i) {
-    auto sh = std::make_unique<Shard>(opts_.breaker);
+    auto sh = std::make_unique<Shard>();
     sh->index = i;
     shards_.push_back(std::move(sh));
   }
@@ -293,7 +279,7 @@ void Supervisor::reap_children() {
           Clock::now() +
           std::chrono::milliseconds(jittered_backoff_ms(
               sh->backoff_attempt++, opts_.restart_backoff_initial_ms,
-              opts_.restart_backoff_cap_ms, opts_.backoff_seed, sh->index));
+              opts_.restart_backoff_cap_ms, kBackoffSeed, sh->index));
       break;
     }
   }
@@ -353,7 +339,7 @@ void Supervisor::monitor_loop() {
         sh.breaker.record_success();
         if (sh.backoff_attempt > 0 &&
             Clock::now() - sh.up_since >
-                std::chrono::milliseconds(opts_.backoff_reset_after_ms)) {
+                std::chrono::milliseconds(kBackoffResetAfterMs)) {
           sh.backoff_attempt = 0;  // survived: future crashes restart cheap
         }
       } else {

@@ -16,7 +16,7 @@
 //     probe_timeout_ms for probe_failures_to_kill consecutive probes is
 //     presumed wedged and SIGKILLed (the death path then respawns it);
 //   * respawn with exponential, deterministically jittered, capped backoff
-//     per shard (jittered_backoff_ms is pure — pinned by unit test); the
+//     per shard (support/backoff.hpp — pinned by unit test); the
 //     backoff streak resets once a respawned worker stays healthy.
 //
 // The shard's circuit breaker is force-opened on death evidence and reset
@@ -44,15 +44,6 @@
 
 namespace rca::fleet {
 
-/// Pure backoff schedule shared by worker respawns and gateway retries
-/// (unit-tested): exponential from `base_ms` doubling per `attempt`
-/// (0-based), capped at `cap_ms`, times a multiplicative jitter in
-/// [0.5, 1.0] derived deterministically from (seed, key, attempt) — so
-/// respawn and retry storms decorrelate, yet every schedule reproduces.
-long long jittered_backoff_ms(std::uint64_t attempt, long long base_ms,
-                              long long cap_ms, std::uint64_t seed,
-                              std::uint64_t key);
-
 struct WorkerSpec {
   /// Worker executable (conventionally /proc/self/exe) and the arguments
   /// appended after `serve --port 0 --port-file ... --generation N`.
@@ -73,11 +64,6 @@ struct SupervisorOptions {
   /// Respawn backoff: exponential from initial, jittered, capped.
   long long restart_backoff_initial_ms = 50;
   long long restart_backoff_cap_ms = 2000;
-  std::uint64_t backoff_seed = 2019;
-  /// Healthy uptime after which a shard's backoff streak resets.
-  long long backoff_reset_after_ms = 5000;
-  std::size_t client_connections = 8;
-  BreakerOptions breaker;
 };
 
 enum class ShardState { kStarting, kUp, kDown, kRestarting };
@@ -127,8 +113,6 @@ class Supervisor {
 
  private:
   struct Shard {
-    explicit Shard(BreakerOptions breaker_opts) : breaker(breaker_opts) {}
-
     std::size_t index = 0;
     pid_t pid = -1;
     std::uint16_t port = 0;

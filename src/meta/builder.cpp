@@ -220,19 +220,18 @@ class ModuleWalker {
   }
 
   /// Maps actual arguments to dummy-argument nodes, honoring declared intent
-  /// (paper: successively map outputs of lower levels to inputs above).
+  /// (paper: successively map outputs of lower levels to inputs above);
+  /// unspecified intent maps both directions.
   void bind_arguments(const Module& home, const Subprogram& sp,
                       const std::vector<lang::ExprPtr>& args, Scope& scope) {
     for (std::size_t i = 0; i < args.size(); ++i) {
       const std::string& param = sp.params[i];
       const LocalId dummy = intern(home.name, sp.name, param, sp.line);
       Intent intent = Intent::kNone;
-      if (opts_.use_intent_info) {
-        for (const auto& d : sp.decls) {
-          if (d.name == param) {
-            intent = d.intent;
-            break;
-          }
+      for (const auto& d : sp.decls) {
+        if (d.name == param) {
+          intent = d.intent;
+          break;
         }
       }
       const bool flows_in = intent != Intent::kOut;

@@ -30,11 +30,6 @@ class ThreadPool;
 namespace rca::meta {
 
 struct BuilderOptions {
-  /// Dummy-argument edges honor intent(in)/intent(out) when declared;
-  /// unspecified intent maps both directions. Disable to treat every dummy
-  /// as inout (strictly more conservative).
-  bool use_intent_info = true;
-
   /// Coverage predicates (hybrid slicing): modules/subprograms rejected here
   /// are excluded from both the symbol tables and the statement walk, like
   /// the paper's codecov-driven pruning. Null means keep everything.

@@ -62,16 +62,21 @@ CesmModel::CesmModel(const CorpusSpec& spec, rca::ThreadPool* pool)
 
 namespace {
 
+/// Relative initial-condition perturbation magnitude (CESM uses O(1e-14)).
+constexpr double kPerturbation = 1e-14;
+/// PRNG seed — fixed across members, like CESM's deterministic kissvec
+/// seeding; ensemble spread comes from the IC perturbation only.
+constexpr std::uint64_t kPrngSeed = 777;
+
 /// Applies the member-specific initial-condition perturbation: every
 /// prognostic field element is scaled by (1 + eps) with |eps| <=
-/// perturbation, mirroring CESM's O(1e-14) temperature perturbations.
+/// kPerturbation, mirroring CESM's O(1e-14) temperature perturbations.
 void perturb_initial_conditions(interp::Interpreter& interp,
-                                std::uint64_t member_seed,
-                                double perturbation) {
+                                std::uint64_t member_seed) {
   SplitMix64 rng(member_seed * 0x2545f4914f6cdd1dull + 0x9e3779b97f4a7c15ull);
-  auto perturb_array = [&rng, perturbation](interp::Value& v) {
+  auto perturb_array = [&rng](interp::Value& v) {
     for (double& x : v.array) {
-      x *= 1.0 + perturbation * (2.0 * rng.uniform() - 1.0);
+      x *= 1.0 + kPerturbation * (2.0 * rng.uniform() - 1.0);
     }
   };
   auto state = interp.module_var("phys_state_mod", "state");
@@ -85,7 +90,7 @@ void perturb_initial_conditions(interp::Interpreter& interp,
 std::unique_ptr<interp::Interpreter> make_interpreter(
     const interp::Program& program, const RunConfig& config) {
   auto interp = std::make_unique<interp::Interpreter>(program);
-  interp->set_prng(make_prng(config.prng_kind, config.prng_seed));
+  interp->set_prng(make_prng(config.prng_kind, kPrngSeed));
   if (config.fma_all) interp->set_fma_all(true);
   for (const auto& m : config.fma_disabled_modules) {
     interp->set_fma(m, false);
@@ -103,7 +108,7 @@ RunResult CesmModel::run(const RunConfig& config) const {
   obs::count("model.watches", config.watches.size());
   auto interp = make_interpreter(*program_, config);
   interp->call("cam_driver", "cam_init");
-  perturb_initial_conditions(*interp, config.member_seed, config.perturbation);
+  perturb_initial_conditions(*interp, config.member_seed);
   for (int step = 0; step < config.timesteps; ++step) {
     interp->call("cam_driver", "cam_step");
   }

@@ -29,15 +29,10 @@ namespace rca::model {
 struct RunConfig {
   /// Ensemble-member identity: seeds the initial-condition perturbation.
   std::uint64_t member_seed = 1;
-  /// Relative initial-condition perturbation magnitude (CESM uses O(1e-14)).
-  double perturbation = 1e-14;
   /// Model time steps (UF-CAM-ECT evaluates at step nine).
   int timesteps = 9;
   /// PRNG backing shr_rand_uniform: "kiss" (default) or "mt19937" (RAND-MT).
   std::string prng_kind = "kiss";
-  /// PRNG seed — fixed across members, like CESM's deterministic kissvec
-  /// seeding; ensemble spread comes from the IC perturbation only.
-  std::uint64_t prng_seed = 777;
   /// Enable FMA contraction in every module (AVX2 experiment)...
   bool fma_all = false;
   /// ...except these (Table 1's selective disablement rows).

@@ -11,9 +11,10 @@
 // whether a planted site lands in the top-m ranked nodes.
 //
 // The library is the one registry of planted causes: the paper's six
-// experiments (§6, §8.2) are the rows with a `paper_id`, and `rca-tool
-// analyze`, the figure benches, `score` and `/v1/refine` all run rows of it
-// through engine::Pipeline::run_scenario.
+// experiments (§6, §8.2) are the rows with a `paper_id`. `rca-tool analyze`,
+// the figure benches and `score` run rows of it through
+// engine::Pipeline::run_scenario; `/v1/refine` and `rca-tool refine`
+// campaigns slice and refine a row in campaign::CampaignManager::run.
 //
 // The evaluation helpers at the bottom are the checks the figure benches
 // (fig12_randombug, exp_wsubbug, fig8_avx2) previously hand-rolled.

@@ -25,6 +25,17 @@ namespace rca::service {
 
 namespace {
 
+constexpr int kListenBacklog = 64;
+constexpr std::size_t kMaxHeaderBytes = 16 * 1024;
+/// Persistent-connection policy. A connection is recycled after this many
+/// requests (the response carries `Connection: close`) so one chatty client
+/// cannot pin a worker thread forever.
+constexpr std::size_t kMaxRequestsPerConnection = 100;
+/// How long a keep-alive connection may sit idle between requests before the
+/// server closes it. Waited in <=250ms poll slices so a graceful drain never
+/// stalls behind an idle socket.
+constexpr int kIdleTimeoutMs = 15000;
+
 const char* status_text(int status) {
   switch (status) {
     case 200: return "OK";
@@ -173,7 +184,7 @@ void HttpServer::start() {
     throw Error("cannot bind 127.0.0.1:" + std::to_string(opts_.port) + ": " +
                 std::strerror(errno));
   }
-  if (::listen(listen_fd_, opts_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     throw Error(std::string("listen() failed: ") + std::strerror(errno));
   }
   socklen_t len = sizeof(addr);
@@ -314,10 +325,10 @@ void HttpServer::handle_connection(int fd) {
       // head. An idle timeout or a drain closes the connection silently —
       // no request was in flight, so there is nothing to answer.
       const int budget = served == 0 ? opts_.io_timeout_ms
-                                     : opts_.idle_timeout_ms;
+                                     : kIdleTimeoutMs;
       if (!wait_readable(fd, budget)) return;
     }
-    if (!read_until(fd, buf, "\r\n\r\n", opts_.max_header_bytes)) {
+    if (!read_until(fd, buf, "\r\n\r\n", kMaxHeaderBytes)) {
       // A clean EOF between requests is a normal keep-alive close from the
       // peer; a partial head is a protocol error worth answering.
       if (!buf.empty()) {
@@ -375,9 +386,8 @@ void HttpServer::handle_connection(int fd) {
     req.body = buf.substr(body_start, want);
 
     ++served;
-    const bool keep = opts_.keep_alive &&
-                      !client_wants_close(headers, parts[2]) &&
-                      served < opts_.max_requests_per_connection &&
+    const bool keep = !client_wants_close(headers, parts[2]) &&
+                      served < kMaxRequestsPerConnection &&
                       !draining_.load(std::memory_order_relaxed);
     if (served > 1) obs::count("service.http.keepalive_reuses");
     if (!send_response(fd, handler_(req), keep)) return;

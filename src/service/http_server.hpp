@@ -41,20 +41,9 @@ namespace rca::service {
 
 struct HttpServerOptions {
   std::uint16_t port = 0;      // 0 = ephemeral
-  int backlog = 64;
   std::size_t connection_threads = 8;
-  std::size_t max_header_bytes = 16 * 1024;
   std::size_t max_body_bytes = 8 * 1024 * 1024;
   int io_timeout_ms = 10000;   // per-socket read/write timeout mid-request
-  /// Persistent-connection policy. A connection is recycled after this many
-  /// requests (the response carries `Connection: close`) so one chatty
-  /// client cannot pin a worker thread forever.
-  std::size_t max_requests_per_connection = 100;
-  /// How long a keep-alive connection may sit idle between requests before
-  /// the server closes it. Waited in <=250ms poll slices so a graceful
-  /// drain never stalls behind an idle socket.
-  int idle_timeout_ms = 15000;
-  bool keep_alive = true;      // false restores one-request-per-connection
 };
 
 class HttpServer {

@@ -25,6 +25,12 @@ namespace rca::service {
 
 namespace {
 
+/// Default wall-clock budget for Girvan–Newman community requests; on
+/// expiry the request falls back to Louvain (counter: community.fallback)
+/// and the response says so. A body may override via "budget_ms"
+/// (0 = unlimited).
+constexpr long long kGnBudgetMs = 10000;
+
 [[noreturn]] void fail(int status, std::string code, std::string message) {
   throw HandlerError{status, std::move(code), std::move(message)};
 }
@@ -438,7 +444,7 @@ Response Router::handle_communities(const JsonValue& body) {
     // Wall-clock budget: GN's per-removal betweenness recompute is the
     // service's slowest operation. On expiry the request still answers —
     // with Louvain's partition — instead of timing out.
-    opts.budget_ms = body.get_int("budget_ms", opts_.gn_budget_ms);
+    opts.budget_ms = body.get_int("budget_ms", kGnBudgetMs);
     // Pivot sampling trades exact betweenness for a seeded estimate so big
     // sessions can answer inside the budget instead of falling back.
     const long long samples = body.get_int("samples", 0);

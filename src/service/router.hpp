@@ -115,11 +115,6 @@ struct RouterOptions {
   /// via "deadline_ms".
   long long default_deadline_ms = 30000;
   std::size_t max_body_bytes = 8 * 1024 * 1024;
-  /// Default wall-clock budget for Girvan–Newman community requests; on
-  /// expiry the request falls back to Louvain (counter: community.fallback)
-  /// and the response says so. A body may override via "budget_ms".
-  /// 0 = unlimited.
-  long long gn_budget_ms = 10000;
   /// Worker pool requests execute on. Must stay distinct from the session
   /// store's build pool — a request task blocking on parallel_for of its own
   /// pool would deadlock. Null runs requests inline (tests).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -14,8 +13,9 @@
 #include "meta/builder.hpp"
 #include "obs/obs.hpp"
 #include "service/front_end.hpp"
+#include "support/backoff.hpp"
 #include "support/error.hpp"
-#include "support/rng.hpp"
+#include "support/hash.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rca::service {
@@ -248,23 +248,20 @@ std::shared_ptr<Session> SessionStore::build_session(const std::string& key,
                                                      SourceList sources) {
   // Transient I/O (EINTR/EIO-class, surfaced as fault::TransientError) during
   // a cold build is retried with capped exponential backoff instead of
-  // failing every coalesced single-flight waiter. Jitter is derived from
-  // (key, attempt) so fault-injection runs replay byte-identically.
-  SplitMix64 jitter(std::hash<std::string>{}(key) ^ 0x9e3779b97f4a7c15ull);
+  // failing every coalesced single-flight waiter. Jitter is derived from the
+  // key's FNV-1a hash and the attempt, so fault-injection runs replay
+  // byte-identically on any platform.
+  const std::uint64_t key_hash = fnv1a64(key);
   for (int attempt = 0;; ++attempt) {
     try {
       return build_session_once(key, config, sources);
     } catch (const fault::TransientError&) {
       if (attempt >= opts_.build_retries) throw;
       obs::count("service.session.retries");
-      int delay_ms = opts_.backoff_base_ms << attempt;
-      if (delay_ms > opts_.backoff_cap_ms || delay_ms <= 0) {
-        delay_ms = opts_.backoff_cap_ms;
-      }
-      const auto jitter_ms =
-          static_cast<int>(jitter.uniform() * 0.5 * delay_ms);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(delay_ms + jitter_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          jittered_backoff_ms(static_cast<std::uint64_t>(attempt),
+                              opts_.backoff_base_ms, opts_.backoff_cap_ms,
+                              /*seed=*/0, key_hash)));
     }
   }
 }

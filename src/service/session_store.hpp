@@ -193,9 +193,9 @@ struct SessionStoreOptions {
   ThreadPool* build_pool = nullptr;
   /// Transient-I/O retries for a cold build (single-flight holder only;
   /// waiters coalesce onto whatever the holder's retries produce). Backoff
-  /// is exponential from backoff_base_ms, deterministically jittered per
-  /// (key, attempt), capped at backoff_cap_ms. Counter:
-  /// service.session.retries.
+  /// is jittered_backoff_ms (support/backoff.hpp): exponential from
+  /// backoff_base_ms, capped at backoff_cap_ms, jittered per (key, attempt).
+  /// Counter: service.session.retries.
   int build_retries = 3;
   int backoff_base_ms = 10;
   int backoff_cap_ms = 200;

@@ -7,13 +7,16 @@
 #include <latch>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <thread>
 
 #include "engine/pipeline.hpp"
 #include "engine/refinement.hpp"
 #include "lang/parser.hpp"
 #include "meta/builder.hpp"
+#include "meta/serialize.hpp"
 #include "obs/obs.hpp"
+#include "service/session_store.hpp"
 #include "support/error.hpp"
 
 namespace rca::engine {
@@ -195,6 +198,26 @@ TEST(PipelineIntegration, MetagraphAndCoverageAreReasonable) {
       pipe.control_model().coverage_run(2).module_executed("dyn_core"));
 }
 
+TEST(PipelineIntegration, MetagraphMatchesTheSessionStoreBuild) {
+  // The engine builds its graph fresh on every Pipeline; the session store
+  // (graph/serve/watch/refine) is the one cache of that graph. Both must
+  // produce the same bytes from the same corpus, build list and coverage
+  // run, so a stored snapshot stands for what the engine would build.
+  Pipeline& pipe = shared_pipeline();
+  service::SessionConfig config;
+  config.build_list = pipe.control_model().corpus().compiled_modules;
+  config.coverage = true;
+  config.coverage_steps = 2;
+  service::SourceList sources;
+  for (const model::GeneratedFile& f : pipe.control_model().corpus().files) {
+    sources.emplace_back(f.path, f.text);
+  }
+  service::SessionStore store(service::SessionStoreOptions{});
+  const auto session = store.get_or_build(config, std::move(sources));
+  EXPECT_EQ(meta::save_metagraph_to_string(session->metagraph()),
+            meta::save_metagraph_to_string(pipe.metagraph()));
+}
+
 /// The library row of one of the paper's experiments, by its paper id.
 const model::ScenarioSpec& paper_row(const std::string& paper_id) {
   for (const model::ScenarioSpec& s : model::scenario_library()) {
@@ -204,12 +227,18 @@ const model::ScenarioSpec& paper_row(const std::string& paper_id) {
 }
 
 /// One paper experiment: its position in the paper's presentation (§6.1-§6.4,
-/// §8.2.1-§8.2.2) and its paper id. The leading ordinal is what gtest prints
-/// as the parameter, so the registered test names stay stable.
+/// §8.2.1-§8.2.2) and its paper id.
 struct PaperCase {
   int ordinal;
   const char* paper_id;
 };
+
+/// gtest prints the parameter into the registered test names; printing the
+/// fields (not the struct's raw bytes, padding and pointer included) keeps
+/// those names identical from build to build.
+void PrintTo(const PaperCase& c, std::ostream* os) {
+  *os << c.ordinal << ' ' << c.paper_id;
+}
 
 class ExperimentSuite : public ::testing::TestWithParam<PaperCase> {};
 

@@ -38,6 +38,7 @@
 #include "service/http_server.hpp"
 #include "service/router.hpp"
 #include "service/session_store.hpp"
+#include "support/backoff.hpp"
 #include "support/hash.hpp"
 #include "support/json.hpp"
 

@@ -6,6 +6,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -420,8 +421,8 @@ TEST_F(RouterTest, DeadlineExpiryAnswers504) {
 // HttpServer (raw loopback TCP)
 // ---------------------------------------------------------------------------
 
-/// One-shot HTTP client: sends `raw`, reads until the server closes.
-std::string raw_request(std::uint16_t port, const std::string& raw) {
+/// A socket connected to 127.0.0.1:`port`.
+int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -430,6 +431,12 @@ std::string raw_request(std::uint16_t port, const std::string& raw) {
   addr.sin_port = htons(port);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+/// One-shot HTTP client: sends `raw`, reads until the server closes.
+std::string raw_request(std::uint16_t port, const std::string& raw) {
+  const int fd = connect_loopback(port);
   EXPECT_EQ(::send(fd, raw.data(), raw.size(), 0),
             static_cast<ssize_t>(raw.size()));
   // Half-close the write side: the keep-alive server sees EOF when it looks
@@ -541,6 +548,65 @@ TEST_F(HttpServerTest, AdversarialRequestsNeverKillTheDaemon) {
 
   server.request_shutdown();
   EXPECT_EQ(rc.get(), 0);
+}
+
+TEST_F(HttpServerTest, KeepAliveRecyclesAConnectionAfterItsHundredthRequest) {
+  HttpServer server(
+      HttpServer::Handler([](const Request&) { return Response{200, "{}\n"}; }),
+      HttpServerOptions{});
+  server.start();
+  std::future<int> rc =
+      std::async(std::launch::async, [&server] { return server.serve_forever(); });
+
+  // Request/response lock-step on one connection. Each response's head is
+  // kept; reading stops at the first error, so a failure still reaches the
+  // shutdown below instead of leaving serve_forever running.
+  const int fd = connect_loopback(server.port());
+  timeval tv{5, 0};  // a server that never answers fails the test, not hangs
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  auto fill = [fd](std::string& buf) {
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) buf.append(chunk, static_cast<std::size_t>(n));
+    return n > 0;
+  };
+  const std::string req = "GET /v1/health HTTP/1.1\r\nHost: l\r\n\r\n";
+  std::vector<std::string> heads;
+  std::string buf;
+  bool ok = true;
+  for (int i = 0; i < 100 && ok; ++i) {
+    ok = ::send(fd, req.data(), req.size(), 0) ==
+         static_cast<ssize_t>(req.size());
+    std::size_t head_end = std::string::npos;
+    while (ok && (head_end = buf.find("\r\n\r\n")) == std::string::npos) {
+      ok = fill(buf);
+    }
+    if (!ok) break;
+    heads.push_back(buf.substr(0, head_end));
+    const std::size_t len_at = heads.back().find("Content-Length: ");
+    ok = len_at != std::string::npos;
+    if (!ok) break;
+    const std::size_t end =
+        head_end + 4 + std::stoul(heads.back().substr(len_at + 16));
+    while (ok && buf.size() < end) ok = fill(buf);
+    if (ok) buf.erase(0, end);
+  }
+  // After the 100th response the server closes: the next read sees EOF.
+  char byte = 0;
+  const ssize_t after = ok ? ::recv(fd, &byte, 1, 0) : -1;
+  ::close(fd);
+  server.request_shutdown();
+  EXPECT_EQ(rc.get(), 0);
+
+  ASSERT_EQ(heads.size(), 100u);
+  for (std::size_t i = 0; i < 99; ++i) {
+    EXPECT_NE(heads[i].find("Connection: keep-alive"), std::string::npos)
+        << "response " << i + 1 << ":\n" << heads[i];
+  }
+  EXPECT_NE(heads[99].find("Connection: close"), std::string::npos)
+      << heads[99];
+  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(after, 0) << "the connection stayed open after response 100";
 }
 
 TEST_F(HttpServerTest, EphemeralPortsAreIndependent) {
