@@ -8,9 +8,11 @@
 // google-benchmark and runs the incremental-session acceptance gate instead:
 // at cesm scale, a warm single-module touch edit through
 // SessionStore::patch() must be >= 10x faster than a cold from-scratch
-// build. The JSON output follows the rca.bench_graph.v1 trajectory schema
-// (median_ms + runner-normalized values, gates.pass) so the same
-// tools/bench_diff.cmake diffs BENCH_parse.json in CI.
+// build. It also times warm_relint_cesm: a patch plus a /v1/lint through
+// the Router, on a patched session whose base was linted. The JSON output
+// follows the rca.bench_graph.v1 trajectory schema (median_ms +
+// runner-normalized values, gates.pass) so the same tools/bench_diff.cmake
+// diffs BENCH_parse.json in CI.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -31,6 +33,7 @@
 #include "meta/serialize.hpp"
 #include "model/corpus.hpp"
 #include "model/model.hpp"
+#include "service/router.hpp"
 #include "service/session_store.hpp"
 #include "stats/descriptive.hpp"
 #include "support/json.hpp"
@@ -284,6 +287,55 @@ int run_warm_edit_gate(const std::string& json_path, bool quick) {
   std::printf("  %-34s %10.2f ms (median of %d)\n", "warm_patch_cesm", warm_ms,
               warm_repeats);
 
+  // Warm relint: the same chained touch edits, each a /v1/session/patch
+  // plus a /v1/lint of the new session through the Router, so the lint is
+  // seeded from the previous generation's (already rendered) report.
+  SessionStore lint_store(opts);
+  service::Router router(&lint_store, service::RouterOptions{});
+  auto session_body = [](const std::string& k) {
+    return "{\"session\": \"" + k + "\"}";
+  };
+  key = lint_store.get_or_build(config, sources)->key();
+  if (router.handle({"POST", "/v1/lint", session_body(key)}).status != 200) {
+    std::fprintf(stderr, "cold /v1/lint failed\n");
+    return 1;
+  }
+  std::vector<double> relint_times;
+  for (int r = 0; r < warm_repeats; ++r) {
+    touch_first_line(&sources[victim].second, warm_repeats + r);
+    JsonWriter body;
+    body.begin_object();
+    body.key("session");
+    body.string_value(key);
+    body.key("modules");
+    body.begin_array();
+    body.begin_object();
+    body.key("path");
+    body.string_value(sources[victim].first);
+    body.key("src");
+    body.string_value(sources[victim].second);
+    body.end_object();
+    body.end_array();
+    body.end_object();
+    const std::string patch_body = std::move(body).str();
+    service::Response patched;
+    service::Response linted;
+    relint_times.push_back(bench::time_ms([&] {
+      patched = router.handle({"POST", "/v1/session/patch", patch_body});
+      if (patched.status != 200) return;
+      key = parse_json(patched.body).get_string("session");
+      linted = router.handle({"POST", "/v1/lint", session_body(key)});
+    }));
+    if (patched.status != 200 || linted.status != 200) {
+      std::fprintf(stderr, "warm relint failed (patch %d, lint %d)\n",
+                   patched.status, linted.status);
+      return 1;
+    }
+  }
+  const double relint_ms = stats::median(relint_times);
+  std::printf("  %-34s %10.2f ms (median of %d)\n", "warm_relint_cesm",
+              relint_ms, warm_repeats);
+
   const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
   const bool pass = speedup >= kMinWarmSpeedup;
   std::printf("gates:\n");
@@ -311,7 +363,8 @@ int run_warm_edit_gate(const std::string& json_path, bool quick) {
     w.begin_object();
     for (const auto& k :
          {std::make_pair("cold_build_cesm", cold_ms),
-          std::make_pair("warm_patch_cesm", warm_ms)}) {
+          std::make_pair("warm_patch_cesm", warm_ms),
+          std::make_pair("warm_relint_cesm", relint_ms)}) {
       w.key(k.first);
       w.begin_object();
       w.key("median_ms");

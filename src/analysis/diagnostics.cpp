@@ -18,13 +18,16 @@ const char* severity_name(Severity s) {
 }
 
 bool diagnostic_less(const Diagnostic& a, const Diagnostic& b) {
-  return std::tie(a.module, a.line, a.column, a.rule, a.name, a.message) <
-         std::tie(b.module, b.line, b.column, b.rule, b.name, b.message);
+  return std::tie(a.module, a.line, a.column, a.rule, a.name, a.message,
+                  a.subprogram, a.file, a.severity, a.end_line) <
+         std::tie(b.module, b.line, b.column, b.rule, b.name, b.message,
+                  b.subprogram, b.file, b.severity, b.end_line);
 }
 
 void fold_parse_errors(
     const std::vector<std::pair<std::string, std::string>>& parse_errors,
     std::vector<Diagnostic>* diags) {
+  const auto folded = static_cast<std::ptrdiff_t>(diags->size());
   for (const auto& [path, message] : parse_errors) {
     Diagnostic d;
     d.rule = kParseErrorRule;
@@ -33,7 +36,9 @@ void fold_parse_errors(
     d.message = message;
     diags->push_back(std::move(d));
   }
-  std::sort(diags->begin(), diags->end(), diagnostic_less);
+  const auto mid = diags->begin() + folded;
+  std::sort(mid, diags->end(), diagnostic_less);
+  std::inplace_merge(diags->begin(), mid, diags->end(), diagnostic_less);
 }
 
 std::string diagnostics_to_text(const std::vector<Diagnostic>& diags) {
@@ -56,13 +61,22 @@ std::string diagnostics_to_json(const std::vector<Diagnostic>& diags) {
   std::size_t errors = 0;
   std::size_t warnings = 0;
   std::size_t notes = 0;
+  // The report runs to megabytes at cesm scale, where growing the buffer by
+  // doubling costs more than the rendering itself: size it up front, from
+  // the string fields plus a fixed allowance for keys, severity and numbers.
+  constexpr std::size_t kFixedBytesPerRecord = 160;
+  std::size_t bytes = 128;
   for (const Diagnostic& d : diags) {
     if (d.severity == Severity::kError) ++errors;
     else if (d.severity == Severity::kWarning) ++warnings;
     else ++notes;
+    bytes += kFixedBytesPerRecord + d.rule.size() + d.module.size() +
+             d.subprogram.size() + d.name.size() + d.file.size() +
+             d.message.size();
   }
 
   JsonWriter w;
+  w.reserve(bytes);
   w.begin_object();
   w.key("schema");
   w.string_value("rca.diagnostics.v1");
@@ -103,7 +117,7 @@ std::string diagnostics_to_json(const std::vector<Diagnostic>& diags) {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string diagnostics_to_tsv(const std::vector<Diagnostic>& diags) {

@@ -35,16 +35,19 @@ struct Diagnostic {
   int end_line = 0;
 };
 
-/// Orders by (module, line, column, rule, name, message): source order
-/// within a module, deterministic everywhere.
+/// Orders by (module, line, column, rule, name, message), then by every
+/// other rendered field (subprogram, file, severity, end_line): source order
+/// within a module, and a total order over what the emitters print, so a
+/// sort and a merge of sorted runs give the same bytes.
 bool diagnostic_less(const Diagnostic& a, const Diagnostic& b);
 
 /// Rule id of the diagnostic a file the front end could not parse becomes.
 inline constexpr const char* kParseErrorRule = "parse-error";
 
 /// Folds front-end parse failures, (path, message) pairs, into `diags` as
-/// kParseErrorRule errors, then re-sorts by diagnostic_less — a file that
-/// cannot be parsed is itself a finding, so every emitter reports it.
+/// kParseErrorRule errors — a file that cannot be parsed is itself a
+/// finding, so every emitter reports it. `diags` must already be sorted by
+/// diagnostic_less; only the folded records are sorted, then merged in.
 void fold_parse_errors(
     const std::vector<std::pair<std::string, std::string>>& parse_errors,
     std::vector<Diagnostic>* diags);

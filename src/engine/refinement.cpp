@@ -126,14 +126,17 @@ RuntimeSampler::RuntimeSampler(const meta::Metagraph& mg,
       rms_threshold_(rms_threshold) {}
 
 const RunTrace& RuntimeSampler::trace(LazyTrace& lazy) {
-  std::call_once(lazy.once, [this, &lazy] {
-    if (lazy.trace) return;
+  // A plain mutex rather than std::call_once: a recording that throws
+  // leaves `trace` null and the next caller retries, and waiters never
+  // depend on call_once's exceptional-exit hand-off.
+  std::lock_guard<std::mutex> lock(lazy.mu);
+  if (!lazy.trace) {
     obs::Span span("sampler.record");
     span.attr("role", lazy.role);
     lazy.trace = std::make_shared<const RunTrace>(
         RunTrace::record(mg_, lazy.model, lazy.config));
     span.attr("bytes", lazy.trace->bytes());
-  });
+  }
   return *lazy.trace;
 }
 

@@ -139,13 +139,14 @@ class RuntimeSampler : public Sampler {
   }
 
  private:
-  /// A trace recorded at most once, on first use.
+  /// A trace recorded at most once, on first use; `mu` serializes the
+  /// recording and guards `trace` (set once, never reset).
   struct LazyTrace {
     const model::CesmModel& model;
     model::RunConfig config;
     const char* role;
     std::shared_ptr<const RunTrace> trace;
-    std::once_flag once;
+    std::mutex mu;
   };
   const RunTrace& trace(LazyTrace& lazy);
 

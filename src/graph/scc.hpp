@@ -1,8 +1,8 @@
 // Strongly connected components (Tarjan, iterative) and the condensation
 // DAG. The CESM variable graph's cyclic cores (prognostic-state update
 // loops) are exactly where eigenvector centrality mass concentrates; the
-// condensation exposes them for analysis and is used by the engine's
-// diagnostics.
+// condensation exposes them for analysis. No engine stage calls it yet:
+// only the graph and property tests do.
 #pragma once
 
 #include <cstddef>

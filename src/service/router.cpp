@@ -77,7 +77,7 @@ Response make_error(int status, const std::string& code,
     w.boolean(true);
   }
   w.end_object();
-  return Response{status, w.str() + "\n", "application/json",
+  return Response{status, std::move(w).str() + "\n", "application/json",
                   retriable ? retry_after_s : 0};
 }
 
@@ -257,7 +257,7 @@ Response Router::dispatch(const Request& req, const JsonValue& body) {
     w.key("slept_ms");
     w.integer(ms);
     w.end_object();
-    return Response{200, w.str() + "\n"};
+    return Response{200, std::move(w).str() + "\n"};
   }
   fail(404, "not_found", "unknown endpoint " + req.path);
 }
@@ -294,7 +294,7 @@ Response Router::handle_health() const {
   w.key("in_flight");
   w.integer(static_cast<long long>(in_flight()));
   w.end_object();
-  return Response{200, w.str() + "\n"};
+  return Response{200, std::move(w).str() + "\n"};
 }
 
 Response Router::handle_metrics() const {
@@ -352,7 +352,7 @@ Response Router::handle_build(const JsonValue& body) {
   w.key("warm");
   w.boolean(session->warm_started());
   w.end_object();
-  return Response{200, w.str() + "\n"};
+  return Response{200, std::move(w).str() + "\n"};
 }
 
 Response Router::handle_slice(const JsonValue& body) {
@@ -414,7 +414,7 @@ Response Router::handle_slice(const JsonValue& body) {
   }
   w.end_array();
   w.end_object();
-  return Response{200, w.str() + "\n"};
+  return Response{200, std::move(w).str() + "\n"};
 }
 
 Response Router::handle_communities(const JsonValue& body) {
@@ -487,7 +487,7 @@ Response Router::handle_communities(const JsonValue& body) {
   }
   w.end_array();
   w.end_object();
-  return Response{200, w.str() + "\n"};
+  return Response{200, std::move(w).str() + "\n"};
 }
 
 Response Router::handle_rank(const JsonValue& body) {
@@ -536,7 +536,7 @@ Response Router::handle_rank(const JsonValue& body) {
   }
   w.end_array();
   w.end_object();
-  return Response{200, w.str() + "\n"};
+  return Response{200, std::move(w).str() + "\n"};
 }
 
 Response Router::handle_patch(const JsonValue& body) {
@@ -617,13 +617,16 @@ Response Router::handle_patch(const JsonValue& body) {
   w.end_object();
   // A rolled-back patch is still a well-formed answer (the base session is
   // intact and reported); 409 signals the edit itself was rejected.
-  return Response{result.rolled_back ? 409 : 200, w.str() + "\n"};
+  return Response{result.rolled_back ? 409 : 200,
+                  std::move(w).str() + "\n"};
 }
 
 Response Router::handle_lint(const JsonValue& body) {
   std::shared_ptr<const Session> session = resolve_session(body);
   const analysis::AnalysisResult& result = session->lint();
+  const std::string& report = session->lint_report();
   JsonWriter w;
+  w.reserve(report.size() + 512);  // the header fields, then the report
   w.begin_object();
   write_session_header(w, *session);
   w.key("errors");
@@ -640,10 +643,11 @@ Response Router::handle_lint(const JsonValue& body) {
   w.key("interprocedural");
   w.boolean(true);
   w.key("report");
-  // Full rca.diagnostics.v1 document, embedded as produced by the emitter.
-  w.raw_value(analysis::diagnostics_to_json(result.diagnostics));
+  // The session's cached rca.diagnostics.v1 document, copied once into
+  // the body.
+  w.raw_value(report);
   w.end_object();
-  return Response{200, w.str() + "\n"};
+  return Response{200, std::move(w).str() + "\n"};
 }
 
 }  // namespace rca::service

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <ranges>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -111,55 +113,69 @@ const std::vector<std::pair<std::string, std::string>>& Session::parse_errors()
   return parse_errors_;
 }
 
-std::optional<std::vector<analysis::Diagnostic>> Session::cached_lint_diags()
-    const {
+std::shared_ptr<const analysis::AnalysisResult> Session::cached_lint() const {
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (!lint_) return std::nullopt;
-  return lint_->diagnostics;
-}
-
-std::shared_ptr<const analysis::ProgramSummaries> Session::cached_lint_summaries()
-    const {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (!lint_) return nullptr;
-  return lint_->summaries;
+  return lint_;
 }
 
 const analysis::AnalysisResult& Session::lint() const {
   ensure_parsed(parse_pool_);
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (!lint_) {
-    analysis::PassManager pm = analysis::PassManager::default_passes();
-    analysis::AnalysisResult result;
-    if (lint_seed_ && lint_seed_->dirty.size() == modules_.size()) {
-      // Incremental: run dataflow + passes only for modules whose files
-      // changed, then merge the diagnostics the base already computed for
-      // the clean ones. Exact because the seed is only installed when the
-      // patch's transaction saw every interface signature unchanged — and,
-      // interprocedurally, because the summary baseline widens the dirty set
-      // by the caller cone of every module whose summary signature changed
-      // (result.analyzed is the widened mask; carried diagnostics of widened
-      // modules are dropped in favor of their fresh recomputation).
-      result = pm.run(modules_, lint_seed_->dirty, lint_seed_->baseline.get());
-      std::unordered_set<std::string> widened;
-      for (std::size_t i = 0; i < modules_.size(); ++i) {
-        if (i < result.analyzed.size() && result.analyzed[i] &&
-            !lint_seed_->dirty[i]) {
-          widened.insert(modules_[i]->name);
-        }
+  if (lint_) return *lint_;
+  analysis::PassManager pm = analysis::PassManager::default_passes();
+  auto result = std::make_shared<analysis::AnalysisResult>();
+  if (lint_seed_ && lint_seed_->dirty.size() == modules_.size()) {
+    // Incremental: run dataflow + passes only for modules whose files
+    // changed, then merge in the diagnostics the base already computed for
+    // the clean ones. Exact because the seed is only installed when the
+    // patch's transaction saw every interface signature unchanged — and,
+    // interprocedurally, because the base's summary baseline widens the
+    // dirty set by the caller cone of every module whose summary signature
+    // changed (result->analyzed is the widened mask; carried diagnostics of
+    // widened modules are dropped in favor of their fresh recomputation).
+    const LintSeed& seed = *lint_seed_;
+    std::optional<analysis::SummaryBaseline> baseline;
+    if (seed.base->summaries) baseline = seed.base->summaries->to_baseline();
+    *result = pm.run(modules_, seed.dirty, baseline ? &*baseline : nullptr);
+    std::unordered_set<std::string> widened;
+    for (std::size_t i = 0; i < modules_.size(); ++i) {
+      if (i < result->analyzed.size() && result->analyzed[i] &&
+          !seed.dirty[i]) {
+        widened.insert(modules_[i]->name);
       }
-      for (const analysis::Diagnostic& d : lint_seed_->carried) {
-        if (widened.count(d.module) != 0) continue;
-        result.diagnostics.push_back(d);
-      }
-      obs::count("service.patch.lint_reuse");
-    } else {
-      result = pm.run(modules_);
     }
-    analysis::fold_parse_errors(parse_errors_, &result.diagnostics);
-    lint_ = std::move(result);
+    auto carried = seed.base->diagnostics |
+                   std::views::filter([&](const analysis::Diagnostic& d) {
+                     return d.rule != analysis::kParseErrorRule &&  // re-folded
+                            seed.stale_files.count(d.file) == 0 &&
+                            widened.count(d.module) == 0;
+                   });
+    // Both inputs are sorted by diagnostic_less, a total order over every
+    // rendered field, so the merge gives the bytes a full sort would.
+    std::vector<analysis::Diagnostic> fresh = std::move(result->diagnostics);
+    result->diagnostics.clear();
+    result->diagnostics.reserve(fresh.size() + seed.base->diagnostics.size());
+    std::merge(std::make_move_iterator(fresh.begin()),
+               std::make_move_iterator(fresh.end()), carried.begin(),
+               carried.end(), std::back_inserter(result->diagnostics),
+               analysis::diagnostic_less);
+    obs::count("service.patch.lint_reuse");
+  } else {
+    *result = pm.run(modules_);
   }
+  analysis::fold_parse_errors(parse_errors_, &result->diagnostics);
+  lint_ = std::move(result);
+  lint_seed_.reset();  // drops this session's hold on the base's lint
   return *lint_;
+}
+
+const std::string& Session::lint_report() const {
+  const analysis::AnalysisResult& result = lint();
+  std::lock_guard<std::mutex> lock(report_mu_);
+  if (!lint_report_) {
+    lint_report_ = analysis::diagnostics_to_json(result.diagnostics);
+  }
+  return *lint_report_;
 }
 
 // ---------------------------------------------------------------------------
@@ -234,13 +250,14 @@ std::shared_ptr<const Session> SessionStore::get_or_build(
     promise.set_exception(err);
     throw;
   }
+  std::vector<std::shared_ptr<const Session>> evicted;
   {
     std::lock_guard<std::mutex> relock(mu_);
-    insert_resident(key, session);
+    evicted = insert_resident(key, session);
     building_.erase(key);
   }
   promise.set_value(session);
-  return session;
+  return session;  // `evicted` is released here, outside mu_
 }
 
 std::shared_ptr<Session> SessionStore::build_session(const std::string& key,
@@ -339,10 +356,11 @@ std::shared_ptr<Session> SessionStore::build_session_once(
   return session;
 }
 
-void SessionStore::insert_resident(const std::string& key,
-                                   std::shared_ptr<const Session> session) {
+std::vector<std::shared_ptr<const Session>> SessionStore::insert_resident(
+    const std::string& key, std::shared_ptr<const Session> session) {
   // Caller holds mu_.
-  if (entries_.count(key) != 0) return;  // lost a race; keep the resident one
+  std::vector<std::shared_ptr<const Session>> evicted;
+  if (entries_.count(key) != 0) return evicted;  // lost a race; keep ours
   lru_.push_front(key);
   total_bytes_ += session->bytes();
   entries_.emplace(key, Entry{std::move(session), lru_.begin()});
@@ -362,14 +380,15 @@ void SessionStore::insert_resident(const std::string& key,
       }
     }
     if (vit == lru_.end()) break;
-    const std::string victim = *vit;
+    auto it = entries_.find(*vit);
     lru_.erase(vit);
-    auto it = entries_.find(victim);
     total_bytes_ -= it->second.session->bytes();
+    evicted.push_back(std::move(it->second.session));
     entries_.erase(it);
     obs::count("service.session.evictions");
   }
   publish_gauges();
+  return evicted;
 }
 
 void SessionStore::pin(const std::string& key) {
@@ -490,7 +509,7 @@ SessionStore::PatchResult SessionStore::patch(const std::string& base_key,
   }
 
   try {
-    return patch_build(base, key, std::move(sources), changed);
+    return patch_build(base, key, std::move(sources), changed, edit.removes);
   } catch (const fault::FaultInjected& e) {
     // service.patch.parse or meta.txn.splice fired: nothing was published,
     // the base session is still resident at its prior generation.
@@ -506,7 +525,8 @@ SessionStore::PatchResult SessionStore::patch(const std::string& base_key,
 
 SessionStore::PatchResult SessionStore::patch_build(
     const std::shared_ptr<const Session>& base, const std::string& key,
-    SourceList sources, const std::vector<std::string>& changed) {
+    SourceList sources, const std::vector<std::string>& changed,
+    const std::vector<std::string>& removed) {
   obs::Span span("service.patch.build");
   span.attr("key", key);
   base->ensure_parsed(opts_.build_pool);
@@ -595,36 +615,26 @@ SessionStore::PatchResult SessionStore::patch_build(
   session->generation_ = base->generation_ + 1;
 
   // Seed an incremental lint when fragment reuse was sound (same condition:
-  // every interface signature unchanged) and the base has lint results.
+  // every interface signature unchanged) and the base has lint results. The
+  // seed holds the base's result by reference; lint() filters and merges.
   if (!txn.stats.full_rewalk) {
-    if (auto base_diags = base->cached_lint_diags()) {
-      std::unordered_set<std::string> present;
-      for (const auto& e : session->sources_) present.insert(e.first);
+    if (auto base_lint = base->cached_lint()) {
       Session::LintSeed seed;
-      seed.dirty = dirty_mask;
-      for (const auto& d : *base_diags) {
-        if (d.rule == analysis::kParseErrorRule) continue;  // re-folded
-        if (changed_set.count(d.file) != 0) continue;  // recomputed
-        if (present.count(d.file) == 0) continue;      // file removed
-        seed.carried.push_back(d);
-      }
-      // Interprocedural invalidation seed: a body patch can change lint
-      // results in its reverse caller cone even when every interface
-      // signature is stable. The baseline lets the incremental run detect
-      // summary changes and widen the recompute set accordingly.
-      if (auto sums = base->cached_lint_summaries()) {
-        seed.baseline = std::make_shared<const analysis::SummaryBaseline>(
-            sums->to_baseline());
-      }
+      seed.base = std::move(base_lint);
+      seed.dirty = std::move(dirty_mask);
+      seed.stale_files.insert(changed.begin(), changed.end());
+      seed.stale_files.insert(removed.begin(), removed.end());
       session->lint_seed_ = std::move(seed);
     }
   }
   session->finalize_bytes();
 
+  std::vector<std::shared_ptr<const Session>> evicted;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    insert_resident(key, session);
+    evicted = insert_resident(key, session);
   }
+  evicted.clear();  // destroyed outside mu_
   if (cache_) {
     cache_->store(snapshot_key(session->config_, session->sources_),
                   *session->mg_);

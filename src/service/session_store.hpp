@@ -59,6 +59,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -131,6 +132,10 @@ class Session {
   /// Forces a parse when the session was warm-started from a snapshot.
   const analysis::AnalysisResult& lint() const;
 
+  /// lint()'s diagnostics as an rca.diagnostics.v1 document, rendered once
+  /// on first use and cached; /v1/lint splices it into every response.
+  const std::string& lint_report() const;
+
  private:
   friend class SessionStore;
 
@@ -138,25 +143,22 @@ class Session {
   /// counts service.session.parses when a parse actually runs.
   void ensure_parsed(ThreadPool* pool) const;
   void finalize_bytes();
-  /// Lint diagnostics if lint() already ran, else nullopt (never forces).
-  std::optional<std::vector<analysis::Diagnostic>> cached_lint_diags() const;
-  /// The lint run's program summaries if lint() already ran (null otherwise
-  /// or in intraprocedural runs); seeds the incremental summary baseline.
-  std::shared_ptr<const analysis::ProgramSummaries> cached_lint_summaries()
-      const;
+  /// The lint result if lint() already ran, else null (never forces).
+  std::shared_ptr<const analysis::AnalysisResult> cached_lint() const;
 
-  /// Seed for an incremental lint of a patched session: diagnostics carried
-  /// from the base for unchanged modules, plus the mask of modules whose
-  /// files changed (parallel to modules_). Only set when the transaction did
-  /// not escalate to a full re-walk — the same interface-stability condition
-  /// that makes per-module pass reuse exact.
+  /// Seed for an incremental lint of a patched session: the base session's
+  /// lint result, carried by reference, plus what the patch made stale.
+  /// lint() recomputes the dirty modules and merges in the base's
+  /// diagnostics for the rest, then drops the seed. Only set when the
+  /// transaction did not escalate to a full re-walk — the same
+  /// interface-stability condition that makes per-module pass reuse exact.
   struct LintSeed {
-    std::vector<analysis::Diagnostic> carried;
+    std::shared_ptr<const analysis::AnalysisResult> base;
+    /// Modules whose files changed (parallel to modules_).
     std::vector<bool> dirty;
-    /// Base lint run's summary baseline: modules whose summary signature
-    /// changed widen the dirty set by their caller cone, and the widened
-    /// modules' carried diagnostics are dropped (recomputed fresh).
-    std::shared_ptr<const analysis::SummaryBaseline> baseline;
+    /// Paths the patch changed or removed; their carried diagnostics are
+    /// dropped (recomputed or gone).
+    std::unordered_set<std::string> stale_files;
   };
 
   std::string key_;
@@ -177,8 +179,12 @@ class Session {
   mutable std::vector<std::shared_ptr<const lang::SourceFile>> files_;
   mutable std::vector<const lang::Module*> modules_;  // build-list filtered
   mutable std::vector<std::pair<std::string, std::string>> parse_errors_;
-  mutable std::optional<analysis::AnalysisResult> lint_;
+  mutable std::shared_ptr<const analysis::AnalysisResult> lint_;
   mutable std::optional<LintSeed> lint_seed_;
+  // The rendered lint report. Its own mutex, so a render never holds
+  // lazy_mu_ (which skipped_modules() takes under the store's lock).
+  mutable std::mutex report_mu_;
+  mutable std::optional<std::string> lint_report_;
   mutable ThreadPool* parse_pool_ = nullptr;  // set by the store
 };
 
@@ -292,9 +298,13 @@ class SessionStore {
   /// fault::FaultInjected / rca::Error on rollback paths (patch() catches).
   PatchResult patch_build(const std::shared_ptr<const Session>& base,
                           const std::string& key, SourceList sources,
-                          const std::vector<std::string>& changed);
-  void insert_resident(const std::string& key,
-                       std::shared_ptr<const Session> session);
+                          const std::vector<std::string>& changed,
+                          const std::vector<std::string>& removed);
+  /// Caller holds mu_. Returns the sessions evicted to make room; the
+  /// caller releases them after unlocking, so their destruction never
+  /// blocks a concurrent lookup.
+  [[nodiscard]] std::vector<std::shared_ptr<const Session>> insert_resident(
+      const std::string& key, std::shared_ptr<const Session> session);
   void publish_gauges() const;
 
   SessionStoreOptions opts_;

@@ -1,32 +1,48 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "support/error.hpp"
-#include "support/strings.hpp"
 
 namespace rca {
 
-std::string JsonWriter::escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (unsigned char c : raw) {
+namespace {
+
+/// Appends `raw` to `out` with JSON string escaping: runs of plain bytes are
+/// copied in one append, so the common case costs no per-byte push_back.
+void append_escaped(std::string& out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // first byte not yet copied
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          out += strfmt("\\u%04x", c);
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof(u));
+      }
     }
   }
+  out.append(raw.data() + run, raw.size() - run);
+}
+
+}  // namespace
+
+std::string JsonWriter::escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size() + 2);
+  append_escaped(out, raw);
   return out;
 }
 
@@ -77,26 +93,32 @@ void JsonWriter::end_array() {
   after_value();
 }
 
-void JsonWriter::key(const std::string& k) {
+void JsonWriter::key(std::string_view k) {
   if (stack_.empty() || stack_.back() != Ctx::kObjectExpectKey) {
     throw Error("JsonWriter: key outside an object");
   }
   if (needs_comma_) out_.push_back(',');
-  out_ += '"' + escape(k) + "\":";
+  out_.push_back('"');
+  append_escaped(out_, k);
+  out_ += "\":";
   stack_.back() = Ctx::kObjectExpectValue;
   needs_comma_ = false;
 }
 
-void JsonWriter::string_value(const std::string& v) {
+void JsonWriter::string_value(std::string_view v) {
   before_value();
-  out_ += '"' + escape(v) + '"';
+  out_.push_back('"');
+  append_escaped(out_, v);
+  out_.push_back('"');
   after_value();
 }
 
 void JsonWriter::number(double v) {
   before_value();
   if (std::isfinite(v)) {
-    out_ += strfmt("%.17g", v);
+    char buf[32];  // %.17g needs at most 24 bytes ("-1.2345678901234567e-308")
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out_.append(buf, static_cast<std::size_t>(n));
   } else {
     out_ += "null";  // JSON has no NaN/Inf
   }
@@ -105,7 +127,9 @@ void JsonWriter::number(double v) {
 
 void JsonWriter::integer(long long v) {
   before_value();
-  out_ += strfmt("%lld", v);
+  char buf[24];  // "-9223372036854775808" is 20 bytes
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out_.append(buf, res.ptr);
   after_value();
 }
 
@@ -121,17 +145,26 @@ void JsonWriter::null() {
   after_value();
 }
 
-void JsonWriter::raw_value(const std::string& json) {
+void JsonWriter::raw_value(std::string_view json) {
   before_value();
   out_ += json;
   after_value();
 }
 
-std::string JsonWriter::str() const {
+void JsonWriter::check_balanced() const {
   if (!stack_.empty()) {
     throw Error("JsonWriter: unbalanced containers at str()");
   }
+}
+
+std::string JsonWriter::str() const& {
+  check_balanced();
   return out_;
+}
+
+std::string JsonWriter::str() && {
+  check_balanced();
+  return std::move(out_);
 }
 
 // ---------------------------------------------------------------------------

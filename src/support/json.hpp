@@ -21,6 +21,7 @@ namespace rca {
 ///   w.key("items"); w.begin_array(); w.number(1); w.end_array();
 ///   w.end_object();
 ///   std::string out = w.str();
+/// Keys and strings are escaped straight into the one output buffer.
 /// Structural errors (value without key inside an object, unbalanced
 /// begin/end) throw rca::Error.
 class JsonWriter {
@@ -30,8 +31,8 @@ class JsonWriter {
   void begin_array();
   void end_array();
   /// Object member key; must be followed by exactly one value.
-  void key(const std::string& k);
-  void string_value(const std::string& v);
+  void key(std::string_view k);
+  void string_value(std::string_view v);
   void number(double v);
   void integer(long long v);
   void boolean(bool v);
@@ -39,15 +40,22 @@ class JsonWriter {
   /// Splices a pre-serialized JSON document in value position (e.g. a
   /// diagnostics report embedded inside a service response). The caller is
   /// responsible for `json` being well-formed.
-  void raw_value(const std::string& json);
+  void raw_value(std::string_view json);
+  /// Reserves output capacity, so a caller splicing a large raw_value
+  /// grows the buffer once instead of copying it on every doubling.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
-  /// Final document; throws if containers are unbalanced.
-  std::string str() const;
+  /// Final document; throws if containers are unbalanced. The rvalue
+  /// overload (`std::move(w).str()`) moves the buffer out instead of
+  /// copying it.
+  std::string str() const&;
+  std::string str() &&;
 
-  static std::string escape(const std::string& raw);
+  static std::string escape(std::string_view raw);
 
  private:
   enum class Ctx { kArray, kObjectExpectKey, kObjectExpectValue };
+  void check_balanced() const;
   void before_value();
   void after_value();
 

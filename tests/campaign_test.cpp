@@ -236,11 +236,16 @@ TEST_F(CampaignTest, EightConcurrentCampaignsCompleteWithoutPinLeak) {
   EXPECT_EQ(manager.active(), 8u);
 
   // The ninth is rejected with the retriable-backpressure contract, both
-  // programmatically and over the route.
+  // programmatically and over the route. The route names the resident
+  // session, so it reaches admission at once; a scenario request would
+  // first build its corpus, and under a slow build (sanitizers) the eight
+  // could finish before the check.
   EXPECT_THROW(manager.start(chain_params(), session),
                service::HandlerError);
-  const Response rejected =
-      router.handle({"POST", "/v1/refine", "{\"scenario\":\"wsub\"}"});
+  const Response rejected = router.handle(
+      {"POST", "/v1/refine",
+       "{\"session\":\"" + key +
+           "\",\"bug\":[\"bug\"],\"targets\":[\"sink\"]}"});
   EXPECT_EQ(rejected.status, 429);
   EXPECT_NE(rejected.body.find("\"retriable\":true"), std::string::npos);
   EXPECT_GE(rejected.retry_after, 1);

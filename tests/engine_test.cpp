@@ -1,17 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <functional>
 #include <latch>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <thread>
 
 #include "engine/pipeline.hpp"
 #include "engine/refinement.hpp"
+#include "fault/fault.hpp"
 #include "lang/parser.hpp"
 #include "meta/builder.hpp"
 #include "meta/serialize.hpp"
@@ -834,6 +837,64 @@ TEST(RuntimeSamplerConcurrency, FirstCallsRecordEachTraceOnce) {
   EXPECT_TRUE(same_answer(
       answers[0], per_call_reference(pipe.metagraph(), pipe.control_model(),
                                      exp_model, configs, sites)));
+}
+
+// A recording that throws leaves no trace behind: every other caller,
+// waiting or later, records again. Four first calls race with an armed
+// engine.sample fault that fires once: exactly one call fails (on the
+// control recording), the other three record each trace once and agree
+// with the unfaulted answer.
+TEST(RuntimeSamplerConcurrency, ARecordingThatThrowsIsRetriedByTheNextCall) {
+  Pipeline& pipe = shared_pipeline();
+  const model::ScenarioSpec& s = *model::find_scenario("goffgratch");
+  const model::CesmModel& exp_model = pipe.bug_model(s.bug);
+  const SamplerConfigs configs = sampler_configs(pipe, s);
+  RuntimeSampler sampler(pipe.metagraph(), pipe.control_model(), exp_model,
+                         configs.control, configs.experiment);
+  std::vector<NodeId> sites = pipe.scenario_planted_nodes(s);
+  for (NodeId v = 0; v < 20; ++v) sites.push_back(v);
+
+  obs::global().set_enabled(true);
+  obs::global().reset();
+  fault::FaultRegistry::global().arm("engine.sample:1.0:throw:0:1");
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::optional<std::vector<Difference>>> answers(kThreads);
+  std::atomic<int> failures{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      try {
+        answers[t] = sampler.detect_with_magnitudes(sites);
+      } catch (const fault::FaultInjected&) {
+        ++failures;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::uint64_t fires =
+      fault::FaultRegistry::global().fires("engine.sample");
+  fault::FaultRegistry::global().disarm();
+  const std::uint64_t runs = obs::global().counter("model.runs");
+  obs::global().set_enabled(false);
+
+  EXPECT_EQ(fires, 1u);
+  EXPECT_EQ(failures.load(), 1);
+  EXPECT_EQ(runs, 2u);  // the failed recording ran no model
+  ASSERT_NE(sampler.control_trace(), nullptr);
+  const std::vector<Difference> reference = per_call_reference(
+      pipe.metagraph(), pipe.control_model(), exp_model, configs, sites);
+  ASSERT_FALSE(reference.empty());
+  std::size_t answered = 0;
+  for (const auto& answer : answers) {
+    if (!answer) continue;
+    ++answered;
+    EXPECT_TRUE(same_answer(*answer, reference));
+  }
+  EXPECT_EQ(answered, kThreads - 1);
+  // A later call reuses both traces.
+  EXPECT_TRUE(same_answer(sampler.detect_with_magnitudes(sites), reference));
 }
 
 TEST(PipelineIntegration, RuntimeScenariosShareOneControlRecording) {

@@ -9,7 +9,6 @@
 #include "graph/centrality.hpp"
 #include "graph/girvan_newman.hpp"
 #include "graph/louvain.hpp"
-#include "graph/bridges.hpp"
 #include "graph/scc.hpp"
 #include "support/rng.hpp"
 
@@ -174,28 +173,6 @@ TEST(Closeness, DisconnectedGraphStaysFinite) {
   }
 }
 
-
-TEST(Bridges, FindsTheCliqueBridge) {
-  Digraph g = two_cliques_with_bridge();
-  UGraph ug(g);
-  auto bridges = find_bridges(ug);
-  ASSERT_EQ(bridges.size(), 1u);
-  const auto& e = ug.edge(bridges[0]);
-  EXPECT_TRUE((e.u == 3 && e.v == 4) || (e.u == 4 && e.v == 3));
-}
-
-TEST(Bridges, TreeIsAllBridges) {
-  Digraph g(5, {{0, 1}, {0, 2}, {2, 3}, {2, 4}});
-  UGraph ug(g);
-  EXPECT_EQ(find_bridges(ug).size(), 4u);
-}
-
-TEST(Bridges, CycleHasNone) {
-  Digraph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  UGraph ug(g);
-  EXPECT_TRUE(find_bridges(ug).empty());
-}
-
 // UGraph assigns its own edge ids (by adjacency order, not digraph
 // insertion order), so tests locate edges by their endpoints.
 EdgeId edge_between(const UGraph& ug, NodeId u, NodeId v) {
@@ -267,14 +244,6 @@ TEST(GirvanNewmanStep, RepeatedStepsKeepPeelingDeterministically) {
   const std::size_t second = girvan_newman_step(ug);
   EXPECT_EQ(second, girvan_newman_step(replay));
   EXPECT_GE(second, 1u);
-}
-
-TEST(Bridges, RespectsRemovedEdges) {
-  // Removing one cycle edge turns the rest into bridges.
-  Digraph g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  UGraph ug(g);
-  ug.remove_edge(0);
-  EXPECT_EQ(find_bridges(ug).size(), 3u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -31,6 +32,7 @@
 #include "meta/serialize.hpp"
 #include "meta/snapshot_cache.hpp"
 #include "model/corpus.hpp"
+#include "service/router.hpp"
 #include "service/session_store.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -504,6 +506,7 @@ TEST(IncrementalPatch, OneByteDifferenceNeverSharesKey) {
 
 TEST(IncrementalLint, SeededLintMatchesFullRunByteForByte) {
   SessionStore store(SessionStoreOptions{});
+  service::Router router(&store, service::RouterOptions{});
   const SessionConfig config;
   SourceList truth = small_corpus(48);
   auto session = store.get_or_build(config, truth);
@@ -530,9 +533,67 @@ TEST(IncrementalLint, SeededLintMatchesFullRunByteForByte) {
     EXPECT_EQ(analysis::diagnostics_to_tsv(incremental.diagnostics),
               analysis::diagnostics_to_tsv(full.diagnostics))
         << "step " << step;
+    // The TSV omits file and end_line; the JSON report and the whole
+    // /v1/lint body (the session's cached report) carry every field.
+    EXPECT_EQ(analysis::diagnostics_to_json(incremental.diagnostics),
+              analysis::diagnostics_to_json(full.diagnostics))
+        << "step " << step;
     EXPECT_EQ(incremental.modules, full.modules);
     EXPECT_EQ(incremental.subprograms, full.subprograms);
+    service::Router fresh_router(&fresh, service::RouterOptions{});
+    const service::Request lint{"POST", "/v1/lint",
+                                "{\"session\": \"" + key + "\"}"};
+    const service::Response got = router.handle(lint);
+    const service::Response want = fresh_router.handle(lint);
+    EXPECT_EQ(got.status, 200) << "step " << step;
+    EXPECT_EQ(got.body, want.body) << "step " << step;
   }
+}
+
+TEST(IncrementalLint, ConcurrentFirstLintCallsOnAPatchedSessionAgree) {
+  SessionStore store(SessionStoreOptions{});
+  service::Router router(&store, service::RouterOptions{});
+  const SessionConfig config;
+  SourceList truth = small_corpus(51);
+  auto base = store.get_or_build(config, truth);
+  base->lint();  // the patch below carries this result by reference
+
+  SplitMix64 rng(777);
+  auto& [path, text] = truth[rng.next() % truth.size()];
+  text = edit_rewrite_in_place(text, &rng, 0);
+  SessionStore::PatchEdit edit;
+  edit.upserts.emplace_back(path, text);
+  auto r = store.patch(base->key(), edit);
+  ASSERT_FALSE(r.rolled_back);
+  ASSERT_FALSE(r.full_rewalk);
+  base.reset();
+
+  // Four first /v1/lint calls race on the patched session: its lint (merge
+  // with the carried diagnostics) and its report must be built once, and
+  // every caller must get the same bytes.
+  const service::Request lint{"POST", "/v1/lint",
+                              "{\"session\": \"" + r.session->key() + "\"}"};
+  constexpr std::size_t kThreads = 4;
+  std::vector<service::Response> answers(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      answers[t] = router.handle(lint);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(answers[0].status, 200);
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(answers[t].status, 200) << t;
+    EXPECT_EQ(answers[t].body, answers[0].body) << t;
+  }
+
+  SessionStore fresh(SessionStoreOptions{});
+  fresh.get_or_build(config, truth);
+  service::Router fresh_router(&fresh, service::RouterOptions{});
+  EXPECT_EQ(answers[0].body, fresh_router.handle(lint).body);
 }
 
 // ---------------------------------------------------------------------------

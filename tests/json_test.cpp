@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -101,6 +104,110 @@ TEST(Json, EmptyContainers) {
   w.end_object();
   w.end_object();
   EXPECT_EQ(w.str(), R"({"empty_list":[],"empty_obj":{}})");
+}
+
+// Byte pins for the writer's output: every control character, the escaped
+// characters in keys and values, the integer extremes, nested empty
+// containers, spliced raw values and the %.17g number format.
+TEST(JsonWriterBytes, EveryControlCharacterInKeyAndValue) {
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls.push_back(static_cast<char>(c));
+  const std::string escaped =
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f";
+  JsonWriter w;
+  w.begin_object();
+  w.key(controls);
+  w.string_value(controls + "\x7f");
+  w.end_object();
+  EXPECT_EQ(w.str(), "{\"" + escaped + "\":\"" + escaped + "\x7f\"}");
+  EXPECT_EQ(JsonWriter::escape(controls), escaped);
+}
+
+TEST(JsonWriterBytes, QuoteAndBackslashInKeys) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("a\"b\\c");
+  w.string_value("\"\\");
+  w.key("");
+  w.string_value("");
+  w.end_object();
+  EXPECT_EQ(w.str(), R"({"a\"b\\c":"\"\\","":""})");
+}
+
+TEST(JsonWriterBytes, IntegerExtremes) {
+  JsonWriter w;
+  w.begin_array();
+  w.integer(LLONG_MIN);
+  w.integer(LLONG_MAX);
+  w.integer(0);
+  w.integer(-1);
+  w.end_array();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808,9223372036854775807,0,-1]");
+}
+
+TEST(JsonWriterBytes, NestedEmptyContainers) {
+  JsonWriter w;
+  w.begin_array();
+  w.begin_array();
+  w.begin_object();
+  w.end_object();
+  w.begin_array();
+  w.end_array();
+  w.end_array();
+  w.begin_object();
+  w.key("o");
+  w.begin_object();
+  w.key("a");
+  w.begin_array();
+  w.end_array();
+  w.end_object();
+  w.end_object();
+  w.end_array();
+  EXPECT_EQ(w.str(), R"([[{},[]],{"o":{"a":[]}}])");
+}
+
+TEST(JsonWriterBytes, RawValueSplicedVerbatim) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("report");
+  w.raw_value(R"({"x": [1, 2]})");
+  w.key("n");
+  w.integer(1);
+  w.end_object();
+  w.begin_array();  // a second top-level value is comma-separated
+  w.raw_value("null");
+  w.raw_value("\"s\"");
+  w.end_array();
+  EXPECT_EQ(w.str(), R"({"report":{"x": [1, 2]},"n":1},[null,"s"])");
+}
+
+TEST(JsonWriterBytes, NumbersUsePercent17g) {
+  JsonWriter w;
+  w.begin_array();
+  w.number(0.1);
+  w.number(1e300);
+  w.number(-0.0);
+  w.number(std::nan(""));
+  w.number(0.5);
+  w.number(3.0);
+  w.end_array();
+  EXPECT_EQ(w.str(),
+            "[0.10000000000000001,1.0000000000000001e+300,-0,null,0.5,3]");
+}
+
+TEST(JsonWriterBytes, StrMovesTheDocumentOut) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("k");
+  w.string_value("v");
+  w.end_object();
+  const std::string copy = w.str();
+  EXPECT_EQ(std::move(w).str(), copy);
+  EXPECT_EQ(copy, R"({"k":"v"})");
 }
 
 // ---------------------------------------------------------------------------
