@@ -139,15 +139,15 @@ int usage() {
       "  --members N          ensemble members (default 30)\n"
       "\n"
       "refine options:\n"
-      "  --scenario NAME      planted scenario (see `score`); generates the\n"
-      "                       corpus and derives ground truth + criteria\n"
+      "  --scenario NAME      planted scenario (see `score`); runs ECT ->\n"
+      "                       selection -> slice -> refinement as `score`\n"
       "  --seed N             scenario corpus seed (default 2019)\n"
       "  --runtime            sample by real ensemble-vs-experiment runs\n"
       "  --src DIR            session campaign over an on-disk corpus\n"
       "  --bug NAME           ground-truth canonical name(s) (session mode)\n"
       "  --target/--output    slicing criteria (session mode)\n"
       "  --method gn|louvain  community detector (default gn)\n"
-      "  --top N              ranked sites reported (default 10)\n"
+      "  --top N              ranked sites reported (default 15)\n"
       "  --json FILE          also write the result document to FILE\n"
       "\n"
       "centrality options:\n"
@@ -938,7 +938,7 @@ JsonValue refine_body_from_args(const Args& args) {
   }
   if (args.has("drop-small")) add_int("drop_small", "drop-small", 0);
   add_int("seed", "seed", 2019);
-  add_int("top", "top", 10);
+  add_int("top", "top", 15);
   add_int("max_iterations", "max-iterations", 8);
   add_int("samples", "samples", 10);
   add_int("min_size", "min-size", 4);
@@ -971,9 +971,11 @@ int cmd_refine(const Args& args) {
   std::shared_ptr<const service::Session> session;
   campaign::CampaignParams params =
       campaign::parse_campaign_request(body, router, &session);
-  std::printf("refine: session %.12s.. (%zu nodes)\n",
-              session->key().c_str(), session->metagraph().node_count());
-  std::fflush(stdout);
+  if (session != nullptr) {
+    std::printf("refine: session %.12s.. (%zu nodes)\n",
+                session->key().c_str(), session->metagraph().node_count());
+    std::fflush(stdout);
+  }
   const std::string id = manager.start(std::move(params), std::move(session));
   const campaign::CampaignState state = manager.wait(id);
   const std::string result = manager.result_json(id);
@@ -1161,6 +1163,9 @@ int main(int argc, char** argv) {
     return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (const service::HandlerError& e) {  // a rejected `refine` request
+    std::fprintf(stderr, "error: %s\n", e.message.c_str());
     return 1;
   }
 }

@@ -1,12 +1,12 @@
 #include "analysis/fpsense.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_map>
 
 #include "analysis/summaries.hpp"
 #include "interp/intrinsics.hpp"
 #include "lang/printer.hpp"
+#include "support/json.hpp"
 
 namespace rca::analysis {
 
@@ -192,29 +192,25 @@ class FpScanner {
   std::string target_;
 };
 
-void json_escape(const std::string& s, std::string* out) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 const char* fp_site_kind_name(FpSite::Kind k) {
   return k == FpSite::Kind::kContraction ? "contraction" : "reassociation";
+}
+
+FpCallOracle summary_call_oracle(const ProgramSymbols::ModuleSyms* syms,
+                                 const ProgramSummaries* summaries) {
+  return [syms, summaries](const std::string& name, std::size_t nargs) {
+    if (syms == nullptr || summaries == nullptr) return false;
+    auto pit = syms->procs.find(name);
+    if (pit == syms->procs.end()) return false;
+    for (const ProcRef& c : pit->second) {
+      if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
+      const ProcSummary* ps = summaries->find(c.sp);
+      if (ps != nullptr && ps->returns_real) return true;
+    }
+    return false;
+  };
 }
 
 std::vector<FpSite> find_fp_sites(const Subprogram& sp,
@@ -222,59 +218,65 @@ std::vector<FpSite> find_fp_sites(const Subprogram& sp,
                                   const FpCallOracle& returns_real) {
   std::vector<FpSite> out;
   FpScanner(sp, syms, returns_real, &out);
-  std::sort(out.begin(), out.end(), [](const FpSite& a, const FpSite& b) {
-    if (a.expr->line != b.expr->line) return a.expr->line < b.expr->line;
-    if (a.expr->column != b.expr->column) return a.expr->column < b.expr->column;
-    return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-  });
+  std::stable_sort(
+      out.begin(), out.end(), [](const FpSite& a, const FpSite& b) {
+        if (a.expr->line != b.expr->line) return a.expr->line < b.expr->line;
+        if (a.expr->column != b.expr->column) {
+          return a.expr->column < b.expr->column;
+        }
+        return static_cast<int>(a.kind) < static_cast<int>(b.kind);
+      });
+  // A chain and its left sub-chain start at the same position, and in
+  // `a + b*c + d*e` both have the contraction shape: keep the outermost,
+  // scanned first, so each (position, kind, target) is reported once.
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const FpSite& a, const FpSite& b) {
+                          return a.expr->line == b.expr->line &&
+                                 a.expr->column == b.expr->column &&
+                                 a.kind == b.kind && a.target == b.target;
+                        }),
+            out.end());
   return out;
 }
 
 std::string fpsense_report_json(const std::vector<const Module*>& modules,
                                 const ProgramSymbols& symbols,
                                 const ProgramSummaries& summaries) {
-  std::string out = "{\"schema\":\"rca.fpsense.v1\",\"sites\":[";
-  bool first = true;
+  JsonWriter w;
+  w.begin_object();
+  w.key("schema");
+  w.string_value("rca.fpsense.v1");
+  w.key("sites");
+  w.begin_array();
   for (const Module* m : modules) {
     const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
-    FpCallOracle oracle = [&](const std::string& name, std::size_t nargs) {
-      if (syms == nullptr) return false;
-      auto pit = syms->procs.find(name);
-      if (pit == syms->procs.end()) return false;
-      for (const ProcRef& c : pit->second) {
-        if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
-        const ProcSummary* ps = summaries.find(c.sp);
-        if (ps != nullptr && ps->returns_real) return true;
-      }
-      return false;
-    };
+    const FpCallOracle oracle = summary_call_oracle(syms, &summaries);
     for (const Subprogram& sp : m->subprograms) {
       for (const FpSite& site : find_fp_sites(sp, syms, oracle)) {
-        if (!first) out += ',';
-        first = false;
-        out += "{\"module\":\"";
-        json_escape(m->name, &out);
-        out += "\",\"subprogram\":\"";
-        json_escape(sp.name, &out);
-        out += "\",\"line\":";
-        out += std::to_string(site.expr->line);
-        out += ",\"column\":";
-        out += std::to_string(site.expr->column);
-        out += ",\"kind\":\"";
-        out += fp_site_kind_name(site.kind);
-        out += "\",\"expr\":\"";
-        json_escape(lang::print_expr(*site.expr), &out);
-        out += '"';
+        w.begin_object();
+        w.key("module");
+        w.string_value(m->name);
+        w.key("subprogram");
+        w.string_value(sp.name);
+        w.key("line");
+        w.integer(site.expr->line);
+        w.key("column");
+        w.integer(site.expr->column);
+        w.key("kind");
+        w.string_value(fp_site_kind_name(site.kind));
+        w.key("expr");
+        w.string_value(lang::print_expr(*site.expr));
         if (!site.target.empty()) {
-          out += ",\"target\":\"";
-          json_escape(site.target, &out);
-          out += '"';
+          w.key("target");
+          w.string_value(site.target);
         }
-        out += '}';
+        w.end_object();
       }
     }
   }
-  out += "],\"fp_sensitive_procedures\":[";
+  w.end_array();
+  w.key("fp_sensitive_procedures");
+  w.begin_array();
   std::vector<const ProcSummary*> fp;
   for (const ProcSummary& p : summaries.procs) {
     if (p.fp_sensitive) fp.push_back(&p);
@@ -282,18 +284,17 @@ std::string fpsense_report_json(const std::vector<const Module*>& modules,
   std::sort(fp.begin(), fp.end(), [](const ProcSummary* a, const ProcSummary* b) {
     return a->module != b->module ? a->module < b->module : a->name < b->name;
   });
-  first = true;
   for (const ProcSummary* p : fp) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"module\":\"";
-    json_escape(p->module, &out);
-    out += "\",\"name\":\"";
-    json_escape(p->name, &out);
-    out += "\"}";
+    w.begin_object();
+    w.key("module");
+    w.string_value(p->module);
+    w.key("name");
+    w.string_value(p->name);
+    w.end_object();
   }
-  out += "]}\n";
-  return out;
+  w.end_array();
+  w.end_object();
+  return std::move(w).str() + "\n";
 }
 
 }  // namespace rca::analysis

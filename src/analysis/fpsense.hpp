@@ -45,7 +45,14 @@ const char* fp_site_kind_name(FpSite::Kind k);
 using FpCallOracle =
     std::function<bool(const std::string& name, std::size_t nargs)>;
 
-/// FP-sensitive sites of one subprogram, in statement walk order.
+/// The oracle the lint pass and the report share: `name(...)` resolves in
+/// `syms` to a user function whose summary in `summaries` returns real. A
+/// null `syms` or `summaries` answers false.
+FpCallOracle summary_call_oracle(const ProgramSymbols::ModuleSyms* syms,
+                                 const ProgramSummaries* summaries);
+
+/// FP-sensitive sites of one subprogram, by position then kind; one site
+/// per (position, kind, target).
 std::vector<FpSite> find_fp_sites(const lang::Subprogram& sp,
                                   const ProgramSymbols::ModuleSyms* syms,
                                   const FpCallOracle& returns_real);

@@ -781,17 +781,7 @@ void pass_fp_sensitivity(const ModuleAnalysis& ma, const ProgramSymbols& symbols
                          const PassContext& ctx,
                          std::vector<Diagnostic>* out) {
   const ProgramSymbols::ModuleSyms* syms = symbols.module(ma.module->name);
-  FpCallOracle oracle = [&](const std::string& name, std::size_t nargs) {
-    if (syms == nullptr || ctx.summaries == nullptr) return false;
-    auto pit = syms->procs.find(name);
-    if (pit == syms->procs.end()) return false;
-    for (const ProcRef& c : pit->second) {
-      if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
-      const ProcSummary* ps = ctx.summaries->find(c.sp);
-      if (ps != nullptr && ps->returns_real) return true;
-    }
-    return false;
-  };
+  const FpCallOracle oracle = summary_call_oracle(syms, ctx.summaries);
   for (std::size_t s = 0; s < ma.subs.size(); ++s) {
     const Subprogram& sp = ma.module->subprograms[s];
     for (const FpSite& site : find_fp_sites(sp, syms, oracle)) {

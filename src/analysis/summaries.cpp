@@ -1,7 +1,6 @@
 #include "analysis/summaries.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 
 #include "analysis/fpsense.hpp"
@@ -9,6 +8,7 @@
 #include "interp/intrinsics.hpp"
 #include "lang/printer.hpp"
 #include "support/hash.hpp"
+#include "support/json.hpp"
 
 namespace rca::analysis {
 
@@ -643,34 +643,20 @@ CallEffectFn make_call_effects(const ProgramSymbols& symbols,
 
 namespace {
 
-void json_escape(const std::string& s, std::string* out) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
+void write_string_array(JsonWriter& w, const std::vector<std::string>& v) {
+  w.begin_array();
+  for (const std::string& item : v) w.string_value(item);
+  w.end_array();
 }
 
-void append_string_array(const std::vector<std::string>& v, std::string* out) {
-  *out += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) *out += ',';
-    *out += '"';
-    json_escape(v[i], out);
-    *out += '"';
+const char* intent_name(Intent intent) {
+  switch (intent) {
+    case Intent::kIn: return "in";
+    case Intent::kOut: return "out";
+    case Intent::kInOut: return "inout";
+    case Intent::kNone: return "none";
   }
-  *out += ']';
+  return "none";
 }
 
 }  // namespace
@@ -688,61 +674,61 @@ std::string summaries_to_json(const ProgramSummaries& s) {
     return s.cg.nodes[a].sp->line < s.cg.nodes[b].sp->line;
   });
 
-  std::string out = "{\"schema\":\"rca.summaries.v1\",\"procedures\":[";
-  bool first = true;
+  JsonWriter w;
+  w.begin_object();
+  w.key("schema");
+  w.string_value("rca.summaries.v1");
+  w.key("procedures");
+  w.begin_array();
   for (std::size_t i : order) {
     const ProcSummary& p = s.procs[i];
-    if (!first) out += ',';
-    first = false;
-    out += "{\"module\":\"";
-    json_escape(p.module, &out);
-    out += "\",\"name\":\"";
-    json_escape(p.name, &out);
-    out += "\",\"kind\":\"";
-    out += p.is_function ? "function" : "subroutine";
-    out += "\",\"pure\":";
-    out += p.pure ? "true" : "false";
-    out += ",\"recursive\":";
-    out += p.recursive ? "true" : "false";
-    out += ",\"calls_unknown\":";
-    out += p.calls_unknown ? "true" : "false";
-    out += ",\"fp_sensitive\":";
-    out += p.fp_sensitive ? "true" : "false";
+    w.begin_object();
+    w.key("module");
+    w.string_value(p.module);
+    w.key("name");
+    w.string_value(p.name);
+    w.key("kind");
+    w.string_value(p.is_function ? "function" : "subroutine");
+    w.key("pure");
+    w.boolean(p.pure);
+    w.key("recursive");
+    w.boolean(p.recursive);
+    w.key("calls_unknown");
+    w.boolean(p.calls_unknown);
+    w.key("fp_sensitive");
+    w.boolean(p.fp_sensitive);
     if (p.is_function) {
-      out += ",\"returns_real\":";
-      out += p.returns_real ? "true" : "false";
+      w.key("returns_real");
+      w.boolean(p.returns_real);
     }
-    out += ",\"dummies\":[";
-    for (std::size_t d = 0; d < p.dummies.size(); ++d) {
-      const DummySummary& ds = p.dummies[d];
-      if (d > 0) out += ',';
-      out += "{\"name\":\"";
-      json_escape(ds.name, &out);
-      out += "\",\"intent\":\"";
-      switch (ds.intent) {
-        case Intent::kIn: out += "in"; break;
-        case Intent::kOut: out += "out"; break;
-        case Intent::kInOut: out += "inout"; break;
-        case Intent::kNone: out += "none"; break;
-      }
-      out += "\",\"may_read_incoming\":";
-      out += ds.may_read_incoming ? "true" : "false";
-      out += ",\"observes_incoming\":";
-      out += ds.observes_incoming ? "true" : "false";
-      out += ",\"may_write\":";
-      out += ds.may_write ? "true" : "false";
-      out += ",\"definitely_writes\":";
-      out += ds.definitely_writes ? "true" : "false";
-      out += '}';
+    w.key("dummies");
+    w.begin_array();
+    for (const DummySummary& ds : p.dummies) {
+      w.begin_object();
+      w.key("name");
+      w.string_value(ds.name);
+      w.key("intent");
+      w.string_value(intent_name(ds.intent));
+      w.key("may_read_incoming");
+      w.boolean(ds.may_read_incoming);
+      w.key("observes_incoming");
+      w.boolean(ds.observes_incoming);
+      w.key("may_write");
+      w.boolean(ds.may_write);
+      w.key("definitely_writes");
+      w.boolean(ds.definitely_writes);
+      w.end_object();
     }
-    out += "],\"globals_read\":";
-    append_string_array(p.globals_read, &out);
-    out += ",\"globals_written\":";
-    append_string_array(p.globals_written, &out);
-    out += '}';
+    w.end_array();
+    w.key("globals_read");
+    write_string_array(w, p.globals_read);
+    w.key("globals_written");
+    write_string_array(w, p.globals_written);
+    w.end_object();
   }
-  out += "]}\n";
-  return out;
+  w.end_array();
+  w.end_object();
+  return std::move(w).str() + "\n";
 }
 
 }  // namespace rca::analysis

@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <condition_variable>
 #include <utility>
 
@@ -12,6 +13,7 @@
 #include "slice/slicer.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace rca::campaign {
 
@@ -61,17 +63,20 @@ void push_unique(std::vector<std::string>* names, const std::string& name) {
 }
 
 /// Eigenvector in-centrality ranking of the final subgraph, flagged against
-/// the planted ground truth — the campaign's actual answer.
+/// the planted ground truth — the campaign's actual answer. Sets `*rank` to
+/// the scorer's refined rank (campaign::score_outcome): the best planted
+/// position over the whole final set, SIZE_MAX when none is ranked.
 std::vector<RankedSite> rank_final_nodes(const meta::Metagraph& mg,
                                          const std::vector<NodeId>& final_nodes,
                                          const std::vector<NodeId>& planted,
-                                         std::size_t top) {
+                                         std::size_t top, std::size_t* rank) {
   std::vector<double> scores;
-  const std::vector<NodeId> top_nodes =
-      graph::rank_by_in_centrality(mg.graph(), final_nodes, top, &scores);
+  const std::vector<NodeId> order = graph::rank_by_in_centrality(
+      mg.graph(), final_nodes, final_nodes.size(), &scores);
+  *rank = model::best_rank(order, planted);
   std::vector<RankedSite> ranked;
-  for (std::size_t r = 0; r < top_nodes.size(); ++r) {
-    const NodeId global = top_nodes[r];
+  for (std::size_t r = 0; r < order.size() && r < top; ++r) {
+    const NodeId global = order[r];
     const meta::NodeInfo& info = mg.info(global);
     RankedSite site;
     site.unique_name = info.unique_name;
@@ -82,14 +87,6 @@ std::vector<RankedSite> rank_final_nodes(const meta::Metagraph& mg,
     ranked.push_back(std::move(site));
   }
   return ranked;
-}
-
-bool snapshots_equal(const IterationSnapshot& a, const IterationSnapshot& b) {
-  return a.iteration == b.iteration && a.nodes == b.nodes &&
-         a.edges == b.edges && a.communities == b.communities &&
-         a.sampled_sites == b.sampled_sites &&
-         a.differing_sites == b.differing_sites && a.detected == b.detected &&
-         a.applied_8a == b.applied_8a && a.stall_broken == b.stall_broken;
 }
 
 std::string require_campaign_id(const JsonValue& body) {
@@ -105,7 +102,7 @@ std::string require_campaign_id(const JsonValue& body) {
 struct CampaignManager::Campaign {
   std::string id;
   CampaignParams params;
-  std::shared_ptr<const service::Session> session;
+  std::shared_ptr<const service::Session> session;  // null = scenario
   const model::ScenarioSpec* scenario = nullptr;  // null = session campaign
   std::atomic<bool> cancel{false};
   /// Crash durability: true when this campaign has a journal on disk.
@@ -115,9 +112,10 @@ struct CampaignManager::Campaign {
   /// against these instead of re-appended.
   std::vector<IterationSnapshot> expected;
 
-  // Pin bookkeeping: held from admission until the run exits (any path), so
-  // the LRU can never evict the session mid-refinement. The destructor is
-  // the backstop for campaigns torn down before their worker ran.
+  // Pin bookkeeping (session campaigns): held from admission until the run
+  // exits (any path), so the LRU can never evict the session mid-refinement.
+  // The destructor is the backstop for campaigns torn down before their
+  // worker ran.
   service::SessionStore* store = nullptr;
   std::atomic<bool> pin_held{false};
   void release_pin() {
@@ -141,6 +139,7 @@ struct CampaignManager::Campaign {
   std::size_t bug_instrumented_at = 0;
   std::size_t first_detection_at = 0;
   std::vector<RankedSite> ranked;
+  std::size_t refined_rank = SIZE_MAX;
   bool hit = false;
 };
 
@@ -186,21 +185,14 @@ std::string CampaignManager::admit(
     CampaignParams params, std::shared_ptr<const service::Session> session,
     const std::string& forced_id, std::vector<IterationSnapshot> expected,
     bool bypass_capacity) {
-  RCA_CHECK_MSG(session != nullptr, "campaign needs a session");
+  RCA_CHECK_MSG((session != nullptr) == params.scenario.empty(),
+                "a session campaign needs a session, a scenario campaign none");
   std::shared_ptr<Campaign> c;
   {
     std::lock_guard<std::mutex> lock(mu_);
     prune_finished_locked();
     if (!bypass_capacity) {
-      std::size_t active = 0;
-      for (auto& [id, existing] : campaigns_) {
-        std::lock_guard<std::mutex> clock(existing->mu);
-        if (existing->state == CampaignState::kPending ||
-            existing->state == CampaignState::kRunning) {
-          ++active;
-        }
-      }
-      if (active >= opts_.max_running) {
+      if (active_locked() >= opts_.max_running) {
         obs::count("campaign.rejected");
         throw HandlerError{429, "over_capacity",
                            "campaign capacity (" +
@@ -216,17 +208,11 @@ std::string CampaignManager::admit(
       // Journal resume: keep the transport-visible id, and make sure fresh
       // campaigns can never collide with a resumed one.
       c->id = forced_id;
-      if (forced_id.size() > 1 && forced_id[0] == 'c') {
-        std::uint64_t n = 0;
-        bool numeric = true;
-        for (std::size_t i = 1; i < forced_id.size(); ++i) {
-          if (forced_id[i] < '0' || forced_id[i] > '9') {
-            numeric = false;
-            break;
-          }
-          n = n * 10 + static_cast<std::uint64_t>(forced_id[i] - '0');
-        }
-        if (numeric) next_id_ = std::max(next_id_, n);
+      const char* end = forced_id.data() + forced_id.size();
+      std::uint64_t n = 0;
+      if (forced_id.size() > 1 && forced_id[0] == 'c' &&
+          std::from_chars(forced_id.data() + 1, end, n).ptr == end) {
+        next_id_ = std::max(next_id_, n);
       }
       RCA_CHECK_MSG(campaigns_.find(c->id) == campaigns_.end(),
                     "duplicate campaign id on resume");
@@ -239,8 +225,10 @@ std::string CampaignManager::admit(
       RCA_CHECK_MSG(c->scenario != nullptr, "scenario vanished after parse");
     }
     c->store = store_;
-    store_->pin(c->session->key());
-    c->pin_held.store(true);
+    if (c->session != nullptr) {
+      store_->pin(c->session->key());
+      c->pin_held.store(true);
+    }
     campaigns_[c->id] = c;
     order_.push_back(c->id);
   }
@@ -252,9 +240,9 @@ std::string CampaignManager::admit(
   if (!opts_.journal_dir.empty() && !c->params.start_body.empty()) {
     if (forced_id.empty()) {
       try {
-        CampaignJournal::write_start(opts_.journal_dir, c->id,
-                                     c->params.start_body,
-                                     c->session->key());
+        CampaignJournal::write_start(
+            opts_.journal_dir, c->id, c->params.start_body,
+            c->session != nullptr ? c->session->key() : std::string());
         c->journaled = true;
       } catch (const std::exception&) {
         obs::count("campaign.journal.errors");
@@ -316,6 +304,20 @@ void CampaignManager::prune_finished_locked() {
   }
 }
 
+std::shared_ptr<engine::Pipeline> CampaignManager::pipeline_for(
+    std::uint64_t seed) {
+  std::lock_guard<std::mutex> lock(pipeline_mu_);
+  if (pipeline_ == nullptr || pipeline_seed_ != seed) {
+    pipeline_ = nullptr;  // running campaigns keep their own reference
+    engine::PipelineConfig config;
+    config.corpus.seed = seed;
+    config.threads = opts_.engine_threads;
+    pipeline_ = std::make_shared<engine::Pipeline>(std::move(config));
+    pipeline_seed_ = seed;
+  }
+  return pipeline_;
+}
+
 void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
   {
     std::lock_guard<std::mutex> lock(c->mu);
@@ -327,51 +329,51 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
   span.attr("runtime_sampling", c->params.runtime_sampling);
   CampaignState terminal = CampaignState::kFailed;
   try {
-    const meta::Metagraph& mg = c->session->metagraph();
-
-    // Ground truth: the scenario's planted nodes, or the request's named
-    // bug variables resolved by canonical name.
+    // Scenario campaigns run the engine's own stages on the shared Pipeline:
+    // UF-ECT and lasso choose the criteria, and the planted sites are the
+    // ground truth. Session campaigns slice the session's graph on the
+    // request's criteria and resolve its named ground truth.
+    std::shared_ptr<engine::Pipeline> pipeline;
+    const meta::Metagraph* mg = nullptr;
     std::vector<NodeId> planted;
+    std::vector<std::string> targets;
     if (c->scenario != nullptr) {
-      planted =
-          model::scenario_planted_nodes(*c->scenario, mg, c->session->modules());
+      pipeline = pipeline_for(c->params.seed);
+      mg = &pipeline->metagraph();
+      engine::ExperimentOutcome criteria = pipeline->criteria(*c->scenario);
+      planted = std::move(criteria.bug_nodes);
+      targets = std::move(criteria.internal_names);
     } else {
+      mg = &c->session->metagraph();
       for (const std::string& name : c->params.bug_names) {
-        for (NodeId v : mg.by_canonical(name)) planted.push_back(v);
+        for (NodeId v : mg->by_canonical(name)) planted.push_back(v);
       }
       std::sort(planted.begin(), planted.end());
       planted.erase(std::unique(planted.begin(), planted.end()),
                     planted.end());
+      targets = c->params.targets;
     }
     RCA_CHECK_MSG(!planted.empty(),
                   "no ground-truth nodes resolved for this campaign");
-
-    // Criteria: explicit targets, or the outputs the planted cause can
-    // actually reach (scenario default).
-    std::vector<std::string> targets = c->params.targets;
-    if (targets.empty()) {
-      for (const std::string& label : model::affected_outputs(mg, planted)) {
-        for (const std::string& name :
-             slice::internal_names_for_output(mg, label)) {
-          push_unique(&targets, name);
-        }
-      }
-    }
-    RCA_CHECK_MSG(!targets.empty(), "no slicing criteria resolved");
     {
       std::lock_guard<std::mutex> lock(c->mu);
       c->targets = targets;
       c->planted_count = planted.size();
     }
 
-    slice::SliceOptions sopts;
-    if (c->params.cam_only) {
-      sopts.module_filter = [](const std::string& m) {
-        return model::is_cam_module(m);
-      };
+    slice::SliceResult sl;
+    if (pipeline != nullptr) {
+      sl = pipeline->slice(targets);
+    } else {
+      slice::SliceOptions sopts;
+      if (c->params.cam_only) {
+        sopts.module_filter = [](const std::string& m) {
+          return model::is_cam_module(m);
+        };
+      }
+      sopts.drop_components_smaller_than = c->params.drop_small;
+      sl = slice::backward_slice(*mg, targets, sopts);
     }
-    sopts.drop_components_smaller_than = c->params.drop_small;
-    const slice::SliceResult sl = slice::backward_slice(mg, targets, sopts);
     RCA_CHECK_MSG(!sl.nodes.empty(), "empty slice for the campaign criteria");
     {
       std::lock_guard<std::mutex> lock(c->mu);
@@ -379,29 +381,11 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
       c->slice_edges = sl.subgraph.edge_count();
     }
 
-    // Sampler: scenario campaigns may sample by actually running the model
-    // (one accepted member vs. the scenario's perturbed configuration);
-    // everything else deduces differences from planted-node reachability.
-    std::unique_ptr<model::CesmModel> control;
-    std::unique_ptr<model::CesmModel> experiment;
-    std::unique_ptr<engine::Sampler> inner;
-    if (c->params.runtime_sampling && c->scenario != nullptr) {
-      model::CorpusSpec corpus;
-      corpus.seed = c->params.seed;
-      control =
-          std::make_unique<model::CesmModel>(corpus, engine_pool_.get());
-      experiment = std::make_unique<model::CesmModel>(
-          model::scenario_corpus_spec(*c->scenario, corpus),
-          engine_pool_.get());
-      model::RunConfig control_config;
-      control_config.member_seed = 31;  // one accepted member
-      const model::RunConfig experiment_config =
-          model::scenario_run_config(*c->scenario, control_config);
-      inner = std::make_unique<engine::RuntimeSampler>(
-          mg, *control, *experiment, control_config, experiment_config);
-    } else {
-      inner = std::make_unique<engine::SimulatedSampler>(mg, planted);
-    }
+    const std::unique_ptr<engine::Sampler> inner =
+        pipeline != nullptr
+            ? pipeline->sampler_for(*c->scenario, planted,
+                                    c->params.runtime_sampling)
+            : std::make_unique<engine::SimulatedSampler>(*mg, planted);
     FaultableSampler sampler(inner.get());
 
     engine::RefinementOptions ropts = c->params.refinement;
@@ -431,7 +415,7 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
             // Resume replay: this iteration is already on disk — verify the
             // deterministic re-execution reproduced it instead of
             // re-appending.
-            obs::count(snapshots_equal(c->expected[snap.iteration - 1], snap)
+            obs::count(c->expected[snap.iteration - 1] == snap
                            ? "campaign.checkpoint.replayed"
                            : "campaign.checkpoint.mismatch");
           } else {
@@ -449,14 +433,13 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
       return !c->cancel.load(std::memory_order_relaxed);
     };
 
-    engine::RefinementEngine eng(mg, sampler, ropts);
+    engine::RefinementEngine eng(*mg, sampler, ropts);
     const engine::RefinementResult res =
         eng.run(sl.nodes, planted, sl.targets);
 
-    std::vector<RankedSite> ranked =
-        rank_final_nodes(mg, res.final_nodes, planted, c->params.top);
-    bool hit = false;
-    for (const RankedSite& site : ranked) hit = hit || site.planted;
+    std::size_t refined_rank = SIZE_MAX;
+    std::vector<RankedSite> ranked = rank_final_nodes(
+        *mg, res.final_nodes, planted, c->params.top, &refined_rank);
 
     {
       std::lock_guard<std::mutex> lock(c->mu);
@@ -466,7 +449,8 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
       c->bug_instrumented_at = res.bug_instrumented_at;
       c->first_detection_at = res.first_detection_at;
       c->ranked = std::move(ranked);
-      c->hit = hit;
+      c->refined_rank = refined_rank;
+      c->hit = refined_rank < c->params.top;
     }
     terminal = res.cancelled ? CampaignState::kCancelled : CampaignState::kDone;
     span.attr("iterations", res.iterations.size());
@@ -497,12 +481,8 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
 void CampaignManager::write_progress(JsonWriter& w, const Campaign& c) const {
   // Caller holds c.mu. Deliberately no campaign id and no timestamps: the
   // document must be byte-identical across runs with identical seeds.
-  if (!c.params.scenario.empty()) {
-    w.key("scenario");
-    w.string_value(c.params.scenario);
-  }
-  w.key("session");
-  w.string_value(c.session->key());
+  w.key(c.scenario != nullptr ? "scenario" : "session");
+  w.string_value(c.scenario != nullptr ? c.params.scenario : c.session->key());
   w.key("state");
   w.string_value(campaign_state_name(c.state));
   w.key("targets");
@@ -602,6 +582,12 @@ std::string CampaignManager::result_json(const std::string& id) const {
       w.end_object();
     }
     w.end_array();
+    if (c->scenario != nullptr) {
+      w.key("refined_rank");
+      w.integer(c->refined_rank == SIZE_MAX
+                    ? -1
+                    : static_cast<long long>(c->refined_rank));
+    }
     w.key("hit");
     w.boolean(c->hit);
   }
@@ -635,6 +621,10 @@ CampaignState CampaignManager::wait(const std::string& id) {
 
 std::size_t CampaignManager::active() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return active_locked();
+}
+
+std::size_t CampaignManager::active_locked() const {
   std::size_t n = 0;
   for (const auto& [id, c] : campaigns_) {
     std::lock_guard<std::mutex> clock(c->mu);
@@ -653,36 +643,26 @@ CampaignParams parse_campaign_request(
   p.scenario = body.get_string("scenario");
   p.seed = static_cast<std::uint64_t>(body.get_int("seed", 2019));
   p.runtime_sampling = body.get_bool("runtime", false);
-  p.top = static_cast<std::size_t>(body.get_int("top", 10));
+  p.top = static_cast<std::size_t>(body.get_int("top", 15));
 
   std::shared_ptr<const service::Session> session;
   if (!p.scenario.empty()) {
     if (model::find_scenario(p.scenario) == nullptr) {
-      std::string names;
-      for (const std::string& n : model::scenario_names()) {
-        if (!names.empty()) names += ", ";
-        names += n;
-      }
       throw HandlerError{404, "scenario_not_found",
                          "unknown scenario \"" + p.scenario + "\" (have: " +
-                             names + ")"};
+                             join(model::scenario_names(), ", ") + ")"};
     }
-    // The scenario's control corpus becomes an ordinary store session:
-    // content-keyed, single-flight, LRU-managed and pinned for the
-    // campaign's duration like any client-built graph.
-    model::CorpusSpec corpus;
-    corpus.seed = p.seed;
-    model::GeneratedCorpus gen = model::generate_corpus(corpus);
-    service::SessionConfig config;
-    config.build_list = gen.compiled_modules;
-    service::SourceList sources;
-    sources.reserve(gen.files.size());
-    for (model::GeneratedFile& f : gen.files) {
-      sources.emplace_back(std::move(f.path), std::move(f.text));
+    // The engine's stages choose a scenario's criteria (UF-ECT + lasso) and
+    // its ground truth, and slice as the scoreboard does.
+    for (const char* field :
+         {"targets", "outputs", "bug", "cam_only", "drop_small"}) {
+      if (body.get(field) != nullptr) {
+        throw HandlerError{400, "bad_request",
+                           std::string("\"") + field +
+                               "\" is for session campaigns; a scenario's "
+                               "criteria come from its UF-ECT and lasso"};
+      }
     }
-    session = router.store().get_or_build(config, std::move(sources));
-    p.cam_only = body.get_bool("cam_only", true);
-    p.drop_small = static_cast<std::size_t>(body.get_int("drop_small", 4));
   } else {
     if (p.runtime_sampling) {
       throw HandlerError{400, "bad_request",
@@ -698,17 +678,16 @@ CampaignParams parse_campaign_request(
     }
     p.cam_only = body.get_bool("cam_only", false);
     p.drop_small = static_cast<std::size_t>(body.get_int("drop_small", 0));
-  }
-
-  p.targets = body.get_string_array("targets");
-  for (const std::string& label : body.get_string_array("outputs")) {
-    for (const std::string& name :
-         slice::internal_names_for_output(session->metagraph(), label)) {
-      push_unique(&p.targets, name);
+    p.targets = body.get_string_array("targets");
+    for (const std::string& label : body.get_string_array("outputs")) {
+      for (const std::string& name :
+           slice::internal_names_for_output(session->metagraph(), label)) {
+        push_unique(&p.targets, name);
+      }
     }
-  }
-  if (p.targets.empty() && p.scenario.empty()) {
-    throw HandlerError{400, "bad_request", "need \"targets\" or \"outputs\""};
+    if (p.targets.empty()) {
+      throw HandlerError{400, "bad_request", "need \"targets\" or \"outputs\""};
+    }
   }
 
   engine::RefinementOptions& r = p.refinement;
@@ -746,19 +725,17 @@ void CampaignManager::install_routes(service::Router& router) {
         // The verbatim body is the campaign's durable identity: everything
         // a respawned worker needs to re-execute the run is in it.
         params.start_body = to_json(body);
-        const std::string scenario = params.scenario;
-        const std::string session_key = session->key();
+        // A scenario campaign is named by its scenario, a session campaign
+        // by its session key.
+        const bool scenario = session == nullptr;
+        const std::string subject = scenario ? params.scenario : session->key();
         const std::string id = start(std::move(params), std::move(session));
         JsonWriter w;
         w.begin_object();
         w.key("campaign");
         w.string_value(id);
-        w.key("session");
-        w.string_value(session_key);
-        if (!scenario.empty()) {
-          w.key("scenario");
-          w.string_value(scenario);
-        }
+        w.key(scenario ? "scenario" : "session");
+        w.string_value(subject);
         w.key("state");
         w.string_value(campaign_state_name(state(id)));
         w.end_object();

@@ -1,27 +1,25 @@
 // Refinement campaigns as a service.
 //
-// A *campaign* is a long-lived, server-side run of Algorithm 5.4: it owns a
-// pinned session (the LRU must not evict a graph mid-refinement), slices the
-// session's metagraph on the requested criteria, then iterates 8a/8b
-// re-induction on a dedicated engine thread pool, recording per-iteration
-// progress (subgraph size, communities, sampled sites, differences,
-// stall-breaking events). Campaigns are asynchronous: POST /v1/refine starts
-// one and returns immediately; GET /v1/refine/status streams progress while
-// it runs; GET /v1/refine/result answers the finished document; POST
-// /v1/refine/cancel requests a cooperative stop at the next iteration
-// boundary.
+// A *campaign* is a long-lived, server-side run of Algorithm 5.4: it slices
+// a metagraph on its criteria, then iterates 8a/8b re-induction on a
+// dedicated engine thread pool, recording per-iteration progress (subgraph
+// size, communities, sampled sites, differences, stall-breaking events).
+// Campaigns are asynchronous: POST /v1/refine starts one and returns
+// immediately; GET /v1/refine/status streams progress while it runs; GET
+// /v1/refine/result answers the finished document; POST /v1/refine/cancel
+// requests a cooperative stop at the next iteration boundary.
 //
-// Two flavours:
+// Two flavours, one RefinementEngine call:
 //   * session campaigns — the request names a resident session (or "src")
-//     plus slicing criteria and ground-truth "bug" names for the simulated
-//     sampler;
+//     plus slicing criteria ("targets"/"outputs") and ground-truth "bug"
+//     names for the simulated sampler. The session is pinned for the run
+//     (the LRU must not evict a graph mid-refinement);
 //   * scenario campaigns — the request names a planted root-cause scenario
-//     from model/scenario.hpp: the control corpus is generated, built into a
-//     session through the ordinary store (content-keyed, so it participates
-//     in LRU/pinning like any other), and the scenario supplies the planted
-//     ground truth and default criteria. "runtime": true samples by actually
-//     executing ensemble-vs-experiment model runs through the interpreter
-//     (RuntimeSampler) instead of reachability simulation.
+//     (model/scenario.hpp); engine::Pipeline's own stages choose its
+//     criteria by UF-ECT and lasso, slice and sample (criteria, slice,
+//     sampler_for) on a Pipeline shared per corpus seed, so the campaign
+//     reports its `rca-tool score` row. "runtime": true samples with real
+//     model runs (RuntimeSampler) instead of reachability simulation.
 //
 // Progress and result documents use the `rca.campaign.v1` schema. They
 // deliberately contain no campaign id and no timestamps: identical seeds
@@ -32,7 +30,7 @@
 // counters, campaign.iterations, a campaign.run span per campaign, and the
 // campaign.step / campaign.sample fault sites (a fault mid-campaign fails
 // that campaign cleanly — state "failed", session unpinned — and never
-// wedges the store).
+// wedges the store or the shared Pipeline).
 #pragma once
 
 #include <atomic>
@@ -44,7 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/refinement.hpp"
+#include "engine/pipeline.hpp"
 #include "model/scenario.hpp"
 #include "service/router.hpp"
 #include "service/session_store.hpp"
@@ -67,6 +65,8 @@ struct IterationSnapshot {
   bool detected = false;
   bool applied_8a = false;
   bool stall_broken = false;
+
+  bool operator==(const IterationSnapshot&) const = default;
 };
 
 /// Final ranked site (eigenvector in-centrality over the final subgraph).
@@ -80,14 +80,17 @@ struct RankedSite {
 /// Everything one campaign was asked to do (parsed out of the start body).
 struct CampaignParams {
   std::string scenario;  // empty = session campaign
-  std::uint64_t seed = 2019;
-  bool runtime_sampling = false;
+  std::uint64_t seed = 2019;  // scenario campaigns: corpus seed
+  bool runtime_sampling = false;  // scenario campaigns only
+  // Session campaigns only: criteria, ground truth and slice options.
   std::vector<std::string> targets;  // canonical internal names
-  std::vector<std::string> bug_names;  // session campaigns: ground truth
+  std::vector<std::string> bug_names;
   bool cam_only = false;
   std::size_t drop_small = 0;
   engine::RefinementOptions refinement;
-  std::size_t top = 10;  // ranked sites reported
+  /// Ranked sites reported; a planted site ranked inside it is a hit (the
+  /// scoreboard's top-m).
+  std::size_t top = 15;
   /// Verbatim /v1/refine request JSON. When non-empty and the manager has a
   /// journal_dir, the campaign is journaled for crash resume: the body is
   /// everything needed to deterministically re-execute the run.
@@ -119,7 +122,8 @@ class CampaignManager {
   void install_routes(service::Router& router);
 
   /// Starts a campaign from parsed parameters and an already-resolved
-  /// session; returns the campaign id ("c1", "c2", ...). Throws
+  /// session (null for a scenario campaign); returns the campaign id ("c1",
+  /// "c2", ...). Throws
   /// service::HandlerError (429, retriable) when max_running campaigns are
   /// already active. Programmatic entry for tests and the CLI.
   std::string start(CampaignParams params,
@@ -173,7 +177,12 @@ class CampaignManager {
                     std::vector<IterationSnapshot> expected,
                     bool bypass_capacity);
   void run(const std::shared_ptr<Campaign>& c);
+  /// The shared Pipeline for `seed`: the one kept for the most recent seed,
+  /// or a new one built while holding pipeline_mu_ (single-flight).
+  std::shared_ptr<engine::Pipeline> pipeline_for(std::uint64_t seed);
   void write_progress(JsonWriter& w, const Campaign& c) const;
+  /// Campaigns pending or running (mu_ held).
+  std::size_t active_locked() const;
   /// Drops the oldest finished campaigns beyond kMaxRetained (mu_ held).
   void prune_finished_locked();
 
@@ -186,6 +195,10 @@ class CampaignManager {
   /// parallel_for of its own pool would deadlock.
   std::unique_ptr<ThreadPool> engine_pool_;
 
+  std::mutex pipeline_mu_;  // guards pipeline_ and pipeline_seed_
+  std::shared_ptr<engine::Pipeline> pipeline_;
+  std::uint64_t pipeline_seed_ = 0;
+
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Campaign>> campaigns_;
   std::vector<std::string> order_;  // insertion order, for pruning
@@ -193,10 +206,9 @@ class CampaignManager {
 };
 
 /// Parses a /v1/refine request body into params + a resolved session.
-/// Scenario campaigns generate their corpus and build the session through
-/// `store` (get_or_build: content-keyed, single-flight, LRU-managed);
-/// session campaigns resolve through `router.resolve_session`. Throws
-/// service::HandlerError on bad input.
+/// Session campaigns resolve through `router.resolve_session`; scenario
+/// campaigns have no session (`*session_out` stays null) and reject the
+/// session-only fields. Throws service::HandlerError on bad input.
 CampaignParams parse_campaign_request(
     const JsonValue& body, service::Router& router,
     std::shared_ptr<const service::Session>* session_out);

@@ -4,10 +4,10 @@
 // manager records each campaign under `<journal_dir>/<id>.journal` as JSON
 // lines — one `start` record carrying the verbatim /v1/refine request body
 // (everything that determines the run, seed included) plus the resolved
-// session key, then one `iteration` record per committed IterationSnapshot.
-// The journal is deleted the moment the campaign reaches a terminal state,
-// so the set of `*.journal` files on disk IS the set of campaigns a
-// respawned worker must resume.
+// session key (session campaigns), then one `iteration` record per
+// committed IterationSnapshot. The journal is deleted the moment the
+// campaign reaches a terminal state, so the set of `*.journal` files on
+// disk IS the set of campaigns a respawned worker must resume.
 //
 // Durability protocol: the start record is published with
 // atomic_write_file (temp + fsync + rename — a crash can never leave a
@@ -39,7 +39,7 @@ class CampaignJournal {
 
   /// Publishes the start record atomically (creates `dir` if needed).
   /// `start_body` is the verbatim request JSON; `session_key` the resolved
-  /// session at admission time.
+  /// session at admission time (empty for a scenario campaign).
   static void write_start(const std::string& dir, const std::string& id,
                           const std::string& start_body,
                           const std::string& session_key);

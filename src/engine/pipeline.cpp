@@ -13,25 +13,39 @@ namespace rca::engine {
 
 using graph::NodeId;
 
+/// The accepted ensemble member the runtime sampler runs as its control and,
+/// with the scenario's deltas, as its experiment.
+constexpr std::uint64_t kSamplerMember = 31;
+
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
   obs::Span span("pipeline.init");
   if (config_.threads > 0) {
     pool_ = std::make_unique<ThreadPool>(config_.threads);
     config_.refinement.pool = pool_.get();
   }
-  control_ = std::make_unique<model::CesmModel>(config_.corpus, pool_.get());
+  {
+    obs::Span corpus_span("model.corpus");
+    control_ = std::make_unique<model::CesmModel>(config_.corpus, pool_.get());
+  }
   RCA_CHECK_MSG(control_->parse_failures() == 0,
                 "control corpus failed to parse");
 
   // Coverage run (time step 2, like the paper) and filtered metagraph.
-  const cov::CoverageFilter filter(control_->coverage_run(2),
-                                   &control_->compiled_modules());
-  meta::BuilderOptions builder_opts;
-  builder_opts.module_filter = filter.module_predicate();
-  builder_opts.subprogram_filter = filter.subprogram_predicate();
-  builder_opts.pool = pool_.get();
-  builder_opts.prune_dead_stores = config_.prune_dead_stores;
-  mg_ = meta::build_metagraph(control_->compiled_modules(), builder_opts);
+  interp::CoverageRecorder coverage;
+  {
+    obs::Span coverage_span("interp.coverage");
+    coverage = control_->coverage_run(2);
+  }
+  {
+    obs::Span build_span("meta.build");
+    const cov::CoverageFilter filter(coverage, &control_->compiled_modules());
+    meta::BuilderOptions builder_opts;
+    builder_opts.module_filter = filter.module_predicate();
+    builder_opts.subprogram_filter = filter.subprogram_predicate();
+    builder_opts.pool = pool_.get();
+    builder_opts.prune_dead_stores = config_.prune_dead_stores;
+    mg_ = meta::build_metagraph(control_->compiled_modules(), builder_opts);
+  }
   if (config_.prune_dead_stores) {
     span.attr("dead_stores_pruned", mg_.dead_stores_pruned);
     obs::count("meta.dead_stores_pruned", mg_.dead_stores_pruned);
@@ -40,8 +54,16 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
   // Accepted ensemble.
   ensemble_ = model::ensemble_matrix(*control_, config_.base_run,
                                      config_.ensemble_members, &names_, 1);
-  ect_ = std::make_unique<ect::EnsembleConsistencyTest>(ensemble_, names_,
-                                                        config_.ect);
+  {
+    obs::Span fit_span("ect.fit");
+    ect_ = std::make_unique<ect::EnsembleConsistencyTest>(ensemble_, names_,
+                                                          config_.ect);
+  }
+  model::RunConfig control_config = config_.base_run;
+  control_config.member_seed = kSamplerMember;
+  control_trace_ = std::make_shared<LazyTrace>(mg_, *control_,
+                                               std::move(control_config),
+                                               "control");
   span.attr("graph_nodes", mg_.node_count());
   span.attr("graph_edges", mg_.graph().edge_count());
   span.attr("ensemble_members", config_.ensemble_members);
@@ -52,38 +74,50 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
 
 const model::CesmModel& Pipeline::bug_model(model::BugId bug) {
   if (bug == model::BugId::kNone) return *control_;
-  for (std::size_t i = 0; i < bug_model_ids_.size(); ++i) {
-    if (bug_model_ids_[i] == bug) return *bug_models_[i];
+  std::lock_guard<std::mutex> lock(bug_models_mu_);
+  std::unique_ptr<model::CesmModel>& slot = bug_models_[bug];
+  if (slot == nullptr) {
+    obs::Span span("model.corpus");
+    model::CorpusSpec corpus_spec = config_.corpus;
+    corpus_spec.bug = bug;
+    slot = std::make_unique<model::CesmModel>(corpus_spec, pool_.get());
+    RCA_CHECK_MSG(slot->parse_failures() == 0, "bug corpus failed to parse");
   }
-  model::CorpusSpec corpus_spec = config_.corpus;
-  corpus_spec.bug = bug;
-  bug_models_.push_back(
-      std::make_unique<model::CesmModel>(corpus_spec, pool_.get()));
-  bug_model_ids_.push_back(bug);
-  RCA_CHECK_MSG(bug_models_.back()->parse_failures() == 0,
-                "bug corpus failed to parse");
-  return *bug_models_.back();
-}
-
-std::vector<NodeId> Pipeline::scenario_planted_nodes(
-    const model::ScenarioSpec& s) {
-  return model::scenario_planted_nodes(s, mg_, control_->compiled_modules());
+  return *slot;
 }
 
 ExperimentOutcome Pipeline::run_scenario(const model::ScenarioSpec& s,
                                          bool runtime_sampling) {
+  obs::Span experiment_span("experiment");
+  experiment_span.attr("name", s.name);
+  experiment_span.attr("runtime_sampling", runtime_sampling);
+  ExperimentOutcome outcome = criteria(s);
+  outcome.slice = slice(outcome.internal_names);
+
+  // 5-9. Iterative refinement.
+  obs::Span refinement_span("refinement");
+  RCA_FAULT_POINT("engine.refinement");
+  const std::unique_ptr<Sampler> sampler =
+      sampler_for(s, outcome.bug_nodes, runtime_sampling);
+  RefinementEngine engine(mg_, *sampler, config_.refinement);
+  outcome.refinement = engine.run(outcome.slice.nodes, outcome.bug_nodes,
+                                  outcome.slice.targets);
+  refinement_span.attr("iterations", outcome.refinement.iterations.size());
+  refinement_span.attr("final_nodes", outcome.refinement.final_nodes.size());
+  refinement_span.attr("stalled", outcome.refinement.stalled);
+  return outcome;
+}
+
+ExperimentOutcome Pipeline::criteria(const model::ScenarioSpec& s) {
   const model::CesmModel& exp_model = bug_model(s.bug);
   const model::RunConfig exp_config =
       model::scenario_run_config(s, config_.base_run);
   ExperimentOutcome outcome;
   outcome.bug_nodes = scenario_planted_nodes(s);
-  obs::Span experiment_span("experiment");
-  experiment_span.attr("name", s.name);
-  experiment_span.attr("runtime_sampling", runtime_sampling);
 
   // Stage-boundary fault sites: chaos tests prove a failure inside one
-  // stage surfaces as a clean error from run_scenario(), never a crash or
-  // a half-written outcome.
+  // stage surfaces as a clean error from the stage, never a crash or a
+  // half-written outcome.
   // 0. UF-ECT verdict on a 3-run experimental set.
   {
     obs::Span span("ect");
@@ -107,8 +141,11 @@ ExperimentOutcome Pipeline::run_scenario(const model::ScenarioSpec& s,
       exp_matrix.at(i, j) = exp_runs[i][j];
     }
   }
-  outcome.lasso_selected = stats::lasso_selection(
-      ensemble_, exp_matrix, names_, config_.lasso_target);
+  {
+    obs::Span lasso_span("stats.lasso");
+    outcome.lasso_selected = stats::lasso_selection(
+        ensemble_, exp_matrix, names_, config_.lasso_target);
+  }
   outcome.median_ranked =
       stats::median_distance_ranking(ensemble_, exp_matrix, names_);
 
@@ -149,8 +186,11 @@ ExperimentOutcome Pipeline::run_scenario(const model::ScenarioSpec& s,
   selection_span.attr("criteria", outcome.criteria_outputs.size());
   selection_span.attr("internal_names", outcome.internal_names.size());
   selection_span.attr("lasso_selected", outcome.lasso_selected.size());
-  selection_span.end();
+  return outcome;
+}
 
+slice::SliceResult Pipeline::slice(
+    const std::vector<std::string>& internal_names) {
   // 3-4. Backward slice and induced subgraph.
   obs::Span slice_span("slice");
   RCA_FAULT_POINT("engine.slice");
@@ -162,42 +202,28 @@ ExperimentOutcome Pipeline::run_scenario(const model::ScenarioSpec& s,
   }
   slice_opts.drop_components_smaller_than = config_.drop_small_components;
   slice_opts.pool = pool_.get();
-  outcome.slice = slice::backward_slice(mg_, outcome.internal_names,
-                                        slice_opts);
-  slice_span.attr("nodes", outcome.slice.nodes.size());
-  slice_span.attr("edges", outcome.slice.subgraph.edge_count());
-  obs::gauge("pipeline.slice_nodes",
-             static_cast<double>(outcome.slice.nodes.size()));
+  slice::SliceResult result =
+      slice::backward_slice(mg_, internal_names, slice_opts);
+  slice_span.attr("nodes", result.nodes.size());
+  slice_span.attr("edges", result.subgraph.edge_count());
+  obs::gauge("pipeline.slice_nodes", static_cast<double>(result.nodes.size()));
   obs::gauge("pipeline.slice_edges",
-             static_cast<double>(outcome.slice.subgraph.edge_count()));
-  slice_span.end();
+             static_cast<double>(result.subgraph.edge_count()));
+  return result;
+}
 
-  // 5-9. Iterative refinement.
-  obs::Span refinement_span("refinement");
-  RCA_FAULT_POINT("engine.refinement");
-  std::unique_ptr<Sampler> sampler;
-  RuntimeSampler* runtime = nullptr;
-  if (runtime_sampling) {
-    model::RunConfig control_config = config_.base_run;
-    control_config.member_seed = 31;  // one accepted member
-    model::RunConfig experiment_config = exp_config;
-    experiment_config.member_seed = 31;
-    auto owned = std::make_unique<RuntimeSampler>(
-        mg_, *control_, exp_model, control_config, experiment_config, 1e-12,
-        control_trace_);
-    runtime = owned.get();
-    sampler = std::move(owned);
-  } else {
-    sampler = std::make_unique<SimulatedSampler>(mg_, outcome.bug_nodes);
+std::unique_ptr<Sampler> Pipeline::sampler_for(
+    const model::ScenarioSpec& s, const std::vector<NodeId>& planted,
+    bool runtime_sampling) {
+  if (!runtime_sampling) {
+    return std::make_unique<SimulatedSampler>(mg_, planted);
   }
-  RefinementEngine engine(mg_, *sampler, config_.refinement);
-  outcome.refinement = engine.run(outcome.slice.nodes, outcome.bug_nodes,
-                                  outcome.slice.targets);
-  if (runtime != nullptr) control_trace_ = runtime->control_trace();
-  refinement_span.attr("iterations", outcome.refinement.iterations.size());
-  refinement_span.attr("final_nodes", outcome.refinement.final_nodes.size());
-  refinement_span.attr("stalled", outcome.refinement.stalled);
-  return outcome;
+  model::RunConfig experiment_config =
+      model::scenario_run_config(s, config_.base_run);
+  experiment_config.member_seed = kSamplerMember;
+  return std::make_unique<RuntimeSampler>(mg_, control_trace_,
+                                          bug_model(s.bug),
+                                          std::move(experiment_config));
 }
 
 }  // namespace rca::engine

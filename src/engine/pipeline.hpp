@@ -1,10 +1,15 @@
 // End-to-end pipeline (Figure 1 of the paper): model runs -> UF-ECT ->
 // variable selection -> output-to-internal mapping -> backward slice ->
-// iterative refinement. Shared by the benchmark harnesses, examples and
-// integration tests.
+// iterative refinement. Every RCA answer for a library scenario takes the
+// public stages: run_scenario composes them for `analyze`, `score` and the
+// benches, and scenario campaigns call them on a shared Pipeline, which is
+// safe for concurrent stage calls (locked bug-corpus cache, one lazily
+// recorded control trace).
 #pragma once
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -71,18 +76,35 @@ class Pipeline {
   const std::vector<std::string>& output_names() const { return names_; }
   const stats::Matrix& ensemble() const { return ensemble_; }
 
-  /// Full pipeline for a library scenario (model/scenario.hpp): ECT ->
-  /// selection -> slice -> refinement, scored against the scenario's planted
-  /// sites. Simulated sampling is the paper's mode; `runtime_sampling`
-  /// samples through real interpreter runs instead: one recorded
-  /// experimental run per scenario, against a control run recorded once per
-  /// Pipeline.
+  /// Full pipeline for a library scenario (model/scenario.hpp), scored
+  /// against its planted sites: criteria() -> slice() -> one
+  /// RefinementEngine run on sampler_for(). Simulated sampling is the
+  /// paper's mode; `runtime_sampling` samples through real interpreter runs.
   ExperimentOutcome run_scenario(const model::ScenarioSpec& s,
                                  bool runtime_sampling = false);
 
+  /// Stages 0-2: the planted nodes, the UF-ECT verdict on a 3-run
+  /// experimental set, lasso and median-distance selection, the slicing
+  /// criteria chosen from them and their internal names. Fills every
+  /// ExperimentOutcome field except `slice` and `refinement`.
+  ExperimentOutcome criteria(const model::ScenarioSpec& s);
+
+  /// Stages 3-4: backward slice on `internal_names` and its induced
+  /// subgraph (CAM restriction and small-component drop per the config).
+  slice::SliceResult slice(const std::vector<std::string>& internal_names);
+
+  /// Step-7 sampler: reachability from `planted`, or runtime sampling of one
+  /// accepted member (experiment recorded once per sampler, control once
+  /// per Pipeline).
+  std::unique_ptr<Sampler> sampler_for(
+      const model::ScenarioSpec& s, const std::vector<graph::NodeId>& planted,
+      bool runtime_sampling);
+
   /// Planted ground-truth nodes for a scenario on this pipeline's graph.
   std::vector<graph::NodeId> scenario_planted_nodes(
-      const model::ScenarioSpec& s);
+      const model::ScenarioSpec& s) const {
+    return model::scenario_planted_nodes(s, mg_, control_->compiled_modules());
+  }
 
   /// Model for a bug-injected corpus (the control model for kNone); built
   /// once per BugId and cached.
@@ -95,11 +117,11 @@ class Pipeline {
   std::vector<std::string> names_;
   stats::Matrix ensemble_;
   std::unique_ptr<ect::EnsembleConsistencyTest> ect_;
-  std::vector<std::unique_ptr<model::CesmModel>> bug_models_;
-  std::vector<model::BugId> bug_model_ids_;
+  std::mutex bug_models_mu_;  // guards bug_models_
+  std::map<model::BugId, std::unique_ptr<model::CesmModel>> bug_models_;
   /// Fully watched run of the runtime sampler's control member, recorded by
-  /// the first scenario that samples and shared by every later one.
-  std::shared_ptr<const RunTrace> control_trace_;
+  /// the first sampler that needs it and shared by every later one.
+  std::shared_ptr<LazyTrace> control_trace_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

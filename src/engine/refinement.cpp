@@ -111,39 +111,48 @@ const interp::WatchStats& RunTrace::stats(NodeId v) const {
 // RuntimeSampler.
 // ---------------------------------------------------------------------------
 
+const RunTrace& LazyTrace::get() {
+  // A plain mutex rather than std::call_once: a recording that throws
+  // leaves `trace` null and the next caller retries, and waiters never
+  // depend on call_once's exceptional-exit hand-off.
+  std::lock_guard<std::mutex> lock(mu);
+  if (!trace) {
+    obs::Span span("sampler.record");
+    span.attr("role", role);
+    trace =
+        std::make_shared<const RunTrace>(RunTrace::record(mg, model, config));
+    span.attr("bytes", trace->bytes());
+  }
+  return *trace;
+}
+
 RuntimeSampler::RuntimeSampler(const meta::Metagraph& mg,
                                const model::CesmModel& control_model,
                                const model::CesmModel& experiment_model,
                                model::RunConfig control_config,
                                model::RunConfig experiment_config,
-                               double rms_threshold,
-                               std::shared_ptr<const RunTrace> control_trace)
-    : mg_(mg),
-      control_{control_model, std::move(control_config), "control",
-               std::move(control_trace), {}},
-      experiment_{experiment_model, std::move(experiment_config),
+                               double rms_threshold)
+    : RuntimeSampler(mg,
+                     std::make_shared<LazyTrace>(mg, control_model,
+                                                 std::move(control_config),
+                                                 "control"),
+                     experiment_model, std::move(experiment_config),
+                     rms_threshold) {}
+
+RuntimeSampler::RuntimeSampler(const meta::Metagraph& mg,
+                               std::shared_ptr<LazyTrace> control,
+                               const model::CesmModel& experiment_model,
+                               model::RunConfig experiment_config,
+                               double rms_threshold)
+    : control_(std::move(control)),
+      experiment_{mg, experiment_model, std::move(experiment_config),
                   "experiment", nullptr, {}},
       rms_threshold_(rms_threshold) {}
 
-const RunTrace& RuntimeSampler::trace(LazyTrace& lazy) {
-  // A plain mutex rather than std::call_once: a recording that throws
-  // leaves `trace` null and the next caller retries, and waiters never
-  // depend on call_once's exceptional-exit hand-off.
-  std::lock_guard<std::mutex> lock(lazy.mu);
-  if (!lazy.trace) {
-    obs::Span span("sampler.record");
-    span.attr("role", lazy.role);
-    lazy.trace = std::make_shared<const RunTrace>(
-        RunTrace::record(mg_, lazy.model, lazy.config));
-    span.attr("bytes", lazy.trace->bytes());
-  }
-  return *lazy.trace;
-}
-
 std::vector<Difference> RuntimeSampler::detect_with_magnitudes(
     const std::vector<NodeId>& sites) {
-  const RunTrace& a = trace(control_);
-  const RunTrace& b = trace(experiment_);
+  const RunTrace& a = control_->get();
+  const RunTrace& b = experiment_.get();
   std::vector<Difference> differing;
   for (NodeId v : sites) {
     const interp::WatchStats& sa = a.stats(v);

@@ -113,12 +113,28 @@ class RunTrace {
   std::vector<interp::WatchStats> stats_;
 };
 
+/// One model run's RunTrace, recorded at most once, on first use, and shared
+/// by every RuntimeSampler handed the same slot (a Pipeline records its
+/// control run once for all its scenarios and campaigns). `mu` serializes
+/// the recording and guards `trace` (set once, never reset); a recording
+/// that throws leaves it null and the next get() retries.
+struct LazyTrace {
+  const meta::Metagraph& mg;
+  const model::CesmModel& model;
+  model::RunConfig config;
+  const char* role;
+  std::shared_ptr<const RunTrace> trace;
+  std::mutex mu;
+
+  /// The trace, recording it first if no caller has yet.
+  const RunTrace& get();
+};
+
 /// Real runtime sampling: compare each site's per-variable normalized RMS
 /// (the KGen criterion, threshold 1e-12) between one control run and one
 /// experimental run. Each run is recorded once as a RunTrace, on the first
 /// detect_* call; concurrent callers wait for it, and a recording that
-/// throws is retried by the next call. A control trace recorded elsewhere
-/// for the same (model, config) can be passed in and is never re-recorded.
+/// throws is retried by the next call.
 class RuntimeSampler : public Sampler {
  public:
   RuntimeSampler(const meta::Metagraph& mg,
@@ -126,32 +142,19 @@ class RuntimeSampler : public Sampler {
                  const model::CesmModel& experiment_model,
                  model::RunConfig control_config,
                  model::RunConfig experiment_config,
-                 double rms_threshold = 1e-12,
-                 std::shared_ptr<const RunTrace> control_trace = nullptr);
+                 double rms_threshold = 1e-12);
+  /// Samples against a control trace slot shared with other samplers.
+  RuntimeSampler(const meta::Metagraph& mg,
+                 std::shared_ptr<LazyTrace> control,
+                 const model::CesmModel& experiment_model,
+                 model::RunConfig experiment_config,
+                 double rms_threshold = 1e-12);
   /// Magnitude = relative normalized-RMS difference.
   std::vector<Difference> detect_with_magnitudes(
       const std::vector<graph::NodeId>& sites) override;
 
-  /// The control trace, once recorded or passed in; null before that.
-  /// Not synchronized with concurrent detect_* calls.
-  std::shared_ptr<const RunTrace> control_trace() const {
-    return control_.trace;
-  }
-
  private:
-  /// A trace recorded at most once, on first use; `mu` serializes the
-  /// recording and guards `trace` (set once, never reset).
-  struct LazyTrace {
-    const model::CesmModel& model;
-    model::RunConfig config;
-    const char* role;
-    std::shared_ptr<const RunTrace> trace;
-    std::mutex mu;
-  };
-  const RunTrace& trace(LazyTrace& lazy);
-
-  const meta::Metagraph& mg_;
-  LazyTrace control_;
+  std::shared_ptr<LazyTrace> control_;
   LazyTrace experiment_;
   double rms_threshold_;
 };

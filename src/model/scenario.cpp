@@ -108,12 +108,6 @@ RunConfig scenario_run_config(const ScenarioSpec& s, const RunConfig& base) {
   return config;
 }
 
-CorpusSpec scenario_corpus_spec(const ScenarioSpec& s, const CorpusSpec& base) {
-  CorpusSpec out = base;
-  out.bug = s.bug;
-  return out;
-}
-
 std::vector<interp::WatchKey> scenario_planted_sites(
     const ScenarioSpec& s, const std::vector<const lang::Module*>& modules) {
   if (s.kind != CauseKind::kFpContraction &&
@@ -233,37 +227,6 @@ std::vector<interp::WatchKey> kgen_flagged_variables(
               return a.name < b.name;
             });
   return flagged;
-}
-
-std::vector<std::string> affected_outputs(
-    const meta::Metagraph& mg, const std::vector<graph::NodeId>& planted,
-    std::size_t max_labels) {
-  std::vector<std::string> labels;
-  if (planted.empty() || max_labels == 0) return labels;
-  // Prefer genuinely downstream observables: a label whose every internal
-  // node is itself a planted node is the cause observing itself, and slicing
-  // on it reproduces the planted site trivially. Such labels are kept only
-  // as a fallback when nothing downstream is reachable.
-  std::vector<std::string> self_labels;
-  for (const auto& [label, outputs] : mg.io_map()) {
-    if (labels.size() >= max_labels) break;
-    if (!reaches_any_of(mg.graph(), planted, outputs)) continue;
-    bool all_planted = true;
-    for (graph::NodeId v : outputs) {
-      all_planted = all_planted && std::find(planted.begin(), planted.end(),
-                                             v) != planted.end();
-    }
-    if (all_planted) {
-      self_labels.push_back(label);
-    } else {
-      labels.push_back(label);
-    }
-  }
-  for (const std::string& label : self_labels) {
-    if (labels.size() >= max_labels) break;
-    labels.push_back(label);
-  }
-  return labels;
 }
 
 bool contains_any(const std::vector<graph::NodeId>& nodes,

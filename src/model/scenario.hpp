@@ -11,10 +11,11 @@
 // whether a planted site lands in the top-m ranked nodes.
 //
 // The library is the one registry of planted causes: the paper's six
-// experiments (§6, §8.2) are the rows with a `paper_id`. `rca-tool analyze`,
-// the figure benches and `score` run rows of it through
-// engine::Pipeline::run_scenario; `/v1/refine` and `rca-tool refine`
-// campaigns slice and refine a row in campaign::CampaignManager::run.
+// experiments (§6, §8.2) are the rows with a `paper_id`. Every consumer runs
+// a row through engine::Pipeline's stages: `rca-tool analyze`, the figure
+// benches and `score` through Pipeline::run_scenario, and `/v1/refine` and
+// `rca-tool refine` scenario campaigns through the same criteria, slice and
+// sampler stages on a shared Pipeline.
 //
 // The evaluation helpers at the bottom are the checks the figure benches
 // (fig12_randombug, exp_wsubbug, fig8_avx2) previously hand-rolled.
@@ -78,9 +79,6 @@ std::vector<std::string> scenario_names();
 /// Applies the scenario's runtime deltas to a base run configuration.
 RunConfig scenario_run_config(const ScenarioSpec& s, const RunConfig& base);
 
-/// Corpus spec for the scenario's experiment runs (plants the source bug).
-CorpusSpec scenario_corpus_spec(const ScenarioSpec& s, const CorpusSpec& base);
-
 /// Ground-truth planted sites. Source-bug scenarios return their static
 /// list; FP scenarios mine contraction/reassociation sites from the parsed
 /// modules with analysis::find_fp_sites (deduplicated assignment targets,
@@ -114,14 +112,6 @@ std::vector<graph::NodeId> prng_influenced_nodes(const meta::Metagraph& mg);
 std::vector<interp::WatchKey> kgen_flagged_variables(
     const CesmModel& control_model, const meta::Metagraph& mg,
     double threshold = 1e-12);
-
-/// Output labels whose instrumented nodes are reachable from any planted
-/// node — the history fields the planted cause can actually move. At most
-/// `max_labels`, in the metagraph's deterministic io_map order. Used as
-/// default slicing criteria for scenario campaigns.
-std::vector<std::string> affected_outputs(
-    const meta::Metagraph& mg, const std::vector<graph::NodeId>& planted,
-    std::size_t max_labels = 3);
 
 // -- evaluation helpers (shared by the figure benches and the scorer) ------
 

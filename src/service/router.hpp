@@ -162,7 +162,6 @@ class Router {
     warming_.store(warming, std::memory_order_relaxed);
   }
 
-  SessionStore& store() { return *store_; }
   const RouterOptions& options() const { return opts_; }
 
   /// Shared request-body session resolution ("session" key lookup -> 404, or

@@ -1,14 +1,19 @@
 // Refinement-campaign subsystem tests: lifecycle over the /v1/refine routes,
 // concurrent-campaign admission and backpressure, session pinning vs. LRU
 // eviction, cooperative cancel, fault injection (campaign.step /
-// campaign.sample) failing campaigns cleanly, and byte-identical
-// rca.campaign.v1 documents for identical seeds.
+// campaign.sample / engine.sample) failing campaigns cleanly, byte-identical
+// rca.campaign.v1 documents for identical seeds, and scenario campaigns on
+// the shared engine Pipeline agreeing with the scoreboard.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "campaign/journal.hpp"
+#include "campaign/score.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "service/router.hpp"
@@ -341,37 +346,192 @@ TEST_F(CampaignTest, IdenticalCampaignsProduceByteIdenticalDocuments) {
   EXPECT_EQ(manager.result_json(a), manager.result_json(b));
 }
 
-TEST_F(CampaignTest, ScenarioCampaignBuildsASharedStoreSession) {
-  SessionStore store(SessionStoreOptions{});
-  Router router(&store, RouterOptions{});
-  CampaignManager manager(&store, CampaignManagerOptions{});
-  manager.install_routes(router);
+/// Starts a campaign over the route and returns its id.
+std::string start_over_route(Router& router, const std::string& body) {
+  const Response started = router.handle({"POST", "/v1/refine", body});
+  EXPECT_EQ(started.status, 200) << started.body;
+  return parse_json(started.body).get_string("campaign");
+}
 
-  const std::uint64_t sessions0 = store.session_count();
-  const Response started = router.handle(
+/// Runs one campaign over the route to completion; its result document.
+std::string result_over_route(Router& router, CampaignManager& manager,
+                              const std::string& body) {
+  const std::string id = start_over_route(router, body);
+  EXPECT_EQ(manager.wait(id), CampaignState::kDone) << body;
+  return manager.result_json(id);
+}
+
+/// A store, a router and a campaign manager with the /v1/refine routes.
+struct Service {
+  SessionStore store{SessionStoreOptions{}};
+  Router router{&store, RouterOptions{}};
+  CampaignManager manager{&store, CampaignManagerOptions{}};
+  Service() { manager.install_routes(router); }
+};
+
+TEST_F(CampaignTest, ScenarioCampaignRunsOnASharedPipeline) {
+  Service svc;
+  const std::size_t inits0 =
+      obs::global().spans_named("pipeline.init").size();
+
+  const Response started = svc.router.handle(
       {"POST", "/v1/refine", "{\"scenario\":\"random-node\",\"top\":15}"});
   ASSERT_EQ(started.status, 200) << started.body;
   const JsonValue doc = parse_json(started.body);
   const std::string id = doc.get_string("campaign");
-  const std::string key = doc.get_string("session");
   EXPECT_EQ(doc.get_string("scenario"), "random-node");
-  EXPECT_EQ(store.session_count(), sessions0 + 1);
+  EXPECT_EQ(doc.get("session"), nullptr);
 
-  ASSERT_EQ(manager.wait(id), CampaignState::kDone);
-  const std::string first = manager.result_json(id);
+  ASSERT_EQ(svc.manager.wait(id), CampaignState::kDone);
+  const std::string first = svc.manager.result_json(id);
   EXPECT_NE(first.find("\"scenario\":\"random-node\""), std::string::npos);
   EXPECT_NE(first.find("\"planted\":"), std::string::npos);
-  EXPECT_FALSE(store.pinned(key));
+  EXPECT_NE(first.find("\"refined_rank\":"), std::string::npos);
+  EXPECT_EQ(first.find("\"session\""), std::string::npos);
 
-  // Second identical request: resident-session hit (content-keyed), and a
-  // byte-identical result document — the acceptance determinism contract.
-  const Response again = router.handle(
-      {"POST", "/v1/refine", "{\"scenario\":\"random-node\",\"top\":15}"});
-  ASSERT_EQ(again.status, 200) << again.body;
-  const std::string id2 = parse_json(again.body).get_string("campaign");
-  EXPECT_EQ(store.session_count(), sessions0 + 1);
-  ASSERT_EQ(manager.wait(id2), CampaignState::kDone);
-  EXPECT_EQ(first, manager.result_json(id2));
+  // Second identical request: a byte-identical result document — the
+  // acceptance determinism contract.
+  const std::string second = result_over_route(
+      svc.router, svc.manager, "{\"scenario\":\"random-node\",\"top\":15}");
+  EXPECT_EQ(first, second);
+
+  // Both ran on one Pipeline, built once; no store session was built or
+  // pinned for them.
+  EXPECT_EQ(obs::global().spans_named("pipeline.init").size(), inits0 + 1);
+  EXPECT_EQ(svc.store.session_count(), 0u);
+}
+
+TEST_F(CampaignTest, ScenarioCampaignsRejectSessionFields) {
+  Service svc;
+  for (const char* field : {"\"targets\":[\"sink\"]", "\"outputs\":[\"T\"]",
+                            "\"bug\":[\"x\"]", "\"cam_only\":false",
+                            "\"drop_small\":0"}) {
+    const Response resp = svc.router.handle(
+        {"POST", "/v1/refine",
+         std::string("{\"scenario\":\"wsub\",") + field + "}"});
+    EXPECT_EQ(resp.status, 400) << field;
+    EXPECT_NE(resp.body.find("bad_request"), std::string::npos) << field;
+  }
+  EXPECT_EQ(svc.manager.active(), 0u);
+}
+
+// One answer path: a scenario campaign reports its scoreboard row. For every
+// library scenario, with simulated and with runtime sampling, the campaign's
+// slice, final set, refined rank and hit equal `rca-tool score [--runtime]`.
+TEST_F(CampaignTest, ScenarioCampaignsMatchTheScoreboard) {
+  Service svc;
+  for (const bool runtime : {false, true}) {
+    ScoreOptions opts;
+    opts.runtime_sampling = runtime;
+    opts.pipeline.refinement.rank_differences_on_stall = true;  // as `score`
+    const Scoreboard board = score_scenarios(opts);
+    ASSERT_EQ(board.scores.size(), model::scenario_library().size());
+    for (const ScenarioScore& row : board.scores) {
+      const std::string label = row.name + (runtime ? " (runtime)" : "");
+      const JsonValue doc = parse_json(result_over_route(
+          svc.router, svc.manager,
+          "{\"scenario\":\"" + row.name + "\"" +
+              (runtime ? ",\"runtime\":true}" : "}")));
+      const auto as_int = [](std::size_t v) {
+        return v == SIZE_MAX ? -1LL : static_cast<long long>(v);
+      };
+      EXPECT_EQ(doc.get_int("planted", -2), as_int(row.planted_nodes)) << label;
+      EXPECT_EQ(doc.get_int("slice_nodes", -2), as_int(row.slice_nodes))
+          << label;
+      EXPECT_EQ(doc.get("iterations")->items().size(), row.iterations)
+          << label;
+      EXPECT_EQ(doc.get_bool("stalled", !row.stalled), row.stalled) << label;
+      EXPECT_EQ(doc.get_int("bug_instrumented_at", -2),
+                as_int(row.bug_instrumented_at))
+          << label;
+      EXPECT_EQ(doc.get_int("final_nodes", -2), as_int(row.final_nodes))
+          << label;
+      EXPECT_EQ(doc.get_int("refined_rank", -2), as_int(row.refined_rank))
+          << label;
+      EXPECT_EQ(doc.get_bool("hit", !row.hit), row.hit) << label;
+    }
+  }
+}
+
+// Two scenario campaigns on one seed, started together, race on the shared
+// Pipeline's build, its bug-corpus cache and its control trace; they write
+// the documents that serial runs write.
+TEST_F(CampaignTest, ConcurrentScenarioCampaignsMatchSerialRuns) {
+  const std::vector<std::string> bodies = {
+      "{\"scenario\":\"goffgratch\",\"runtime\":true}",
+      "{\"scenario\":\"random-node\",\"runtime\":true}"};
+  std::vector<std::string> serial;
+  {
+    Service svc;
+    for (const std::string& body : bodies) {
+      serial.push_back(result_over_route(svc.router, svc.manager, body));
+    }
+  }
+  Service svc;
+  std::vector<std::string> ids;
+  for (const std::string& body : bodies) {
+    ids.push_back(start_over_route(svc.router, body));
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(svc.manager.wait(ids[i]), CampaignState::kDone) << bodies[i];
+    EXPECT_EQ(svc.manager.result_json(ids[i]), serial[i]) << bodies[i];
+  }
+}
+
+// A scenario campaign that fails mid-run poisons nothing it shares: the next
+// campaign on the same seed writes the fault-free document. engine.sample
+// fails the shared control-trace recording itself; campaign.step fails the
+// campaign after its first refinement iteration.
+TEST_F(CampaignTest, FailedScenarioCampaignLeavesTheSharedPipelineClean) {
+  const std::string body = "{\"scenario\":\"random-node\",\"runtime\":true}";
+  std::string reference;
+  {
+    Service svc;
+    reference = result_over_route(svc.router, svc.manager, body);
+  }
+  Service svc;
+  for (const std::string site : {"engine.sample", "campaign.step"}) {
+    fault::FaultRegistry::global().arm(site + ":1.0:throw:0:1");
+    const std::string id = start_over_route(svc.router, body);
+    EXPECT_EQ(svc.manager.wait(id), CampaignState::kFailed) << site;
+    EXPECT_EQ(fault::FaultRegistry::global().fires(site), 1u) << site;
+    fault::FaultRegistry::global().disarm();
+    EXPECT_EQ(result_over_route(svc.router, svc.manager, body), reference)
+        << site;
+  }
+}
+
+// A scenario campaign journals without a session key and resumes from its
+// start record alone to the document of the uncrashed run.
+TEST_F(CampaignTest, ScenarioCampaignResumesFromItsJournal) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("rca-campaign-resume-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  CampaignManagerOptions opts;
+  opts.journal_dir = (dir / "campaigns").string();
+  const std::string body = "{\"scenario\":\"prng\"}";
+  std::string reference;
+  {
+    SessionStore store(SessionStoreOptions{});
+    Router router(&store, RouterOptions{});
+    CampaignManager manager(&store, opts);
+    manager.install_routes(router);
+    reference = result_over_route(router, manager, body);
+    EXPECT_TRUE(CampaignJournal::load_unfinished(opts.journal_dir).empty());
+  }
+
+  // The journal a crashed worker leaves: the start record only.
+  CampaignJournal::write_start(opts.journal_dir, "c1", body, "");
+  SessionStore store(SessionStoreOptions{});
+  Router router(&store, RouterOptions{});
+  CampaignManager manager(&store, opts);
+  manager.install_routes(router);
+  ASSERT_EQ(manager.resume_unfinished(router), 1u);
+  ASSERT_EQ(manager.wait("c1"), CampaignState::kDone);
+  EXPECT_EQ(manager.result_json("c1"), reference);
+  EXPECT_TRUE(CampaignJournal::load_unfinished(opts.journal_dir).empty());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

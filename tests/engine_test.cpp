@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <thread>
 
 #include "engine/pipeline.hpp"
@@ -882,7 +883,6 @@ TEST(RuntimeSamplerConcurrency, ARecordingThatThrowsIsRetriedByTheNextCall) {
   EXPECT_EQ(fires, 1u);
   EXPECT_EQ(failures.load(), 1);
   EXPECT_EQ(runs, 2u);  // the failed recording ran no model
-  ASSERT_NE(sampler.control_trace(), nullptr);
   const std::vector<Difference> reference = per_call_reference(
       pipe.metagraph(), pipe.control_model(), exp_model, configs, sites);
   ASSERT_FALSE(reference.empty());
@@ -893,8 +893,44 @@ TEST(RuntimeSamplerConcurrency, ARecordingThatThrowsIsRetriedByTheNextCall) {
     EXPECT_TRUE(same_answer(*answer, reference));
   }
   EXPECT_EQ(answered, kThreads - 1);
-  // A later call reuses both traces.
+  // A later call reuses both traces: it runs no model.
+  obs::global().set_enabled(true);
   EXPECT_TRUE(same_answer(sampler.detect_with_magnitudes(sites), reference));
+  EXPECT_EQ(obs::global().counter("model.runs"), runs);
+  obs::global().set_enabled(false);
+}
+
+// Pipeline construction charges its time to named stages: the direct
+// children of pipeline.init (model.corpus, interp.coverage, meta.build,
+// model.ensemble, ect.fit) cover at least 95% of it.
+TEST(PipelineIntegration, InitChildSpansAddUpToTheirParent) {
+  obs::global().set_enabled(true);
+  obs::global().reset();
+  {
+    PipelineConfig config;
+    config.ensemble_members = 20;
+    config.experimental_runs = 6;
+    Pipeline pipe(std::move(config));
+  }
+  const std::vector<obs::SpanRecord> spans = obs::global().spans();
+  obs::global().set_enabled(false);
+  const auto init =
+      std::find_if(spans.begin(), spans.end(), [](const obs::SpanRecord& s) {
+        return s.name == "pipeline.init";
+      });
+  ASSERT_NE(init, spans.end());
+  double children_us = 0.0;
+  std::set<std::string> names;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.parent != init->id) continue;
+    children_us += span.duration_us;
+    names.insert(span.name);
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"model.corpus", "interp.coverage",
+                                          "meta.build", "model.ensemble",
+                                          "ect.fit"}));
+  EXPECT_GE(children_us, 0.95 * init->duration_us)
+      << children_us << " of " << init->duration_us << " us";
 }
 
 TEST(PipelineIntegration, RuntimeScenariosShareOneControlRecording) {

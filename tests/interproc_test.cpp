@@ -18,8 +18,10 @@
 #include "analysis/passes.hpp"
 #include "analysis/summaries.hpp"
 #include "lang/parser.hpp"
+#include "lang/printer.hpp"
 #include "meta/builder.hpp"
 #include "meta/serialize.hpp"
+#include "model/corpus.hpp"
 #include "obs/obs.hpp"
 #include "slice/slicer.hpp"
 
@@ -491,6 +493,64 @@ end module fp2
   EXPECT_NE(r1.find("\"schema\":\"rca.fpsense.v1\""), std::string::npos);
   EXPECT_NE(r1.find("\"kind\":\"reassociation\""), std::string::npos);
   EXPECT_NE(r1.find("\"fp_sensitive_procedures\""), std::string::npos);
+}
+
+// A +/- chain and its left sub-chain start at the same position, and in
+// `a + b * c + d * e` both have the contraction shape: one site is reported
+// there (the outermost), so the lint report never repeats a record.
+TEST(FpSense, OneSitePerPositionKindAndTarget) {
+  Parsed p(R"(module fp3
+  real :: a, b, c, d, e
+contains
+  subroutine s(r)
+    real, intent(out) :: r
+    r = a + b * c + d * e
+  end subroutine s
+end module fp3
+)");
+  const auto mods = p.modules();
+  const ProgramSymbols symbols(mods);
+  const auto sites = find_fp_sites(p.sub("fp3", "s"),
+                                   symbols.module("fp3"), FpCallOracle());
+  ASSERT_EQ(sites.size(), 2u);
+  EXPECT_EQ(sites[0].kind, FpSite::Kind::kContraction);
+  EXPECT_EQ(lang::print_expr(*sites[0].expr), "a + b * c + d * e");
+  EXPECT_EQ(sites[1].kind, FpSite::Kind::kReassociation);
+  EXPECT_EQ(by_rule(run_rules(p, true), "fp-sensitivity").size(), 2u);
+}
+
+// The lint report of the default generated corpus, every module linted (as
+// `rca-tool lint --src DIR` without a build list), holds no record twice in
+// a row.
+TEST(FpSense, DefaultCorpusLintReportRepeatsNoRecord) {
+  model::GeneratedCorpus corpus = model::generate_corpus(model::CorpusSpec{});
+  std::sort(corpus.files.begin(), corpus.files.end(),
+            [](const model::GeneratedFile& a, const model::GeneratedFile& b) {
+              return a.path < b.path;
+            });
+  std::vector<lang::SourceFile> files;
+  for (const model::GeneratedFile& f : corpus.files) {
+    files.push_back(lang::Parser(f.path, f.text).parse_file());
+  }
+  std::vector<const lang::Module*> mods;
+  for (const lang::SourceFile& f : files) {
+    for (const lang::Module& m : f.modules) mods.push_back(&m);
+  }
+  const std::vector<Diagnostic> diags =
+      PassManager::default_passes().run(mods).diagnostics;
+  ASSERT_FALSE(by_rule(diags, "fp-sensitivity").empty());
+  const std::string tsv = diagnostics_to_tsv(diags);
+  std::size_t records = 0;
+  std::string previous;
+  for (std::size_t begin = 0; begin < tsv.size();) {
+    const std::size_t end = tsv.find('\n', begin);
+    const std::string record = tsv.substr(begin, end - begin);
+    EXPECT_NE(record, previous);
+    previous = record;
+    ++records;
+    begin = end == std::string::npos ? tsv.size() : end + 1;
+  }
+  EXPECT_GT(records, 1000u);
 }
 
 // ---------------------------------------------------------------------------

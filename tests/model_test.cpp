@@ -223,7 +223,7 @@ TEST(Experiments, RunConfigModifiers) {
   EXPECT_EQ(plain.prng_kind, base.prng_kind);
   EXPECT_FALSE(plain.fma_all);
   EXPECT_FALSE(plain.reassoc_all);
-  EXPECT_EQ(scenario_corpus_spec(wsub, CorpusSpec{}).bug, BugId::kWsub);
+  EXPECT_EQ(wsub.bug, BugId::kWsub);
 }
 
 TEST(Experiments, PrngInfluencedNodesAreInRadiationModules) {

@@ -121,6 +121,18 @@ if(unknown_rc EQUAL 0 OR NOT unknown_err MATCHES "accepted: .*dyn3bug")
                       "(rc ${unknown_rc}):\n${unknown_err}")
 endif()
 
+# A scenario campaign's criteria come from its ECT and lasso: session-only
+# flags are a request error, reported and exited with 1 (not a crash).
+execute_process(COMMAND ${TOOL} refine --scenario wsub --cam-only
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE refine_rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE refine_err)
+if(NOT refine_rc EQUAL 1 OR NOT refine_err MATCHES "error: \"cam_only\"")
+  message(FATAL_ERROR "refine --scenario accepted a session-only flag "
+                      "(rc ${refine_rc}):\n${refine_err}")
+endif()
+
 # ---------------------------------------------------------------------------
 # Lint: the generated corpus must be error-free (its dead-store/unused
 # warnings are deliberate CESM-style fixtures), the JSON artifact must be an
