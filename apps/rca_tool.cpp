@@ -377,9 +377,10 @@ int cmd_lint(const Args& args) {
       service::collect_fortran_sources(src_dir.string()), pool.get(),
       &parse_errors);
   std::vector<const lang::Module*> modules;
+  const service::BuildListFilter in_build(build_list);
   for (const auto& f : files) {
     for (const auto& m : f.modules) {
-      if (service::in_build_list(build_list, m.name)) modules.push_back(&m);
+      if (in_build.contains(m.name)) modules.push_back(&m);
     }
   }
 

@@ -8,7 +8,9 @@
 // google-benchmark and runs the incremental-session acceptance gate instead:
 // at cesm scale, a warm single-module touch edit through
 // SessionStore::patch() must be >= 10x faster than a cold from-scratch
-// build. It also times warm_relint_cesm: a patch plus a /v1/lint through
+// build. It also times warm_body_patch_cesm, a one-edge body edit that must
+// take the relink path (the base generation's node table is kept, only the
+// edges are rebuilt), and warm_relint_cesm: a patch plus a /v1/lint through
 // the Router, on a patched session whose base was linted. The JSON output
 // follows the rca.bench_graph.v1 trajectory schema (median_ms +
 // runner-normalized values, gates.pass) so the same tools/bench_diff.cmake
@@ -211,6 +213,21 @@ void touch_first_line(std::string* text, int step) {
                " ! probe" + std::to_string(step));
 }
 
+/// Appends `+ wrkJ * c` to the last assignment of the module's work chain
+/// (`wrkK = ...`, J < K): a body edit that adds one edge between variables
+/// the module already names, so the patch relinks instead of replaying.
+void add_wrk_term(std::string* text, int step) {
+  int k = 1;
+  while (text->find(" wrk" + std::to_string(k + 1) + " = ") !=
+         std::string::npos) {
+    ++k;
+  }
+  const std::size_t at = text->find(" wrk" + std::to_string(k) + " = ");
+  text->insert(text->find('\n', at),
+               " + wrk" + std::to_string(step % k) + " * 0." +
+                   std::to_string(101 + step));
+}
+
 constexpr double kMinWarmSpeedup = 10.0;
 
 int run_warm_edit_gate(const std::string& json_path, bool quick) {
@@ -286,6 +303,36 @@ int run_warm_edit_gate(const std::string& json_path, bool quick) {
   const double warm_ms = stats::median(warm_times);
   std::printf("  %-34s %10.2f ms (median of %d)\n", "warm_patch_cesm", warm_ms,
               warm_repeats);
+
+  // Warm body edit: chained one-edge edits of one work-chain module. Every
+  // patch must re-walk that module alone and relink over the base's nodes.
+  std::size_t body_victim = victim;
+  while (sources[body_victim].second.find(" wrk1 = ") == std::string::npos) {
+    body_victim = (body_victim + 1) % sources.size();
+  }
+  std::vector<double> body_times;
+  for (int r = 0; r < warm_repeats; ++r) {
+    add_wrk_term(&sources[body_victim].second, r);
+    SessionStore::PatchEdit edit;
+    edit.upserts.emplace_back(sources[body_victim].first,
+                              sources[body_victim].second);
+    SessionStore::PatchResult result;
+    body_times.push_back(
+        bench::time_ms([&] { result = store.patch(key, edit); }));
+    if (result.rolled_back || result.rebuilt_modules != 1 ||
+        result.splice != meta::Splice::kRelink) {
+      std::fprintf(stderr,
+                   "warm body edit did not take the relink path "
+                   "(rolled_back=%d full_rewalk=%d rebuilt=%zu)\n",
+                   result.rolled_back, result.full_rewalk,
+                   result.rebuilt_modules);
+      return 1;
+    }
+    key = result.session->key();
+  }
+  const double body_ms = stats::median(body_times);
+  std::printf("  %-34s %10.2f ms (median of %d)\n", "warm_body_patch_cesm",
+              body_ms, warm_repeats);
 
   // Warm relint: the same chained touch edits, each a /v1/session/patch
   // plus a /v1/lint of the new session through the Router, so the lint is
@@ -364,6 +411,7 @@ int run_warm_edit_gate(const std::string& json_path, bool quick) {
     for (const auto& k :
          {std::make_pair("cold_build_cesm", cold_ms),
           std::make_pair("warm_patch_cesm", warm_ms),
+          std::make_pair("warm_body_patch_cesm", body_ms),
           std::make_pair("warm_relint_cesm", relint_ms)}) {
       w.key(k.first);
       w.begin_object();

@@ -832,7 +832,7 @@ AnalysisResult PassManager::run(const std::vector<const Module*>& modules,
 
 AnalysisResult PassManager::run(const std::vector<const Module*>& modules,
                                 const std::vector<bool>& dirty,
-                                const SummaryBaseline* baseline) const {
+                                const ProgramSummaries* baseline) const {
   RCA_CHECK_MSG(dirty.size() == modules.size(),
                 "dirty mask must parallel the module list");
   obs::Span span("lint");

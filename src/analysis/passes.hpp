@@ -88,7 +88,6 @@ struct ModuleAnalysis {
 };
 
 struct ProgramSummaries;
-struct SummaryBaseline;
 
 /// Per-module context a pass runs under. In intraprocedural mode both
 /// members are empty.
@@ -133,16 +132,19 @@ class PassManager {
   /// (each pass reads only its own module's bodies plus remote interface
   /// info; see meta::interface_signature). In interprocedural mode a body
   /// patch can also change lint results in the patched modules' reverse
-  /// caller cone: when `baseline` is given, modules whose summary signature
-  /// changed widen the dirty set by their caller cone (`summary_cone`), and
-  /// the widened mask comes back in `AnalysisResult::analyzed` so the caller
-  /// drops stale carried diagnostics for exactly those modules. Used by the
-  /// session patch path.
+  /// caller cone: when `baseline` (the base generation's summaries) is
+  /// given, modules whose summary signature changed widen the dirty set by
+  /// their caller cone (`summary_cone`), and the widened mask comes back in
+  /// `AnalysisResult::analyzed` so the caller drops stale carried
+  /// diagnostics for exactly those modules. Only the
+  /// baseline's plain-data `procs` and `module_sigs` are read, never its
+  /// call graph, so it may outlive the ASTs it was computed from. Used by
+  /// the session patch path.
   AnalysisResult run(const std::vector<const lang::Module*>& modules,
                      const std::vector<bool>& dirty) const;
   AnalysisResult run(const std::vector<const lang::Module*>& modules,
                      const std::vector<bool>& dirty,
-                     const SummaryBaseline* baseline) const;
+                     const ProgramSummaries* baseline) const;
 
   /// Manager preloaded with the default interprocedural rules (ids as
   /// documented above).

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "analysis/fpsense.hpp"
 #include "fault/fault.hpp"
@@ -66,9 +69,15 @@ std::uint64_t pack_flags(const DummySummary& d) {
   return f;
 }
 
-std::string baseline_key(const std::string& module, const std::string& name) {
-  return module + '\x1f' + name;
-}
+/// A procedure's (module, name) identity, as views into a ProcSummary.
+using ProcKey = std::pair<std::string_view, std::string_view>;
+
+struct ProcKeyHash {
+  std::size_t operator()(const ProcKey& k) const {
+    return static_cast<std::size_t>(
+        fnv1a64(k.second, fnv1a64("\x1f", fnv1a64(k.first))));
+  }
+};
 
 /// Candidates a call site can dispatch to: context- and arity-filtered.
 std::vector<const Subprogram*> dispatch_candidates(
@@ -504,15 +513,6 @@ ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
 
 }  // namespace
 
-SummaryBaseline ProgramSummaries::to_baseline() const {
-  SummaryBaseline b;
-  b.module_sigs = module_sigs;
-  for (const ProcSummary& p : procs) {
-    b.procs.emplace(baseline_key(p.module, p.name), p);
-  }
-  return b;
-}
-
 std::set<std::string> summary_cone(const CallGraph& cg,
                                    const std::set<std::string>& dirty) {
   // Module-level reverse adjacency: an edge caller -> callee means the
@@ -542,7 +542,7 @@ std::set<std::string> summary_cone(const CallGraph& cg,
 
 ProgramSummaries compute_summaries(
     const std::vector<const Module*>& modules, const ProgramSymbols& symbols,
-    const SummaryBaseline* base, const std::set<std::string>* dirty_modules) {
+    const ProgramSummaries* base, const std::set<std::string>* dirty_modules) {
   RCA_FAULT_POINT("analysis.summary");
   ProgramSummaries out;
   out.cg = build_call_graph(modules, symbols);
@@ -551,17 +551,24 @@ ProgramSummaries compute_summaries(
   out.procs.resize(n);
 
   // Outside the dirty modules' reverse caller cone nothing a body patch can
-  // change is visible, so the baseline summary is still exact.
+  // change is visible, so the base summary is still exact. The base is
+  // matched by its plain-data (module, name) fields only: its call graph
+  // points into ASTs a patch may already have freed.
   std::vector<char> reused(n, 0);
   if (base != nullptr && dirty_modules != nullptr) {
     const std::set<std::string> cone = summary_cone(cg, *dirty_modules);
+    std::unordered_map<ProcKey, const ProcSummary*, ProcKeyHash> base_procs;
+    base_procs.reserve(base->procs.size());
+    for (const ProcSummary& p : base->procs) {
+      base_procs.try_emplace(ProcKey{p.module, p.name}, &p);  // first wins
+    }
     for (std::size_t i = 0; i < n; ++i) {
       const std::string& mod = cg.nodes[i].module->name;
       if (cone.count(mod) > 0) continue;
-      auto it = base->procs.find(baseline_key(mod, cg.nodes[i].sp->name));
-      if (it != base->procs.end() &&
-          it->second.dummies.size() == cg.nodes[i].sp->params.size()) {
-        out.procs[i] = it->second;
+      auto it = base_procs.find(ProcKey{mod, cg.nodes[i].sp->name});
+      if (it != base_procs.end() &&
+          it->second->dummies.size() == cg.nodes[i].sp->params.size()) {
+        out.procs[i] = *it->second;
         reused[i] = 1;
         ++out.procs_reused;
       }

@@ -11,10 +11,12 @@
 // then marked `recursive`, which makes every consumer fall back to the
 // conservative blanket model, exactly as the intraprocedural analysis would.
 //
-// Incremental relint: `to_baseline()` captures the summaries as plain data
-// (no AST pointers), and `compute_summaries` with a baseline plus a dirty
-// module set recomputes only procedures inside the dirty modules' reverse
-// caller cone (`summary_cone`), reusing the baseline elsewhere.
+// Incremental relint: `compute_summaries` with a base generation's summaries
+// plus a dirty module set recomputes only procedures inside the dirty
+// modules' reverse caller cone (`summary_cone`), reusing the base's
+// summaries elsewhere. It reads only the base's plain-data `procs` and
+// `module_sigs`, never its call graph, so the base's ASTs may already be
+// gone.
 #pragma once
 
 #include <cstdint>
@@ -72,14 +74,9 @@ struct ProcSummary {
   }
 };
 
-/// Plain-data snapshot safe to outlive the ASTs it was computed from —
-/// what a session carries across a patch for incremental relint.
-struct SummaryBaseline {
-  std::map<std::string, std::uint64_t> module_sigs;
-  std::map<std::string, ProcSummary> procs;  // key: module + '\x1f' + name
-};
-
 struct ProgramSummaries {
+  // Points into the ASTs the summaries were computed from; only valid while
+  // they are. `procs` and `module_sigs` are plain data.
   CallGraph cg;
   std::vector<ProcSummary> procs;  // parallel to cg.nodes
   // Per-module hash over that module's procedure summaries; a changed sig
@@ -92,16 +89,15 @@ struct ProgramSummaries {
     const int i = cg.index_of(sp);
     return i < 0 ? nullptr : &procs[static_cast<std::size_t>(i)];
   }
-
-  SummaryBaseline to_baseline() const;
 };
 
-/// Computes summaries bottom-up over the SCC condensation. With a baseline
-/// and a dirty module set, procedures outside `summary_cone(cg, dirty)` are
-/// reused from the baseline instead of recomputed.
+/// Computes summaries bottom-up over the SCC condensation. With a base
+/// generation's summaries and a dirty module set, procedures outside
+/// `summary_cone(cg, dirty)` are reused from `base` (matched by module and
+/// name) instead of recomputed. Only `base->procs` is read.
 ProgramSummaries compute_summaries(
     const std::vector<const lang::Module*>& modules,
-    const ProgramSymbols& symbols, const SummaryBaseline* base = nullptr,
+    const ProgramSymbols& symbols, const ProgramSummaries* base = nullptr,
     const std::set<std::string>* dirty_modules = nullptr);
 
 /// The reverse caller cone of `dirty` at module granularity (reflexive):

@@ -431,7 +431,7 @@ Fragment walk_module(const Module& m, const SymbolTables& tables,
   return frag;
 }
 
-void replay_fragment(const Fragment& frag, Metagraph& mg) {
+std::vector<NodeId> replay_fragment(const Fragment& frag, Metagraph& mg) {
   std::vector<NodeId> global(frag.keys.size());
   for (const Fragment::Op& op : frag.ops) {
     switch (op.kind) {
@@ -453,6 +453,7 @@ void replay_fragment(const Fragment& frag, Metagraph& mg) {
   mg.assignments_failed += frag.assignments_failed;
   mg.calls_processed += frag.calls_processed;
   mg.dead_stores_pruned += frag.dead_stores_pruned;
+  return global;
 }
 
 Metagraph build_metagraph(const std::vector<const Module*>& modules,

@@ -16,6 +16,13 @@
 // of every module in the corpus (the symbol tables never read statement
 // bodies) — which is what interface_signature() in transaction.hpp
 // fingerprints.
+//
+// The op log splits cleanly into a node side and an edge side. kNode and kIo
+// ops alone decide the node table (ids, metadata, indexes, io map); kEdge
+// ops only add edges between ids already interned. Replaying also yields
+// each fragment's local -> global id map, which the transaction layer keeps
+// so a patch that changes only kEdge ops can translate every fragment's
+// edges through those maps and rebuild just the digraph (the relink path).
 #pragma once
 
 #include <cstdint>
@@ -110,7 +117,9 @@ Fragment walk_module(const lang::Module& m, const SymbolTables& tables,
 /// Replays a fragment's op log against the shared metagraph, translating
 /// local ids through the global intern (idempotent across fragments: the
 /// first fragment in module order to intern a key sets its line/flags,
-/// exactly as the serial walk would).
-void replay_fragment(const Fragment& frag, Metagraph& mg);
+/// exactly as the serial walk would). Returns the local -> global id map,
+/// indexed by key.
+std::vector<graph::NodeId> replay_fragment(const Fragment& frag,
+                                           Metagraph& mg);
 
 }  // namespace rca::meta

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,12 +37,45 @@ struct NodeInfo {
 
 class Metagraph {
  public:
+  /// The node side of a metagraph: every interned node, its metadata and
+  /// lookup indexes, and the io map. Built by intern() / add_io_mapping(),
+  /// immutable once seal() has run, and shared (never copied) by every
+  /// metagraph relinked over it. Everything here depends only on the
+  /// module-order sequence of intern and io calls, never on edges.
+  struct NodeTable {
+    std::vector<NodeInfo> info;
+    std::unordered_map<std::string, graph::NodeId> by_scope_key;
+    std::unordered_map<std::string, std::vector<graph::NodeId>> by_canonical;
+    std::unordered_map<std::string, std::vector<graph::NodeId>> by_module;
+    std::vector<std::string> module_order;
+    std::map<std::string, std::vector<graph::NodeId>> io_map;
+  };
+
+  Metagraph();
+  // Move-only: a copy made before seal() would share the table under
+  // construction.
+  Metagraph(Metagraph&&) = default;
+  Metagraph& operator=(Metagraph&&) = default;
+  Metagraph(const Metagraph&) = delete;
+  Metagraph& operator=(const Metagraph&) = delete;
+
+  /// A sealed metagraph over an already sealed node table: shares `nodes`
+  /// and builds only the digraph, from `edges` in one pass (self-loops and
+  /// duplicates dropped exactly as seal() drops them). The transaction
+  /// layer's relink path: a body-only patch keeps the base generation's
+  /// nodes and changes only edges.
+  Metagraph(std::shared_ptr<const NodeTable> nodes,
+            std::vector<std::pair<graph::NodeId, graph::NodeId>> edges);
+
   /// The variable digraph; empty until seal().
   const graph::Digraph& graph() const { return graph_; }
 
-  std::size_t node_count() const { return info_.size(); }
-  const NodeInfo& info(graph::NodeId v) const { return info_[v]; }
-  const std::vector<NodeInfo>& all_info() const { return info_; }
+  /// The sealed node table, for relinking a new edge set over it.
+  const std::shared_ptr<const NodeTable>& node_table() const;
+
+  std::size_t node_count() const { return nodes_->info.size(); }
+  const NodeInfo& info(graph::NodeId v) const { return nodes_->info[v]; }
+  const std::vector<NodeInfo>& all_info() const { return nodes_->info; }
 
   /// Find or create a node; returns its id. Uniqueness is on
   /// (module, subprogram, canonical_name).
@@ -54,8 +88,9 @@ class Metagraph {
   void add_edge(graph::NodeId u, graph::NodeId v);
 
   /// Build the digraph over every interned node from the buffered edges, in
-  /// one pass. Every producer (builder, transaction splice, both snapshot
-  /// loaders) seals once; intern() and add_edge() afterwards fail RCA_CHECK.
+  /// one pass, and freeze the node table. Every producer (builder,
+  /// transaction splice, both snapshot loaders) seals once; intern(),
+  /// add_edge() and add_io_mapping() afterwards fail RCA_CHECK.
   void seal();
 
   /// Lookup without creation; returns kInvalidNode when absent.
@@ -69,7 +104,9 @@ class Metagraph {
   std::vector<graph::NodeId> by_module(const std::string& module) const;
 
   /// Distinct module names, in first-seen order.
-  const std::vector<std::string>& modules() const { return module_order_; }
+  const std::vector<std::string>& modules() const {
+    return nodes_->module_order;
+  }
 
   /// Dense per-node module class ids (for quotient_graph) and the class
   /// count; class ids follow modules() order.
@@ -84,7 +121,7 @@ class Metagraph {
   /// serialization of the same graph is byte-identical regardless of label
   /// insertion order — the snapshot cache diffs saved text exactly.
   const std::map<std::string, std::vector<graph::NodeId>>& io_map() const {
-    return io_map_;
+    return nodes_->io_map;
   }
   void add_io_mapping(const std::string& label, graph::NodeId node);
 
@@ -103,13 +140,11 @@ class Metagraph {
 
   graph::Digraph graph_;
   std::vector<std::pair<graph::NodeId, graph::NodeId>> pending_edges_;
-  bool sealed_ = false;
-  std::vector<NodeInfo> info_;
-  std::unordered_map<std::string, graph::NodeId> by_scope_key_;
-  std::unordered_map<std::string, std::vector<graph::NodeId>> by_canonical_;
-  std::unordered_map<std::string, std::vector<graph::NodeId>> by_module_;
-  std::vector<std::string> module_order_;
-  std::map<std::string, std::vector<graph::NodeId>> io_map_;
+  std::shared_ptr<NodeTable> open_;          // == nodes_ until seal()
+  std::shared_ptr<const NodeTable> nodes_;
+  // Read only by intern(), but kept after seal(): freeing its tens of
+  // thousands of small nodes at once scatters the allocator's free lists,
+  // and every later warm patch paid for it in slower small allocations.
   std::unordered_map<std::string, int> unique_name_uses_;
 };
 

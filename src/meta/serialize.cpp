@@ -127,7 +127,6 @@ Metagraph load_v1(std::istream& in) {
     }
     mg.add_edge(u, v);
   }
-  mg.seal();
   for (const auto& [label, nodes] : io) {
     for (NodeId v : nodes) {
       if (v >= mg.node_count()) {
@@ -136,6 +135,7 @@ Metagraph load_v1(std::istream& in) {
       mg.add_io_mapping(label, v);
     }
   }
+  mg.seal();
   return mg;
 }
 
@@ -357,7 +357,6 @@ Metagraph load_v2(std::istream& in) {
     mg.add_edge(u, v);
   }
   if (!edges.done()) throw Error("load_metagraph: trailing bytes in E section");
-  mg.seal();
 
   Reader io{sections[2].payload};
   const std::uint64_t label_count = io.read_varint();
@@ -370,6 +369,7 @@ Metagraph load_v2(std::istream& in) {
     }
   }
   if (!io.done()) throw Error("load_metagraph: trailing bytes in I section");
+  mg.seal();
 
   return mg;
 }

@@ -1,5 +1,7 @@
 #include "meta/transaction.hpp"
 
+#include <algorithm>
+#include <ranges>
 #include <unordered_map>
 #include <utility>
 
@@ -40,6 +42,24 @@ void add_use(SnapshotKey& key, const lang::UseStmt& use) {
     key.add(r.local);
     key.add(r.remote);
   }
+}
+
+/// True when both fragments make the same node-table calls: the same
+/// `keys` sequence (kNode ops intern keys in index order) and the same kIo
+/// ops, compared by label and local id.
+bool same_node_ops(const Fragment& a, const Fragment& b) {
+  if (!(a.keys == b.keys)) return false;
+  auto io_ops = [](const Fragment& f) {
+    return f.ops | std::views::filter([](const Fragment::Op& op) {
+             return op.kind == Fragment::OpKind::kIo;
+           });
+  };
+  auto ia = io_ops(a);
+  auto ib = io_ops(b);
+  return std::ranges::equal(ia, ib, [&](const Fragment::Op& x,
+                                        const Fragment::Op& y) {
+    return x.b == y.b && a.io_labels[x.a] == b.io_labels[y.a];
+  });
 }
 
 }  // namespace
@@ -193,46 +213,89 @@ TxnResult run_transaction(const std::vector<TxnInput>& inputs,
   stats.rebuilt_modules = to_walk.size();
   stats.reused_fragments = inputs.size() - to_walk.size();
 
-  // No-op fast path: if every re-walked fragment came back deep-equal to its
-  // cached predecessor (comment-only touches — bytes changed, dependence
-  // content did not), replaying would reproduce the base graph byte-for-byte.
-  // Alias it instead of re-interning the whole corpus; this is what makes a
-  // warm single-module touch edit an order of magnitude cheaper than a cold
-  // build. The fault site still fires per entry so chaos specs hit the fast
-  // path and the replay path alike.
-  bool unchanged = !stats.full_rewalk && base_mg != nullptr &&
-                   base->entries.size() == next->entries.size();
-  if (unchanged) {
+  // Splice decision against the base generation, entry by entry: an entry
+  // whose fragment is deep-equal to its predecessor keeps the base's graph
+  // content; one that makes the same node-table calls keeps the base's node
+  // table; anything else needs a replay.
+  stats.splice = Splice::kReplay;
+  if (!stats.full_rewalk && base_mg != nullptr && base->global_ids != nullptr &&
+      base->entries.size() == next->entries.size()) {
+    stats.splice = Splice::kAlias;
     for (std::size_t i = 0; i < next->entries.size(); ++i) {
-      const auto& ours = next->entries[i];
-      const auto& theirs = base->entries[i];
-      if (ours.module != theirs.module || theirs.frag == nullptr ||
-          (ours.frag != theirs.frag && !(*ours.frag == *theirs.frag))) {
-        unchanged = false;
+      const TxnState::Entry& ours = next->entries[i];
+      const TxnState::Entry& theirs = base->entries[i];
+      if (ours.module != theirs.module || theirs.frag == nullptr) {
+        stats.splice = Splice::kReplay;
         break;
+      }
+      if (ours.frag != theirs.frag && !(*ours.frag == *theirs.frag)) {
+        if (!same_node_ops(*ours.frag, *theirs.frag)) {
+          stats.splice = Splice::kReplay;
+          break;
+        }
+        stats.splice = Splice::kRelink;
       }
     }
   }
+  if (stats.splice != Splice::kReplay) next->global_ids = base->global_ids;
 
+  // The fault site fires once per entry on every path, so a chaos spec with
+  // a small probability lands inside real commits; a throw here discards
+  // everything staged above.
   TxnResult result;
-  if (unchanged) {
-    for (std::size_t i = 0; i < next->entries.size(); ++i) {
-      RCA_FAULT_POINT("meta.txn.splice");
+  switch (stats.splice) {
+    case Splice::kAlias: {
+      for (std::size_t i = 0; i < next->entries.size(); ++i) {
+        RCA_FAULT_POINT("meta.txn.splice");
+      }
+      result.mg = std::move(base_mg);
+      obs::count("meta.txn.graph_reuses");
+      break;
     }
-    result.mg = std::move(base_mg);
-    obs::count("meta.txn.graph_reuses");
-  } else {
-    // Splice: deterministic module-order replay into a fresh graph. The
-    // fault site fires per fragment so a chaos spec with a small probability
-    // lands inside real commits; a throw here discards everything staged
-    // above.
-    auto mg = std::make_shared<Metagraph>();
-    for (const TxnState::Entry& e : next->entries) {
-      RCA_FAULT_POINT("meta.txn.splice");
-      replay_fragment(*e.frag, *mg);
+    case Splice::kRelink: {
+      // Same node table, new edge list: translate every fragment's kEdge
+      // ops through its cached id map, in the op order a replay would
+      // buffer them, and build the digraph once.
+      std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
+      edges.reserve(base_mg->graph().edge_count());
+      const std::vector<graph::NodeId>& global = *next->global_ids;
+      std::size_t first = 0;  // the entry's first key in `global`
+      for (const TxnState::Entry& e : next->entries) {
+        RCA_FAULT_POINT("meta.txn.splice");
+        for (const Fragment::Op& op : e.frag->ops) {
+          if (op.kind == Fragment::OpKind::kEdge) {
+            edges.emplace_back(global[first + op.a], global[first + op.b]);
+          }
+        }
+        first += e.frag->keys.size();
+      }
+      auto mg = std::make_shared<Metagraph>(base_mg->node_table(),
+                                            std::move(edges));
+      for (const TxnState::Entry& e : next->entries) {
+        mg->assignments_processed += e.frag->assignments_processed;
+        mg->assignments_failed += e.frag->assignments_failed;
+        mg->calls_processed += e.frag->calls_processed;
+        mg->dead_stores_pruned += e.frag->dead_stores_pruned;
+      }
+      result.mg = std::move(mg);
+      obs::count("meta.txn.relinks");
+      break;
     }
-    mg->seal();
-    result.mg = std::move(mg);
+    case Splice::kReplay: {
+      // Deterministic module-order replay into a fresh graph.
+      auto mg = std::make_shared<Metagraph>();
+      std::vector<graph::NodeId> global;
+      for (const TxnState::Entry& e : next->entries) {
+        RCA_FAULT_POINT("meta.txn.splice");
+        const std::vector<graph::NodeId> ids = replay_fragment(*e.frag, *mg);
+        global.insert(global.end(), ids.begin(), ids.end());
+      }
+      mg->seal();
+      next->global_ids =
+          std::make_shared<const std::vector<graph::NodeId>>(std::move(global));
+      result.mg = std::move(mg);
+      break;
+    }
   }
 
   obs::count("meta.txn.commits");

@@ -1,15 +1,30 @@
 // Incremental metagraph transactions: patch-only rebuilds with rollback.
 //
 // A Transaction models one session update as "re-parse and re-walk only the
-// changed modules, splice their fragments into a fresh metagraph together
-// with the cached fragments of every unchanged module". Because node ids
-// are assigned by first-intern order across the module sequence, the
-// resident graph is never mutated in place; instead every commit replays
-// ALL fragments (cached + fresh) in module order — the exact recipe of the
-// parallel builder — so the committed graph is byte-identical to a
-// from-scratch build of the same sources. The saving is what matters: the
-// expensive phases (lex + parse + statement walk) run only for the changed
-// modules, while replay is a linear pass over precomputed op logs.
+// changed modules, then splice their fragments together with the cached
+// fragments of every unchanged module". Node ids are assigned by
+// first-intern order across the module sequence, so the resident graph is
+// never mutated in place. The splice has three outcomes, cheapest first:
+//
+//   * alias  — every re-walked fragment is deep-equal to its predecessor
+//              (comment-only touches): the base graph itself is returned;
+//   * relink — every re-walked fragment makes the same node-table calls as
+//              its predecessor (the same `keys` sequence and the same kIo
+//              ops) and differs only in kEdge ops or build counters (a body
+//              edit such as `+ wrk2 * c` over variables the module already
+//              names): the new graph shares the base's sealed node table and
+//              rebuilds only the edge CSR, translating every fragment's
+//              edges through the local -> global id map cached in the state;
+//   * replay — anything else (new variables, a first sighting moved to
+//              another line, a changed outfld label, interface escalation):
+//              ALL fragments (cached + fresh) are replayed in module order
+//              into a fresh Metagraph, the exact recipe of the builder.
+//
+// All three give a graph byte-identical to a from-scratch build of the same
+// sources: the node table depends only on the module-order sequence of kNode
+// and kIo ops, which alias and relink leave unchanged, and relink emits the
+// edges in the same op order a replay would. The expensive phases (lex +
+// parse + statement walk) run only for the changed modules.
 //
 // Soundness of fragment reuse: a module's fragment depends on (a) its own
 // AST and (b) the *interface-level* content of every module in the corpus —
@@ -32,8 +47,8 @@
 //
 // Counters: meta.txn.commits, meta.txn.full_rewalks,
 // meta.txn.rebuilt_modules, meta.txn.reused_fragments,
-// meta.txn.spliced_nodes. Fault site: meta.txn.splice (checked once per
-// fragment replayed).
+// meta.txn.spliced_nodes, meta.txn.relinks, meta.txn.graph_reuses (alias).
+// Fault site: meta.txn.splice (checked once per entry on every splice path).
 #pragma once
 
 #include <cstdint>
@@ -68,6 +83,12 @@ struct TxnState {
     std::shared_ptr<const Fragment> frag;
   };
   std::vector<Entry> entries;  // module order
+  /// Global node id of every fragment key in the committed graph, entry
+  /// after entry in module order (an entry's keys start after the keys of
+  /// every entry before it): what replay_fragment returned for each entry.
+  /// Shared by every generation over the same node table; the relink path
+  /// translates edges through it.
+  std::shared_ptr<const std::vector<graph::NodeId>> global_ids;
   /// Hash over every (name, iface_sig) pair in module order — unchanged iff
   /// per-module reuse is sound.
   std::uint64_t iface_fingerprint = 0;
@@ -98,20 +119,21 @@ struct TxnInput {
   std::shared_ptr<const lang::SourceFile> owner;
 };
 
+/// How a transaction produced its graph (see the file comment).
+enum class Splice : std::uint8_t { kReplay, kRelink, kAlias };
+
 struct TxnStats {
   std::size_t rebuilt_modules = 0;   // fragments re-walked
   std::size_t reused_fragments = 0;  // fragments spliced from the cache
   std::size_t spliced_nodes = 0;     // nodes interned by re-walked fragments
   bool full_rewalk = false;          // interface escalation (or no base)
+  Splice splice = Splice::kReplay;
 };
 
 struct TxnResult {
-  // Shared because the no-op fast path aliases the base session's graph:
-  // when every re-walked fragment comes back deep-equal to its cached
-  // predecessor (comment-only touches), the replay would reproduce the base
-  // graph byte-for-byte, so the transaction returns the base graph itself
-  // instead of re-interning tens of thousands of nodes. Metagraph is
-  // immutable once built, so aliasing is safe.
+  // Shared because the alias path returns the base session's graph itself
+  // and the relink path shares its node table. Metagraph is immutable once
+  // sealed, so both are safe.
   std::shared_ptr<const Metagraph> mg;
   std::shared_ptr<const TxnState> state;
   TxnStats stats;
@@ -119,10 +141,11 @@ struct TxnResult {
 
 /// Runs one transaction: stages `inputs` (the complete post-edit module
 /// sequence), decides per-module reuse against `base` (null = cold build),
-/// walks what must be walked (pooled via opts.pool when set), and replays
-/// every fragment in module order into a fresh Metagraph — or, when
-/// `base_mg` is given and no fragment actually changed, returns `base_mg`
-/// unchanged (the warm-edit fast path; see TxnResult::mg).
+/// walks what must be walked (pooled via opts.pool when set), and splices
+/// the result: `base_mg` itself when no fragment changed, a relink over
+/// `base_mg`'s node table when only edges changed, otherwise a module-order
+/// replay of every fragment into a fresh Metagraph. `base_mg` must be the
+/// graph committed with `base`; without it every splice replays.
 ///
 /// Throws (fault injection, walker errors) before returning — never after
 /// partially mutating anything the caller can see; the caller's base state

@@ -90,11 +90,4 @@ std::vector<lang::SourceFile> parse_sources(
   return files;
 }
 
-bool in_build_list(const std::vector<std::string>& build_list,
-                   const std::string& module) {
-  if (build_list.empty()) return true;
-  return std::find(build_list.begin(), build_list.end(), module) !=
-         build_list.end();
-}
-
 }  // namespace rca::service

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -38,9 +39,20 @@ std::vector<lang::SourceFile> parse_sources(
     const std::vector<std::pair<std::string, std::string>>& sources,
     ThreadPool* pool, std::vector<std::pair<std::string, std::string>>* errors);
 
-/// True when `module` is in the build configuration: listed in
-/// `build_list`, or any module when the list is empty.
-bool in_build_list(const std::vector<std::string>& build_list,
-                   const std::string& module);
+/// Membership in the build configuration: a module is in it when listed in
+/// the build list, or always when the list is empty. Hashes the list once,
+/// so a pass over every module of a corpus costs one lookup per module.
+class BuildListFilter {
+ public:
+  explicit BuildListFilter(const std::vector<std::string>& build_list)
+      : names_(build_list.begin(), build_list.end()) {}
+
+  bool contains(const std::string& module) const {
+    return names_.empty() || names_.count(module) != 0;
+  }
+
+ private:
+  std::unordered_set<std::string> names_;
+};
 
 }  // namespace rca::service

@@ -78,9 +78,10 @@ void Session::ensure_parsed(ThreadPool* pool) const {
   for (auto& f : parsed) {
     files_.push_back(std::make_shared<const lang::SourceFile>(std::move(f)));
   }
+  const BuildListFilter build_list(config_.build_list);
   for (const auto& f : files_) {
     for (const auto& m : f->modules) {
-      if (in_build_list(config_.build_list, m.name)) modules_.push_back(&m);
+      if (build_list.contains(m.name)) modules_.push_back(&m);
     }
   }
   parsed_ = true;
@@ -134,9 +135,7 @@ const analysis::AnalysisResult& Session::lint() const {
     // changed (result->analyzed is the widened mask; carried diagnostics of
     // widened modules are dropped in favor of their fresh recomputation).
     const LintSeed& seed = *lint_seed_;
-    std::optional<analysis::SummaryBaseline> baseline;
-    if (seed.base->summaries) baseline = seed.base->summaries->to_baseline();
-    *result = pm.run(modules_, seed.dirty, baseline ? &*baseline : nullptr);
+    *result = pm.run(modules_, seed.dirty, seed.base->summaries.get());
     std::unordered_set<std::string> widened;
     for (std::size_t i = 0; i < modules_.size(); ++i) {
       if (i < result->analyzed.size() && result->analyzed[i] &&
@@ -338,9 +337,10 @@ std::shared_ptr<Session> SessionStore::build_session_once(
     // same order build_metagraph walks them, so the graph is byte-identical.
     std::vector<meta::TxnInput> inputs;
     inputs.reserve(session->modules_.size());
+    const BuildListFilter build_list(config.build_list);
     for (const auto& f : session->files_) {
       for (const auto& m : f->modules) {
-        if (!in_build_list(config.build_list, m.name)) continue;
+        if (!build_list.contains(m.name)) continue;
         inputs.push_back(meta::TxnInput{f->path, &m, /*dirty=*/true, f});
       }
     }
@@ -590,10 +590,11 @@ SessionStore::PatchResult SessionStore::patch_build(
   }
   std::vector<meta::TxnInput> inputs;
   std::vector<bool> dirty_mask;
+  const BuildListFilter build_list(session->config_.build_list);
   for (const auto& f : session->files_) {
     const bool dirty = changed_set.count(f->path) != 0;
     for (const auto& m : f->modules) {
-      if (!in_build_list(session->config_.build_list, m.name)) continue;
+      if (!build_list.contains(m.name)) continue;
       session->modules_.push_back(&m);
       inputs.push_back(meta::TxnInput{f->path, &m, dirty, f});
       dirty_mask.push_back(dirty);
@@ -650,6 +651,7 @@ SessionStore::PatchResult SessionStore::patch_build(
   PatchResult r;
   r.session = std::move(session);
   r.full_rewalk = txn.stats.full_rewalk;
+  r.splice = txn.stats.splice;
   r.rebuilt_modules = txn.stats.rebuilt_modules;
   r.reused_fragments = txn.stats.reused_fragments;
   r.spliced_nodes = txn.stats.spliced_nodes;

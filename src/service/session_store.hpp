@@ -246,6 +246,9 @@ class SessionStore {
     /// (including the no-op edit) — nothing was parsed or built.
     bool resident_hit = false;
     bool full_rewalk = false;
+    /// How the transaction produced the graph: replay, relink over the
+    /// base's node table, or alias of the base graph.
+    meta::Splice splice = meta::Splice::kReplay;
     std::size_t rebuilt_modules = 0;
     std::size_t reused_fragments = 0;
     std::size_t spliced_nodes = 0;

@@ -32,6 +32,7 @@
 #include "meta/serialize.hpp"
 #include "meta/snapshot_cache.hpp"
 #include "model/corpus.hpp"
+#include "obs/obs.hpp"
 #include "service/router.hpp"
 #include "service/session_store.hpp"
 #include "support/error.hpp"
@@ -793,6 +794,285 @@ TEST(IncrementalPin, EvictDuringPatchStressEightThreads) {
   EXPECT_GT(total, 0);
   // All pins released: nothing should be stuck pinned after the dust settles.
   EXPECT_FALSE(store.pinned(base_key));
+}
+
+// ---------------------------------------------------------------------------
+// Relink: body-only patches share the base generation's node table
+// ---------------------------------------------------------------------------
+
+/// A generated corpus as a sorted source list plus its build list.
+struct GeneratedSources {
+  SourceList sources;
+  std::vector<std::string> compiled;
+};
+
+GeneratedSources generated_sources(const model::CorpusSpec& spec) {
+  model::GeneratedCorpus corpus = model::generate_corpus(spec);
+  GeneratedSources out;
+  for (auto& f : corpus.files) {
+    out.sources.emplace_back(f.path, std::move(f.text));
+  }
+  std::sort(out.sources.begin(), out.sources.end());
+  out.compiled = std::move(corpus.compiled_modules);
+  return out;
+}
+
+/// Index of the `pick`-th (mod count) source holding a `wrk1 = ` assignment
+/// in a module on the build list: a generated aux module with a work chain.
+std::size_t editable_file(const GeneratedSources& g, const SourceList& cur,
+                          std::uint64_t pick) {
+  std::vector<std::size_t> cands;
+  for (std::size_t i = 0; i < cur.size(); ++i) {
+    const std::string& text = cur[i].second;
+    if (text.find(" wrk1 = ") == std::string::npos) continue;
+    const std::size_t b = text.find("module ") + 7;
+    const std::string name = text.substr(b, text.find('\n') - b);
+    if (g.compiled.empty() ||
+        std::find(g.compiled.begin(), g.compiled.end(), name) !=
+            g.compiled.end()) {
+      cands.push_back(i);
+    }
+  }
+  return cands.at(pick % cands.size());
+}
+
+/// Number of `wrkK = ` assignment lines (K = 0, 1, ...) in `text`.
+int wrk_chain_length(const std::string& text) {
+  int n = 0;
+  while (text.find(" wrk" + std::to_string(n) + " = ") != std::string::npos) {
+    ++n;
+  }
+  return n;
+}
+
+/// Appends `term` to the `wrk<k> = ...` assignment, in place: no line moves,
+/// so no interface signature changes.
+std::string append_to_wrk(const std::string& text, int k,
+                          const std::string& term) {
+  const std::string lhs = "wrk" + std::to_string(k) + " = ";
+  std::vector<std::string> lines = split_lines(text);
+  for (auto& line : lines) {
+    if (trimmed(line).rfind(lhs, 0) == 0) {
+      line += term;
+      return join_lines(lines);
+    }
+  }
+  ADD_FAILURE() << "no assignment to wrk" << k;
+  return text;
+}
+
+/// The body edit the cesm-session benchmark makes: `+ wrkJ * c` on the
+/// assignment of wrkK, J < K. wrkJ is already named earlier in the module,
+/// so the re-walked fragment interns the same keys and gains one edge.
+std::string add_wrk_term(const std::string& text, SplitMix64* rng) {
+  const auto n = static_cast<std::uint64_t>(wrk_chain_length(text));
+  const std::uint64_t k = 1 + rng->next() % (n - 1);
+  const std::uint64_t j = rng->next() % k;
+  return append_to_wrk(text, static_cast<int>(k),
+                       " + wrk" + std::to_string(j) + " * 0.25");
+}
+
+/// Relink-path suite: obs on (the tests read meta.txn.relinks), no fault
+/// armed outside the test body.
+class IncrementalRelink : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    fault::FaultRegistry::global().disarm();
+    obs::global().set_enabled(true);
+  }
+  void TearDown() override {
+    fault::FaultRegistry::global().disarm();
+    obs::global().set_enabled(false);
+  }
+
+  static double relinks() { return obs::global().counter("meta.txn.relinks"); }
+
+  /// Runs `steps` chained `+ wrkJ * c` patches and checks every generation
+  /// relinks over the cold build's node table; `check_every` compares each
+  /// generation (not only the last) against a cold build.
+  static void run_chain(const model::CorpusSpec& spec, bool use_build_list,
+                        int steps, bool check_every, ThreadPool* pool) {
+    const GeneratedSources g = generated_sources(spec);
+    SessionConfig config;
+    if (use_build_list) config.build_list = g.compiled;
+    SessionStoreOptions opts;
+    opts.build_pool = pool;
+    SessionStore store(opts);
+    SourceList truth = g.sources;
+    auto cold = store.get_or_build(config, truth);
+    const auto table = cold->metagraph().node_table();
+    std::string key = cold->key();
+    const double relinks_before = relinks();
+
+    SplitMix64 rng(spec.seed * 31 + 7);
+    std::shared_ptr<const Session> head;
+    for (int step = 0; step < steps; ++step) {
+      auto& [path, text] = truth[editable_file(g, truth, rng.next())];
+      text = add_wrk_term(text, &rng);
+      SessionStore::PatchEdit edit;
+      edit.upserts.emplace_back(path, text);
+      auto r = store.patch(key, edit);
+      ASSERT_FALSE(r.rolled_back) << "step " << step;
+      EXPECT_FALSE(r.full_rewalk) << "step " << step;
+      EXPECT_EQ(r.rebuilt_modules, 1u) << "step " << step;
+      EXPECT_EQ(r.splice, meta::Splice::kRelink) << "step " << step;
+      EXPECT_EQ(r.session->metagraph().node_table(), table) << "step " << step;
+      head = r.session;
+      key = head->key();
+      if (check_every || step + 1 == steps) {
+        SessionStoreOptions ref_opts;
+        ref_opts.build_pool = pool;
+        SessionStore ref(ref_opts);
+        ASSERT_EQ(bytes_of(*head), bytes_of(*ref.get_or_build(config, truth)))
+            << "relinked graph diverged from a cold build; step " << step;
+      }
+    }
+    EXPECT_EQ(relinks() - relinks_before, static_cast<double>(steps));
+  }
+};
+
+TEST_F(IncrementalRelink, ChainedBodyEditsMatchColdBuildAtDefaultScale) {
+  run_chain(model::CorpusSpec{}, /*use_build_list=*/false, /*steps=*/6,
+            /*check_every=*/true, nullptr);
+}
+
+TEST_F(IncrementalRelink, ChainedBodyEditsMatchColdBuildAtCesmScale) {
+  ThreadPool pool(4);
+  run_chain(model::cesm_scale_spec(), /*use_build_list=*/true, /*steps=*/3,
+            /*check_every=*/false, &pool);
+}
+
+TEST_F(IncrementalRelink, NodeTableEditsFallBackToReplay) {
+  const GeneratedSources g = generated_sources(model::CorpusSpec{});
+  const SessionConfig config;
+  SessionStore store(SessionStoreOptions{});
+  const std::string base_key = store.get_or_build(config, g.sources)->key();
+
+  // Each edit is body-only (no interface signature changes) but changes what
+  // the module's walk interns, so the base's node table cannot be kept.
+  std::size_t labelled = g.sources.size();
+  for (std::size_t i = 0; i < g.sources.size(); ++i) {
+    const std::string& text = g.sources[i].second;
+    if (text.find("call outfld('AUX") != std::string::npos &&
+        wrk_chain_length(text) >= 3) {
+      labelled = i;
+      break;
+    }
+  }
+  ASSERT_LT(labelled, g.sources.size());
+  const std::string& text = g.sources[labelled].second;
+  const int n = wrk_chain_length(text);
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      // A variable the module never named before: the loop index.
+      {"new variable", append_to_wrk(text, 1, " + i * 0.25")},
+      // wrk<n-1> is first seen on its own, later line; naming it on wrk1's
+      // line moves its first sighting (and its intern order) earlier.
+      {"earlier first sighting",
+       append_to_wrk(text, 1, " + wrk" + std::to_string(n - 1) + " * 0.25")},
+      // Same variable, different output label: an io op changes.
+      {"outfld label",
+       [&] {
+         std::string t = text;
+         const std::size_t at = t.find("call outfld('AUX") + 16;
+         t.insert(t.find('\'', at), "X");
+         return t;
+       }()},
+  };
+  const double relinks_before = relinks();
+  for (const auto& [what, edited] : edits) {
+    ASSERT_NE(edited, text) << what;
+    SourceList truth = g.sources;
+    truth[labelled].second = edited;
+    SessionStore::PatchEdit edit;
+    edit.upserts.emplace_back(truth[labelled].first, edited);
+    auto r = store.patch(base_key, edit);
+    ASSERT_FALSE(r.rolled_back) << what;
+    EXPECT_FALSE(r.full_rewalk) << what;
+    EXPECT_EQ(r.splice, meta::Splice::kReplay) << what;
+    EXPECT_EQ(bytes_of(*r.session), reference_bytes(config, truth)) << what;
+  }
+  EXPECT_EQ(relinks(), relinks_before);
+}
+
+TEST_F(IncrementalRelink, SharedNodeTableOutlivesEvictedGenerations) {
+  const GeneratedSources g = generated_sources(model::CorpusSpec{});
+  const SessionConfig config;
+  SessionStoreOptions opts;
+  opts.max_bytes = 1;  // every insertion evicts whatever is not pinned
+  SessionStore store(opts);
+  SourceList truth = g.sources;
+
+  std::vector<std::weak_ptr<const Session>> generations;
+  std::weak_ptr<const meta::Metagraph::NodeTable> table;
+  std::string key;
+  {
+    auto cold = store.get_or_build(config, truth);
+    table = cold->metagraph().node_table();
+    generations.push_back(cold);
+    key = cold->key();
+  }
+  SplitMix64 rng(99);
+  std::shared_ptr<const Session> head;
+  for (int step = 0; step < 4; ++step) {
+    auto& [path, text] = truth[editable_file(g, truth, rng.next())];
+    text = add_wrk_term(text, &rng);
+    SessionStore::PatchEdit edit;
+    edit.upserts.emplace_back(path, text);
+    auto r = store.patch(key, edit);
+    ASSERT_FALSE(r.rolled_back);
+    ASSERT_EQ(r.splice, meta::Splice::kRelink);
+    head = std::move(r.session);
+    generations.push_back(head);
+    key = head->key();
+  }
+  // An unrelated session evicts every generation; only `head` is still held.
+  store.get_or_build(config, small_corpus(5));
+  EXPECT_EQ(store.lookup(key), nullptr);
+  for (std::size_t i = 0; i + 1 < generations.size(); ++i) {
+    EXPECT_TRUE(generations[i].expired()) << "generation " << i;
+  }
+  // The table the cold build interned lives on in the last generation, and
+  // every read of it still answers like a cold build.
+  ASSERT_FALSE(table.expired());
+  EXPECT_EQ(head->metagraph().node_table(), table.lock());
+  EXPECT_EQ(bytes_of(*head), reference_bytes(config, truth));
+}
+
+TEST_F(IncrementalRelink, SpliceFaultOnRelinkPathRollsBack) {
+  const GeneratedSources g = generated_sources(model::CorpusSpec{});
+  const SessionConfig config;
+  SessionStore store(SessionStoreOptions{});
+  auto base = store.get_or_build(config, g.sources);
+  const std::string base_bytes = bytes_of(*base);
+
+  SourceList truth = g.sources;
+  SplitMix64 rng(3);
+  auto& [path, text] = truth[editable_file(g, truth, rng.next())];
+  text = add_wrk_term(text, &rng);
+  SessionStore::PatchEdit edit;
+  edit.upserts.emplace_back(path, text);
+
+  // Armed after the cold build; fires on the patch's first splice check.
+  fault::FaultRegistry::global().arm("meta.txn.splice:1.0:throw:0:1");
+  auto failed = store.patch(base->key(), edit);
+  EXPECT_EQ(fault::FaultRegistry::global().fires("meta.txn.splice"), 1u);
+  fault::FaultRegistry::global().disarm();
+  ASSERT_TRUE(failed.rolled_back);
+  EXPECT_EQ(failed.session->key(), base->key());
+  EXPECT_EQ(failed.session->generation(), 0u);
+  ASSERT_EQ(failed.errors.size(), 1u);
+  EXPECT_EQ(failed.errors[0].first, "");  // fault, not a parse error
+  auto resident = store.lookup(base->key());
+  ASSERT_NE(resident, nullptr);
+  EXPECT_EQ(bytes_of(*resident), base_bytes);
+  EXPECT_EQ(store.lookup(SessionStore::compute_key(config, truth)), nullptr);
+
+  // Disarmed, the same edit commits on the relink path.
+  auto committed = store.patch(base->key(), edit);
+  ASSERT_FALSE(committed.rolled_back);
+  EXPECT_EQ(committed.splice, meta::Splice::kRelink);
+  EXPECT_EQ(bytes_of(*committed.session), reference_bytes(config, truth));
+  EXPECT_EQ(bytes_of(*base), base_bytes);
 }
 
 }  // namespace

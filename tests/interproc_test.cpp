@@ -674,9 +674,8 @@ TEST(Incremental, BaselineReusesSummariesOutsideTheCone) {
   const ProgramSummaries full = compute_summaries(mods, symbols);
   EXPECT_EQ(full.procs_recomputed, 3u);
 
-  const SummaryBaseline base = full.to_baseline();
   const std::set<std::string> dirty{"middle"};
-  const ProgramSummaries incr = compute_summaries(mods, symbols, &base, &dirty);
+  const ProgramSummaries incr = compute_summaries(mods, symbols, &full, &dirty);
   // bottom is outside the cone of {middle}: reused. middle + top recomputed.
   EXPECT_EQ(incr.procs_reused, 1u);
   EXPECT_EQ(incr.procs_recomputed, 2u);
@@ -715,12 +714,14 @@ contains
   end subroutine drive
 end module top
 )";
-  Parsed p1(kChainSrc);
   Parsed p2(v2);
   const PassManager pm = PassManager::default_passes();
-  const AnalysisResult before = pm.run(p1.modules());
-  const SummaryBaseline base_summaries = [&] {
-    return before.summaries->to_baseline();
+  // The base generation's ASTs are gone by the time it seeds the relint, as
+  // after a patch that evicted the base session: only its plain-data
+  // summaries may be read.
+  const AnalysisResult before = [&] {
+    Parsed p1(kChainSrc);
+    return pm.run(p1.modules());
   }();
 
   const auto mods2 = p2.modules();
@@ -728,7 +729,7 @@ end module top
   dirty[0] = true;  // bottom only — the edited module
   obs::Registry& reg = obs::global();
   reg.set_enabled(true);
-  const AnalysisResult incr = pm.run(mods2, dirty, &base_summaries);
+  const AnalysisResult incr = pm.run(mods2, dirty, before.summaries.get());
   const double widened = reg.counter("lint.summary.cone_widened");
   reg.set_enabled(false);
 

@@ -424,12 +424,14 @@ TEST(MetagraphSeal, InternAndAddEdgeAfterSealThrow) {
   mg.add_edge(b, b);  // self-loop: dropped by seal()
   mg.add_edge(a, b);  // duplicate: dropped by seal()
   EXPECT_EQ(mg.graph().node_count(), 0u);  // nothing built before seal()
+  EXPECT_THROW(mg.node_table(), Error);    // the table is not frozen yet
   mg.seal();
   EXPECT_EQ(mg.graph().node_count(), 2u);
   EXPECT_EQ(mg.graph().edge_count(), 1u);
   EXPECT_THROW(mg.intern("m", "", "c", 3), Error);
   EXPECT_THROW(mg.intern("m", "", "a", 1), Error);  // even a known key
   EXPECT_THROW(mg.add_edge(a, b), Error);
+  EXPECT_THROW(mg.add_io_mapping("out", a), Error);
   EXPECT_THROW(mg.seal(), Error);
 }
 
