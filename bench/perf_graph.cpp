@@ -197,25 +197,13 @@ int main(int argc, char** argv) {
     (void)graph::louvain(big.mg.graph(), opts);
   });
 
-  // --- power iteration, serial vs pooled, both scales ----------------------
-  graph::PowerIterationOptions serial_pi;
-  graph::PowerIterationOptions pooled_pi;
-  pooled_pi.pool = &pool;
+  // --- power iteration, both scales ---------------------------------------
   h.run("power_iteration_serial_default", [&] {
-    (void)graph::eigenvector_centrality(small.mg.graph(), graph::Direction::kIn,
-                                        serial_pi);
-  });
-  h.run("power_iteration_pooled_default", [&] {
-    (void)graph::eigenvector_centrality(small.mg.graph(), graph::Direction::kIn,
-                                        pooled_pi);
+    (void)graph::eigenvector_centrality(small.mg.graph(),
+                                        graph::Direction::kIn);
   });
   h.run("power_iteration_serial_cesm", [&] {
-    (void)graph::eigenvector_centrality(big.mg.graph(), graph::Direction::kIn,
-                                        serial_pi);
-  });
-  h.run("power_iteration_pooled_cesm", [&] {
-    (void)graph::eigenvector_centrality(big.mg.graph(), graph::Direction::kIn,
-                                        pooled_pi);
+    (void)graph::eigenvector_centrality(big.mg.graph(), graph::Direction::kIn);
   });
 
   // --- acceptance gates ----------------------------------------------------

@@ -272,13 +272,7 @@ RefinementResult RefinementEngine::run(
       }
       sample_span.attr("differing", cr.differing.size());
     };
-    if (opts_.pool && opts_.pool->size() > 1) {
-      opts_.pool->parallel_for(report.communities.size(), sample_community);
-    } else {
-      for (std::size_t c = 0; c < report.communities.size(); ++c) {
-        sample_community(c);
-      }
-    }
+    parallel_for(opts_.pool, report.communities.size(), sample_community);
 
     // Bookkeeping for evaluation.
     std::vector<NodeId> all_sampled_local;

@@ -14,24 +14,13 @@ namespace {
 /// One multiply: y = M x where M is A (kOut: score flows along out-edges
 /// toward the node, i.e. x[u] contributes to y[v] for edge v->u) — concretely
 /// for kIn we want  y[v] = sum over in-neighbors u of x[u].
-///
-/// Rows are independent gathers, so the pool shards them freely; each y[v]
-/// is one worker's dot product in CSR neighbor order, making pooled output
-/// bit-identical to the serial loop.
 void apply(const Csr& adj, const std::vector<double>& x,
-           std::vector<double>& y, ThreadPool* pool) {
+           std::vector<double>& y) {
   const std::size_t n = adj.node_count();
-  auto row = [&adj, &x, &y](NodeId v) {
+  for (NodeId v = 0; v < n; ++v) {
     double sum = 0.0;
     for (NodeId u : adj.neighbors(v)) sum += x[u];
     y[v] = sum;
-  };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for(n, [&row](std::size_t v) {
-      row(static_cast<NodeId>(v));
-    });
-  } else {
-    for (NodeId v = 0; v < n; ++v) row(v);
   }
 }
 
@@ -47,22 +36,16 @@ double l2_norm(const std::vector<double>& v) {
 
 }  // namespace
 
-std::vector<double> eigenvector_centrality(const Digraph& g, Direction dir,
-                                           const PowerIterationOptions& opts) {
+std::vector<double> eigenvector_centrality(const Digraph& g, Direction dir) {
   const std::size_t n = g.node_count();
   if (n == 0) return {};
   std::vector<double> x(n, 1.0 / std::sqrt(static_cast<double>(n)));
   std::vector<double> y(n, 0.0);
 
   const Csr& adj = gather_adjacency(g, dir);
-  // Below the threshold the parallel_for dispatch costs more than the whole
-  // gather; fall back to the (bit-identical) serial apply.
-  ThreadPool* pool = n >= opts.min_pool_nodes ? opts.pool : nullptr;
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    apply(adj, x, y, pool);
-    if (opts.regularization > 0.0) {
-      for (double& v : y) v += opts.regularization;
-    }
+  for (std::size_t it = 0; it < kPowerIterationCap; ++it) {
+    apply(adj, x, y);
+    for (double& v : y) v += kPowerIterationRegularization;
     const double norm = l2_norm(y);
     if (norm <= 0.0) {
       // No edges in this direction at all: centrality undefined; return the
@@ -75,7 +58,7 @@ std::vector<double> eigenvector_centrality(const Digraph& g, Direction dir,
       diff += std::abs(y[i] - x[i]);
     }
     x.swap(y);
-    if (diff < opts.tolerance * static_cast<double>(n)) break;
+    if (diff < kPowerIterationTolerance * static_cast<double>(n)) break;
   }
   return x;
 }
@@ -136,7 +119,7 @@ std::vector<double> katz_centrality(const Digraph& g, Direction dir,
   if (n == 0) return x;
   const Csr& adj = gather_adjacency(g, dir);
   for (std::size_t it = 0; it < max_iterations; ++it) {
-    apply(adj, x, y, nullptr);
+    apply(adj, x, y);
     double diff = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       y[i] = alpha * y[i] + beta;

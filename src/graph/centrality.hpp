@@ -14,7 +14,6 @@
 
 #include "graph/betweenness.hpp"
 #include "graph/digraph.hpp"
-#include "support/thread_pool.hpp"
 
 namespace rca::graph {
 
@@ -23,34 +22,21 @@ enum class Direction {
   kOut,  // rank by outgoing influence
 };
 
-struct PowerIterationOptions {
-  std::size_t max_iterations = 1000;
-  double tolerance = 1e-10;
-  /// Uniform additive teleport applied when plain power iteration stalls on
-  /// reducible/bipartite structures; 0 disables. The CESM graphs are far
-  /// from strongly connected, so a small regularization keeps the dominant
-  /// eigenvector well-defined without materially changing the ranking.
-  double regularization = 1e-4;
-  /// Shards the matrix-apply across this pool when set. Each y[v] is a
-  /// single node's dot product computed by exactly one worker in the same
-  /// neighbor order as the serial loop, and the norm/convergence reductions
-  /// stay serial — so pooled results are bit-identical to serial ones for
-  /// any worker count (pinned by Centrality.PooledPowerIterationBitIdentical).
-  ThreadPool* pool = nullptr;
-  /// Node count below which the pool is ignored and the apply runs serially.
-  /// The per-iteration dispatch overhead of parallel_for dominates the
-  /// gather itself far beyond the paper-scale fixtures (BENCH_graph.json
-  /// measured pooled 3-16x *slower* than serial at 1.5k and even 15.7k
-  /// nodes), so the default only engages workers at ~100k+ nodes. Results
-  /// are bit-identical either way; set to 0 to force the pooled path.
-  std::size_t min_pool_nodes = 100000;
-};
+/// Power-iteration settings of eigenvector_centrality and
+/// nonbacktracking_centrality: an iteration cap, a per-entry L1 convergence
+/// tolerance, and a uniform additive teleport applied when plain power
+/// iteration stalls on reducible/bipartite structures. The CESM graphs are
+/// far from strongly connected, so a small regularization keeps the
+/// dominant eigenvector well-defined without materially changing the
+/// ranking.
+inline constexpr std::size_t kPowerIterationCap = 1000;
+inline constexpr double kPowerIterationTolerance = 1e-10;
+inline constexpr double kPowerIterationRegularization = 1e-4;
 
 /// Eigenvector centrality by power iteration on A (kOut) or A^T (kIn),
 /// L2-normalized, all entries non-negative. Isolated-in-direction nodes get
 /// (near-)zero centrality.
-std::vector<double> eigenvector_centrality(
-    const Digraph& g, Direction dir, const PowerIterationOptions& opts = {});
+std::vector<double> eigenvector_centrality(const Digraph& g, Direction dir);
 
 /// In- or out-degree divided by (n - 1), NetworkX convention.
 std::vector<double> degree_centrality(const Digraph& g, Direction dir);

@@ -7,8 +7,8 @@
 
 namespace rca::graph {
 
-NonBacktrackingResult nonbacktracking_centrality(
-    const Digraph& g, Direction dir, const PowerIterationOptions& opts) {
+NonBacktrackingResult nonbacktracking_centrality(const Digraph& g,
+                                                 Direction dir) {
   NonBacktrackingResult result;
   const std::size_t n = g.node_count();
   result.centrality.assign(n, 0.0);
@@ -37,7 +37,7 @@ NonBacktrackingResult nonbacktracking_centrality(
   std::vector<double> x(m, 1.0 / std::sqrt(static_cast<double>(m)));
   std::vector<double> y(m, 0.0);
   std::size_t iterations = 0;
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kPowerIterationCap; ++it) {
     ++iterations;
     for (std::size_t e = 0; e < m; ++e) {
       const NodeId u = edges[e].u;
@@ -46,7 +46,7 @@ NonBacktrackingResult nonbacktracking_centrality(
       for (std::uint32_t f = first_out[v]; f < first_out[v + 1]; ++f) {
         if (edges[f].v != u) sum += x[f];  // non-backtracking constraint
       }
-      y[e] = sum + opts.regularization;
+      y[e] = sum + kPowerIterationRegularization;
     }
     const double norm = std::sqrt(
         std::inner_product(y.begin(), y.end(), y.begin(), 0.0));
@@ -57,7 +57,7 @@ NonBacktrackingResult nonbacktracking_centrality(
       diff += std::abs(y[e] - x[e]);
     }
     x.swap(y);
-    if (diff < opts.tolerance * static_cast<double>(m)) break;
+    if (diff < kPowerIterationTolerance * static_cast<double>(m)) break;
   }
   result.iterations = iterations;
 

@@ -31,7 +31,7 @@ struct NonBacktrackingResult {
 /// Non-backtracking centrality by power iteration on B. `dir == kIn`
 /// computes in-centrality by reversing the edges first (paper: "we can
 /// reverse the directed edges of A (via the transpose)").
-NonBacktrackingResult nonbacktracking_centrality(
-    const Digraph& g, Direction dir, const PowerIterationOptions& opts = {});
+NonBacktrackingResult nonbacktracking_centrality(const Digraph& g,
+                                                 Direction dir);
 
 }  // namespace rca::graph

@@ -465,15 +465,8 @@ Metagraph build_metagraph(const std::vector<const Module*>& modules,
     return walk_module(*kept[i], tables, opts);
   };
 
-  std::vector<Fragment> fragments;
-  if (opts.pool != nullptr && kept.size() > 1) {
-    fragments = opts.pool->parallel_map<Fragment>(kept.size(), walk_one);
-  } else {
-    fragments.reserve(kept.size());
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      fragments.push_back(walk_one(i));
-    }
-  }
+  const std::vector<Fragment> fragments =
+      parallel_map<Fragment>(opts.pool, kept.size(), walk_one);
 
   // Deterministic reduction: module order, not completion order.
   Metagraph mg;

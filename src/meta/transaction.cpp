@@ -1,6 +1,7 @@
 #include "meta/transaction.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <ranges>
 #include <unordered_map>
 #include <utility>
@@ -9,7 +10,6 @@
 #include "lang/printer.hpp"
 #include "meta/snapshot_cache.hpp"
 #include "obs/obs.hpp"
-#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rca::meta {
@@ -100,29 +100,33 @@ std::uint64_t interface_signature(const lang::Module& m) {
   return key.digest();
 }
 
-TxnResult run_transaction(const std::vector<TxnInput>& inputs,
+TxnResult run_transaction(const std::vector<TxnInput>& staged,
                           const TxnState* base, const BuilderOptions& opts,
                           std::shared_ptr<const Metagraph> base_mg) {
-  RCA_CHECK_MSG(!opts.module_filter && !opts.subprogram_filter,
-                "coverage-filtered sessions are not incremental-eligible");
   obs::Span span("meta.txn");
+
+  // Coverage filters (hybrid slicing) drop rejected modules here, exactly as
+  // build_metagraph does; the subprogram filter reaches the symbol tables
+  // and the walks through `opts`. A filtered graph depends on a runtime
+  // coverage run, which fragment reuse does not model, so a filtered build
+  // is always a full walk and keeps no state.
+  const bool filtered = opts.module_filter || opts.subprogram_filter;
+  std::vector<TxnInput> kept;
+  if (opts.module_filter) {
+    std::ranges::copy_if(staged, std::back_inserter(kept),
+                         [&opts](const TxnInput& in) {
+                           return opts.module_filter(in.module->name);
+                         });
+  }
+  const std::vector<TxnInput>& inputs = opts.module_filter ? kept : staged;
 
   // Stage: signatures + corpus fingerprint over the post-edit sequence.
   // Signatures are pure per-module hashes, so they pool like the walks; the
   // fingerprint itself folds them serially in module order.
-  std::vector<std::uint64_t> sigs;
-  if (opts.pool != nullptr && inputs.size() > 1) {
-    sigs = opts.pool->parallel_map<std::uint64_t>(
-        inputs.size(),
-        [&inputs](std::size_t i) {
-          return interface_signature(*inputs[i].module);
-        });
-  } else {
-    sigs.reserve(inputs.size());
-    for (const TxnInput& in : inputs) {
-      sigs.push_back(interface_signature(*in.module));
-    }
-  }
+  const std::vector<std::uint64_t> sigs = parallel_map<std::uint64_t>(
+      opts.pool, inputs.size(), [&inputs](std::size_t i) {
+        return interface_signature(*inputs[i].module);
+      });
   auto next = std::make_shared<TxnState>();
   next->entries.reserve(inputs.size());
   SnapshotKey fingerprint;
@@ -143,7 +147,8 @@ TxnResult run_transaction(const std::vector<TxnInput>& inputs,
   // modules' statement bodies (their mod/ref summaries), which the interface
   // fingerprint deliberately does not cover — cached fragments are never
   // reusable under that option.
-  stats.full_rewalk = opts.summary_informed_pruning || base == nullptr ||
+  stats.full_rewalk = filtered || opts.summary_informed_pruning ||
+                      base == nullptr ||
                       base->iface_fingerprint != next->iface_fingerprint;
 
   // Reuse decision per module: same (path, name) entry in the base state,
@@ -196,15 +201,8 @@ TxnResult run_transaction(const std::vector<TxnInput>& inputs,
   auto walk_one = [&inputs, &to_walk, &tables, &opts](std::size_t j) {
     return walk_module(*inputs[to_walk[j]].module, *tables, opts);
   };
-  std::vector<Fragment> fresh;
-  if (opts.pool != nullptr && to_walk.size() > 1) {
-    fresh = opts.pool->parallel_map<Fragment>(to_walk.size(), walk_one);
-  } else {
-    fresh.reserve(to_walk.size());
-    for (std::size_t j = 0; j < to_walk.size(); ++j) {
-      fresh.push_back(walk_one(j));
-    }
-  }
+  std::vector<Fragment> fresh =
+      parallel_map<Fragment>(opts.pool, to_walk.size(), walk_one);
   for (std::size_t j = 0; j < to_walk.size(); ++j) {
     stats.spliced_nodes += fresh[j].keys.size();
     next->entries[to_walk[j]].frag =
@@ -307,7 +305,7 @@ TxnResult run_transaction(const std::vector<TxnInput>& inputs,
   span.attr("reused", stats.reused_fragments);
   span.attr("full_rewalk", stats.full_rewalk);
 
-  result.state = std::move(next);
+  if (!filtered) result.state = std::move(next);
   result.stats = stats;
   return result;
 }

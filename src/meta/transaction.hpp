@@ -135,7 +135,7 @@ struct TxnResult {
   // and the relink path shares its node table. Metagraph is immutable once
   // sealed, so both are safe.
   std::shared_ptr<const Metagraph> mg;
-  std::shared_ptr<const TxnState> state;
+  std::shared_ptr<const TxnState> state;  // null for a filtered build
   TxnStats stats;
 };
 
@@ -151,10 +151,14 @@ struct TxnResult {
 /// partially mutating anything the caller can see; the caller's base state
 /// remains valid and publishing the result is the caller's atomic step.
 ///
-/// Preconditions: opts.module_filter / opts.subprogram_filter must be null
-/// (coverage-filtered sessions are not incremental-eligible; callers fall
-/// back to build_metagraph), and `inputs` must already be build-list
-/// filtered.
+/// Coverage filters in `opts` apply as in build_metagraph: modules that
+/// opts.module_filter rejects are dropped from `inputs`, and
+/// opts.subprogram_filter reaches the symbol tables and the walks. A
+/// filtered build is a full walk and returns no state (a null
+/// TxnResult::state), since its graph depends on a runtime coverage run
+/// that fragment reuse does not model.
+///
+/// Precondition: `inputs` must already be build-list filtered.
 TxnResult run_transaction(
     const std::vector<TxnInput>& inputs, const TxnState* base,
     const BuilderOptions& opts,

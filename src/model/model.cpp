@@ -32,11 +32,7 @@ CesmModel::CesmModel(const CorpusSpec& spec, rca::ThreadPool* pool)
       failed[i] = 1;
     }
   };
-  if (pool != nullptr && corpus_.files.size() > 1) {
-    pool->parallel_for(corpus_.files.size(), parse_one);
-  } else {
-    for (std::size_t i = 0; i < corpus_.files.size(); ++i) parse_one(i);
-  }
+  parallel_for(pool, corpus_.files.size(), parse_one);
 
   parsed_files_.reserve(corpus_.files.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -152,11 +148,7 @@ std::vector<RunResult> run_members(const CesmModel& model,
     config.member_seed = first_seed + m;
     results[m] = model.run(config);
   };
-  if (model.pool() != nullptr && members > 1) {
-    model.pool()->parallel_for(members, run_one);
-  } else {
-    for (std::size_t m = 0; m < members; ++m) run_one(m);
-  }
+  parallel_for(model.pool(), members, run_one);
   return results;
 }
 

@@ -73,11 +73,7 @@ std::vector<lang::SourceFile> parse_sources(
       messages[i] = std::string("parse failed: ") + e.what();
     }
   };
-  if (pool != nullptr && sources.size() > 1) {
-    pool->parallel_for(sources.size(), parse_one);
-  } else {
-    for (std::size_t i = 0; i < sources.size(); ++i) parse_one(i);
-  }
+  parallel_for(pool, sources.size(), parse_one);
   std::vector<lang::SourceFile> files;
   files.reserve(sources.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <future>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "analysis/diagnostics.hpp"
@@ -97,7 +96,21 @@ Response retriable_error_response(int status, const std::string& code,
 Router::Router(SessionStore* store, RouterOptions opts)
     : store_(store),
       opts_(std::move(opts)),
-      started_at_(std::chrono::steady_clock::now()) {}
+      started_at_(std::chrono::steady_clock::now()) {
+  auto post = [this](const char* path,
+                     Response (Router::*handler)(const JsonValue&)) {
+    add_route("POST", path,
+              [this, handler](const Request&, const JsonValue& body) {
+                return (this->*handler)(body);
+              });
+  };
+  post("/v1/graph/build", &Router::handle_build);
+  post("/v1/slice", &Router::handle_slice);
+  post("/v1/communities", &Router::handle_communities);
+  post("/v1/rank", &Router::handle_rank);
+  post("/v1/lint", &Router::handle_lint);
+  post("/v1/session/patch", &Router::handle_patch);
+}
 
 void Router::add_route(const std::string& method, const std::string& path,
                        RouteHandler handler) {
@@ -199,7 +212,9 @@ Response Router::handle(const Request& req) {
     } catch (const std::exception& e) {
       resp = error_response(500, "internal", e.what());
     }
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    // Release: a caller that reads in_flight() == 0 sees every finished
+    // dispatch's reads of the route table, so it may destroy the router.
+    in_flight_.fetch_sub(1, std::memory_order_release);
     return resp;
   };
 
@@ -218,48 +233,15 @@ Response Router::handle(const Request& req) {
 }
 
 Response Router::dispatch(const Request& req, const JsonValue& body) {
-  if (req.path == "/v1/graph/build") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_build(body);
+  auto pit = routes_.find(req.path);
+  if (pit == routes_.end()) {
+    fail(404, "not_found", "unknown endpoint " + req.path);
   }
-  if (req.path == "/v1/slice") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_slice(body);
+  auto mit = pit->second.find(req.method);
+  if (mit == pit->second.end()) {
+    fail(405, "method_not_allowed", "unsupported method for " + req.path);
   }
-  if (req.path == "/v1/communities") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_communities(body);
-  }
-  if (req.path == "/v1/rank") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_rank(body);
-  }
-  if (req.path == "/v1/lint") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_lint(body);
-  }
-  if (req.path == "/v1/session/patch") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_patch(body);
-  }
-  if (auto pit = routes_.find(req.path); pit != routes_.end()) {
-    auto mit = pit->second.find(req.method);
-    if (mit == pit->second.end()) {
-      fail(405, "method_not_allowed", "unsupported method for " + req.path);
-    }
-    return mit->second(req, body);
-  }
-  if (opts_.enable_test_routes && req.path == "/v1/_test/sleep") {
-    const long long ms = body.get_int("ms", 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    JsonWriter w;
-    w.begin_object();
-    w.key("slept_ms");
-    w.integer(ms);
-    w.end_object();
-    return Response{200, std::move(w).str() + "\n"};
-  }
-  fail(404, "not_found", "unknown endpoint " + req.path);
+  return mit->second(req, body);
 }
 
 Response Router::handle_health() const {

@@ -119,9 +119,6 @@ struct RouterOptions {
   /// store's build pool — a request task blocking on parallel_for of its own
   /// pool would deadlock. Null runs requests inline (tests).
   ThreadPool* pool = nullptr;
-  /// Registers POST /v1/_test/sleep {"ms": n} — deterministic latency for
-  /// backpressure/timeout tests and the load bench. Never enable in serve.
-  bool enable_test_routes = false;
   /// Worker generation reported by /v1/health. The fleet supervisor bumps
   /// it on every respawn (`rca-tool serve --generation N`), so a probe can
   /// tell a freshly restarted worker from one that never died. 0 for a
@@ -142,17 +139,19 @@ class Router {
   /// Thread-safe; blocks until the response is ready or the deadline passes.
   Response handle(const Request& req);
 
-  /// Registers an extra endpoint, dispatched exactly like the built-ins
-  /// (worker pool, per-request deadline, backpressure, error mapping; throw
-  /// HandlerError for a structured error status). Registration is not
-  /// thread-safe: add every route before serving. The campaign module uses
-  /// this for /v1/refine*.
+  /// Registers an endpoint in the route table the built-ins live in too, so
+  /// it is dispatched exactly like them (worker pool, per-request deadline,
+  /// backpressure, error mapping; throw HandlerError for a structured error
+  /// status). Registration is not thread-safe: add every route before
+  /// serving. The campaign module uses this for /v1/refine*.
   void add_route(const std::string& method, const std::string& path,
                  RouteHandler handler);
 
   /// Requests currently queued or executing (excludes health/metrics).
+  /// Reading 0 synchronizes with the end of every request's dispatch, so a
+  /// caller may then destroy the router.
   std::size_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
+    return in_flight_.load(std::memory_order_acquire);
   }
 
   /// Health "phase": a worker that is still resuming journaled campaigns or
@@ -185,7 +184,8 @@ class Router {
   std::atomic<bool> warming_{false};
   /// Process-lifetime anchor for /v1/health uptime_ms.
   std::chrono::steady_clock::time_point started_at_;
-  /// path -> method -> handler, for add_route endpoints.
+  /// path -> method -> handler: the built-ins (registered by the
+  /// constructor) and every add_route endpoint.
   std::map<std::string, std::map<std::string, RouteHandler>> routes_;
 };
 

@@ -71,6 +71,11 @@ void Session::finalize_bytes() {
 void Session::ensure_parsed(ThreadPool* pool) const {
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (parsed_) return;
+  parse_all(pool);
+  stage_modules(nullptr);
+}
+
+void Session::parse_all(ThreadPool* pool) const {
   obs::count("service.session.parses");
   std::vector<lang::SourceFile> parsed =
       parse_sources(sources_, pool, &parse_errors_);
@@ -78,13 +83,23 @@ void Session::ensure_parsed(ThreadPool* pool) const {
   for (auto& f : parsed) {
     files_.push_back(std::make_shared<const lang::SourceFile>(std::move(f)));
   }
+}
+
+std::vector<meta::TxnInput> Session::stage_modules(
+    const std::unordered_set<std::string>* stale) const {
+  std::vector<meta::TxnInput> inputs;
+  modules_.clear();
   const BuildListFilter build_list(config_.build_list);
   for (const auto& f : files_) {
+    const bool dirty = stale == nullptr || stale->count(f->path) != 0;
     for (const auto& m : f->modules) {
-      if (build_list.contains(m.name)) modules_.push_back(&m);
+      if (!build_list.contains(m.name)) continue;
+      modules_.push_back(&m);
+      inputs.push_back(meta::TxnInput{f->path, &m, dirty, f});
     }
   }
   parsed_ = true;
+  return inputs;
 }
 
 std::vector<std::string> Session::skipped_modules() const {
@@ -308,49 +323,10 @@ std::shared_ptr<Session> SessionStore::build_session_once(
   }
 
   obs::count("service.session.misses");
-  session->ensure_parsed(opts_.build_pool);
-
-  meta::BuilderOptions opts;
-  opts.pool = opts_.build_pool;
-  opts.prune_dead_stores = config.prune_dead_stores;
-  opts.summary_informed_pruning = config.summary_informed_pruning;
-  if (config.coverage) {
-    // Instrumented short run: requires the corpus driver convention
-    // (cam_driver::cam_init / cam_step), as `rca-tool generate` emits.
-    interp::Interpreter cov_interp(session->modules_);
-    cov_interp.call("cam_driver", "cam_init");
-    for (int s = 0; s < config.coverage_steps; ++s) {
-      cov_interp.call("cam_driver", "cam_step");
-    }
-    const cov::CoverageFilter filter(cov_interp.coverage(), &session->modules_);
-    opts.module_filter = filter.module_predicate();
-    opts.subprogram_filter = filter.subprogram_predicate();
-    // Coverage filters select nodes by runtime execution, which the
-    // fragment transaction deliberately does not model — coverage sessions
-    // build monolithically and patch via cold rebuild.
-    session->mg_ = std::make_shared<const meta::Metagraph>(
-        meta::build_metagraph(session->modules_, opts));
-  } else {
-    // Cold builds run through the transaction layer (all modules dirty, no
-    // base) so every session is born with the fragment state that makes
-    // later patches incremental. run_transaction replays fragments in the
-    // same order build_metagraph walks them, so the graph is byte-identical.
-    std::vector<meta::TxnInput> inputs;
-    inputs.reserve(session->modules_.size());
-    const BuildListFilter build_list(config.build_list);
-    for (const auto& f : session->files_) {
-      for (const auto& m : f->modules) {
-        if (!build_list.contains(m.name)) continue;
-        inputs.push_back(meta::TxnInput{f->path, &m, /*dirty=*/true, f});
-      }
-    }
-    meta::TxnResult txn = meta::run_transaction(inputs, nullptr, opts);
-    session->mg_ = std::move(txn.mg);
-    session->txn_state_ = std::move(txn.state);
-  }
-  session->finalize_bytes();
+  // Unpublished, so no other thread can see the parse.
+  session->parse_all(opts_.build_pool);
+  build_graph(*session, nullptr, {});
   if (cache_) cache_->store(skey, *session->mg_);
-  obs::count("service.session.builds");
   span.attr("warm", false);
   span.attr("nodes", session->mg_->node_count());
   return session;
@@ -498,16 +474,6 @@ SessionStore::PatchResult SessionStore::patch(const std::string& base_key,
     return r;
   }
 
-  if (base->config().coverage) {
-    // Coverage-filtered graphs depend on runtime execution, which the
-    // fragment transaction does not model: rebuild from scratch instead.
-    obs::count("service.patch.cold_fallback");
-    PatchResult r;
-    r.session = get_or_build(base->config(), std::move(sources));
-    r.full_rewalk = true;
-    return r;
-  }
-
   try {
     return patch_build(base, key, std::move(sources), changed, edit.removes);
   } catch (const fault::FaultInjected& e) {
@@ -541,13 +507,14 @@ SessionStore::PatchResult SessionStore::patch_build(
     base_errors = base->parse_errors_;
   }
 
-  const std::unordered_set<std::string> changed_set(changed.begin(),
-                                                    changed.end());
+  // Paths whose modules are dirty and whose carried diagnostics go stale.
+  std::unordered_set<std::string> stale(changed.begin(), changed.end());
+  stale.insert(removed.begin(), removed.end());
 
   // Re-parse only the changed files; any failure rolls the whole patch back.
   SourceList changed_sources;
   for (const auto& e : sources) {
-    if (changed_set.count(e.first) != 0) changed_sources.push_back(e);
+    if (stale.count(e.first) != 0) changed_sources.push_back(e);
   }
   RCA_FAULT_POINT("service.patch.parse");
   std::vector<std::pair<std::string, std::string>> parse_errors;
@@ -588,47 +555,10 @@ SessionStore::PatchResult SessionStore::patch_build(
       if (pe.first == e.first) session->parse_errors_.push_back(pe);
     }
   }
-  std::vector<meta::TxnInput> inputs;
-  std::vector<bool> dirty_mask;
-  const BuildListFilter build_list(session->config_.build_list);
-  for (const auto& f : session->files_) {
-    const bool dirty = changed_set.count(f->path) != 0;
-    for (const auto& m : f->modules) {
-      if (!build_list.contains(m.name)) continue;
-      session->modules_.push_back(&m);
-      inputs.push_back(meta::TxnInput{f->path, &m, dirty, f});
-      dirty_mask.push_back(dirty);
-    }
-  }
-  session->parsed_ = true;
-
-  meta::BuilderOptions bopts;
-  bopts.pool = opts_.build_pool;
-  bopts.prune_dead_stores = session->config_.prune_dead_stores;
-  bopts.summary_informed_pruning = session->config_.summary_informed_pruning;
   // Throws fault::FaultInjected at meta.txn.splice; patch() maps that to a
   // rollback. Nothing has been published yet, so unwinding is the rollback.
-  meta::TxnResult txn =
-      meta::run_transaction(inputs, base->txn_state_.get(), bopts, base->mg_);
-
-  session->mg_ = std::move(txn.mg);
-  session->txn_state_ = std::move(txn.state);
+  const meta::TxnStats stats = build_graph(*session, base.get(), stale);
   session->generation_ = base->generation_ + 1;
-
-  // Seed an incremental lint when fragment reuse was sound (same condition:
-  // every interface signature unchanged) and the base has lint results. The
-  // seed holds the base's result by reference; lint() filters and merges.
-  if (!txn.stats.full_rewalk) {
-    if (auto base_lint = base->cached_lint()) {
-      Session::LintSeed seed;
-      seed.base = std::move(base_lint);
-      seed.dirty = std::move(dirty_mask);
-      seed.stale_files.insert(changed.begin(), changed.end());
-      seed.stale_files.insert(removed.begin(), removed.end());
-      session->lint_seed_ = std::move(seed);
-    }
-  }
-  session->finalize_bytes();
 
   std::vector<std::shared_ptr<const Session>> evicted;
   {
@@ -640,22 +570,70 @@ SessionStore::PatchResult SessionStore::patch_build(
     cache_->store(snapshot_key(session->config_, session->sources_),
                   *session->mg_);
   }
-  obs::count("service.session.builds");
   obs::count("service.patch.commits");
-  obs::count("service.patch.rebuilt_modules", txn.stats.rebuilt_modules);
-  obs::count("service.patch.reused_fragments", txn.stats.reused_fragments);
-  obs::count("service.patch.spliced_nodes", txn.stats.spliced_nodes);
-  span.attr("rebuilt", txn.stats.rebuilt_modules);
-  span.attr("full_rewalk", txn.stats.full_rewalk);
+  obs::count("service.patch.rebuilt_modules", stats.rebuilt_modules);
+  obs::count("service.patch.reused_fragments", stats.reused_fragments);
+  obs::count("service.patch.spliced_nodes", stats.spliced_nodes);
+  span.attr("rebuilt", stats.rebuilt_modules);
+  span.attr("full_rewalk", stats.full_rewalk);
 
   PatchResult r;
   r.session = std::move(session);
-  r.full_rewalk = txn.stats.full_rewalk;
-  r.splice = txn.stats.splice;
-  r.rebuilt_modules = txn.stats.rebuilt_modules;
-  r.reused_fragments = txn.stats.reused_fragments;
-  r.spliced_nodes = txn.stats.spliced_nodes;
+  r.full_rewalk = stats.full_rewalk;
+  r.splice = stats.splice;
+  r.rebuilt_modules = stats.rebuilt_modules;
+  r.reused_fragments = stats.reused_fragments;
+  r.spliced_nodes = stats.spliced_nodes;
   return r;
+}
+
+meta::TxnStats SessionStore::build_graph(
+    Session& session, const Session* base,
+    const std::unordered_set<std::string>& stale) {
+  const std::vector<meta::TxnInput> inputs =
+      session.stage_modules(base != nullptr ? &stale : nullptr);
+  meta::BuilderOptions opts;
+  opts.pool = opts_.build_pool;
+  opts.prune_dead_stores = session.config_.prune_dead_stores;
+  opts.summary_informed_pruning = session.config_.summary_informed_pruning;
+  std::optional<cov::CoverageFilter> coverage;  // the predicates point into it
+  if (session.config_.coverage) {
+    // Instrumented short run: requires the corpus driver convention
+    // (cam_driver::cam_init / cam_step), as `rca-tool generate` emits.
+    interp::Interpreter cov_interp(session.modules_);
+    cov_interp.call("cam_driver", "cam_init");
+    for (int s = 0; s < session.config_.coverage_steps; ++s) {
+      cov_interp.call("cam_driver", "cam_step");
+    }
+    coverage.emplace(cov_interp.coverage(), &session.modules_);
+    opts.module_filter = coverage->module_predicate();
+    opts.subprogram_filter = coverage->subprogram_predicate();
+  }
+  // A cold build is the same transaction with no base, so every unfiltered
+  // session is born with the fragment state that makes its patches
+  // incremental. A filtered one keeps none, so a coverage session's patches
+  // re-walk every kept module.
+  meta::TxnResult txn = meta::run_transaction(
+      inputs, base != nullptr ? base->txn_state_.get() : nullptr, opts,
+      base != nullptr ? base->mg_ : nullptr);
+  session.mg_ = std::move(txn.mg);
+  session.txn_state_ = std::move(txn.state);
+
+  // Seed an incremental lint when fragment reuse was sound (same condition:
+  // every interface signature unchanged) and the base has lint results. The
+  // seed holds the base's result by reference; lint() filters and merges.
+  if (base != nullptr && !txn.stats.full_rewalk) {
+    if (auto base_lint = base->cached_lint()) {
+      Session::LintSeed seed;
+      seed.base = std::move(base_lint);
+      for (const meta::TxnInput& in : inputs) seed.dirty.push_back(in.dirty);
+      seed.stale_files = stale;
+      session.lint_seed_ = std::move(seed);
+    }
+  }
+  session.finalize_bytes();
+  obs::count("service.session.builds");
+  return txn.stats;
 }
 
 void SessionStore::publish_gauges() const {

@@ -36,18 +36,20 @@
 //                               the base session is untouched
 //   service.patch.noops         patches whose edited corpus hashed to an
 //                               already-resident session
-//   service.patch.cold_fallback coverage-filtered bases rebuilt from scratch
 // Gauges: service.session.count, service.session.bytes.
 //
 // Incremental sessions: patch() takes a resident base session plus a sparse
 // edit (upserted/removed files), re-parses only the changed files, and runs a
 // meta::run_transaction to splice cached fragments with fresh ones — the
 // committed graph is byte-identical to a from-scratch build of the edited
-// corpus (pinned by tests/incremental_test.cpp). The base session is pinned
-// against LRU eviction for the duration and is never mutated: a failed patch
-// (parse error, injected fault at service.patch.parse or meta.txn.splice)
-// rolls back by simply not publishing, leaving the base resident at its
-// prior generation.
+// corpus (pinned by tests/incremental_test.cpp). Cold builds run the same
+// transaction with no base. A coverage-filtered session keeps no fragment
+// state (its graph depends on a runtime coverage run), so its patches re-walk
+// every kept module — still parsing only the changed files. The base session
+// is pinned against LRU eviction for the duration and is never mutated: a
+// failed patch (parse error, injected fault at service.patch.parse or
+// meta.txn.splice) rolls back by simply not publishing, leaving the base
+// resident at its prior generation.
 #pragma once
 
 #include <cstddef>
@@ -109,7 +111,7 @@ class Session {
   std::uint64_t generation() const { return generation_; }
   /// Per-module fragment state for incremental patching; null when the
   /// session was warm-started from a snapshot or built under a coverage
-  /// filter (such sessions patch via cold rebuild).
+  /// filter (such sessions patch by a full re-walk).
   const std::shared_ptr<const meta::TxnState>& txn_state() const {
     return txn_state_;
   }
@@ -142,6 +144,14 @@ class Session {
   /// Parses sources_ into files_/modules_ if not done yet (thread-safe);
   /// counts service.session.parses when a parse actually runs.
   void ensure_parsed(ThreadPool* pool) const;
+  /// Parses every source into files_ and parse_errors_ (counts
+  /// service.session.parses). Caller holds lazy_mu_ or owns the session.
+  void parse_all(ThreadPool* pool) const;
+  /// Indexes files_' build-list modules into modules_ (corpus order), marks
+  /// the session parsed, and returns the modules as transaction inputs:
+  /// dirty when their file is in `stale`, every one when `stale` is null.
+  std::vector<meta::TxnInput> stage_modules(
+      const std::unordered_set<std::string>* stale) const;
   void finalize_bytes();
   /// The lint result if lint() already ran, else null (never forces).
   std::shared_ptr<const analysis::AnalysisResult> cached_lint() const;
@@ -296,13 +306,22 @@ class SessionStore {
   std::shared_ptr<Session> build_session_once(const std::string& key,
                                               const SessionConfig& config,
                                               const SourceList& sources);
-  /// The incremental core of patch(): parse changed files, run the
-  /// transaction, assemble + publish the patched session. Throws
-  /// fault::FaultInjected / rca::Error on rollback paths (patch() catches).
+  /// The incremental core of patch(): parse changed files, assemble the
+  /// patched session, build it, publish it. Throws fault::FaultInjected /
+  /// rca::Error on rollback paths (patch() catches).
   PatchResult patch_build(const std::shared_ptr<const Session>& base,
                           const std::string& key, SourceList sources,
                           const std::vector<std::string>& changed,
                           const std::vector<std::string>& removed);
+  /// The one metagraph build behind the store, for cold builds (`base`
+  /// null) and patches alike: stages `session`'s parsed files, runs the
+  /// coverage pass when its config asks for one, and commits one
+  /// meta::run_transaction over `base`'s fragment state. A patch's dirty
+  /// modules are those of the files in `stale` (a cold build's are all);
+  /// a patch that kept every interface seeds an incremental lint from the
+  /// base. Charges the session's bytes; publishing is the caller's.
+  meta::TxnStats build_graph(Session& session, const Session* base,
+                             const std::unordered_set<std::string>& stale);
   /// Caller holds mu_. Returns the sessions evicted to make room; the
   /// caller releases them after unlocking, so their destruction never
   /// blocks a concurrent lookup.

@@ -1,4 +1,5 @@
-// A small fixed-size thread pool with a parallel_for helper.
+// A small fixed-size thread pool, plus the one pooled-or-inline fan-out
+// (the free parallel_for / parallel_map) every optional-pool caller uses.
 //
 // The paper's Algorithm 5.4 instruments communities "in parallel"; the
 // refinement engine submits one sampling task per community through this
@@ -84,5 +85,28 @@ class ThreadPool {
   std::atomic<std::size_t> in_flight_{0};
   bool stop_ = false;
 };
+
+/// fn(i) for i in [0, n) on `pool` — or inline, in index order, when the
+/// pool is null, has one worker, or n <= 1, where dispatch buys nothing.
+template <typename F>
+void parallel_for(ThreadPool* pool, std::size_t n, const F& fn) {
+  if (pool == nullptr || pool->size() <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->parallel_for(n, fn);
+}
+
+/// fn(i) for i in [0, n) in index order, fanned out like parallel_for above.
+template <typename R, typename F>
+std::vector<R> parallel_map(ThreadPool* pool, std::size_t n, const F& fn) {
+  if (pool == nullptr || pool->size() <= 1 || n <= 1) {
+    std::vector<R> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(fn(i));
+    return out;
+  }
+  return pool->parallel_map<R>(n, fn);
+}
 
 }  // namespace rca

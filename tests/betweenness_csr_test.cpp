@@ -454,32 +454,5 @@ TEST(GirvanNewman, SampledStepIsSeedDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-// ---------------------------------------------------------------------------
-// Power iteration: pooled == serial, bitwise
-// ---------------------------------------------------------------------------
-
-TEST(Centrality, PooledPowerIterationBitIdentical) {
-  const Digraph g = make_random_digraph(300, 13);
-  for (Direction dir : {Direction::kIn, Direction::kOut}) {
-    PowerIterationOptions serial;
-    const std::vector<double> expected = eigenvector_centrality(g, dir, serial);
-    for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-      ThreadPool pool(workers);
-      PowerIterationOptions pooled;
-      pooled.pool = &pool;
-      // The fixture sits far below the default min_pool_nodes threshold
-      // (which exists purely for speed); force the sharded path so this
-      // test keeps pinning its bit-identity.
-      pooled.min_pool_nodes = 0;
-      const std::vector<double> got = eigenvector_centrality(g, dir, pooled);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t v = 0; v < got.size(); ++v) {
-        ASSERT_EQ(got[v], expected[v])
-            << "node " << v << ", " << workers << " workers";
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace rca::graph

@@ -32,6 +32,7 @@
 #include "service/router.hpp"
 #include "service/session_store.hpp"
 #include "support/thread_pool.hpp"
+#include "test_routes.hpp"
 
 namespace fs = std::filesystem;
 
@@ -456,9 +457,8 @@ TEST_F(ChaosTest, GnBudgetFallsBackToLouvain) {
 
 TEST_F(ChaosTest, TransportFaultsDontKillTheDaemon) {
   service::SessionStore store(service::SessionStoreOptions{});
-  service::RouterOptions ropts;
-  ropts.enable_test_routes = true;
-  service::Router router(&store, ropts);
+  service::Router router(&store, service::RouterOptions{});
+  test::add_sleep_route(router);
   service::HttpServer server(&router, service::HttpServerOptions{});
   server.start();
   ASSERT_NE(server.port(), 0);

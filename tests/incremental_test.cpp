@@ -493,6 +493,53 @@ TEST(IncrementalPatch, WarmStartedBasePatchesViaFullRewalk) {
   EXPECT_EQ(bytes_of(*r2.session), reference_bytes(config, truth));
 }
 
+TEST(IncrementalPatch, CoverageSessionPatchesThroughTheTransaction) {
+  struct ObsOn {
+    ObsOn() { obs::global().set_enabled(true); }
+    ~ObsOn() { obs::global().set_enabled(false); }
+  } obs_on;
+  SessionStore store(SessionStoreOptions{});
+  SessionConfig config;
+  config.coverage = true;
+  SourceList truth = small_corpus(52);
+  auto base = store.get_or_build(config, truth);
+  EXPECT_EQ(base->txn_state(), nullptr);  // a filtered build keeps no state
+  const std::string before = bytes_of(*base);
+
+  // Body edit of an executed module: one more term, so one more edge.
+  auto file = std::find_if(truth.begin(), truth.end(), [](const auto& e) {
+    return e.first == "atm/micro_mg.F90";
+  });
+  ASSERT_NE(file, truth.end());
+  const std::string stmt = "nric(i) = 0.5 * qniic(i) + 0.1 * es";
+  const std::size_t at = file->second.find(stmt);
+  ASSERT_NE(at, std::string::npos);
+  file->second.insert(at + stmt.size(), " + 0.01 * qvl");
+
+  const double parses = obs::global().counter("service.session.parses");
+  SessionStore::PatchEdit edit;
+  edit.upserts.emplace_back(file->first, file->second);
+  auto r = store.patch(base->key(), edit);
+  ASSERT_FALSE(r.rolled_back);
+  EXPECT_TRUE(r.full_rewalk);
+  EXPECT_EQ(r.session->generation(), 1u);
+  // Only the edited file was parsed, by the patch itself.
+  EXPECT_EQ(obs::global().counter("service.session.parses"), parses);
+  EXPECT_NE(bytes_of(*r.session), before);
+  EXPECT_EQ(bytes_of(*r.session), reference_bytes(config, truth));
+
+  // A broken edit rolls back instead of publishing a degraded session.
+  SessionStore::PatchEdit bad;
+  bad.upserts.emplace_back(file->first, "module micro_mg\n  real :: :::\n");
+  auto rb = store.patch(base->key(), bad);
+  EXPECT_TRUE(rb.rolled_back);
+  ASSERT_EQ(rb.errors.size(), 1u);
+  EXPECT_EQ(rb.errors[0].first, file->first);
+  auto resident = store.lookup(base->key());
+  ASSERT_NE(resident, nullptr);
+  EXPECT_EQ(bytes_of(*resident), before);
+}
+
 TEST(IncrementalPatch, OneByteDifferenceNeverSharesKey) {
   SourceList a = small_corpus(47);
   SourceList b = a;

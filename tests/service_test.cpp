@@ -26,6 +26,7 @@
 #include "service/session_store.hpp"
 #include "support/json.hpp"
 #include "support/thread_pool.hpp"
+#include "test_routes.hpp"
 
 namespace fs = std::filesystem;
 
@@ -351,7 +352,8 @@ TEST_F(RouterTest, StructuredErrors) {
   resp = tiny.handle({"POST", "/v1/slice", std::string(64, 'x')});
   EXPECT_EQ(resp.status, 413);
 
-  // Test routes are off by default.
+  // Unregistered paths are 404 (the sleep route exists only where a test
+  // registers it).
   resp = router.handle({"POST", "/v1/_test/sleep", R"({"ms": 0})"});
   EXPECT_EQ(resp.status, 404);
 
@@ -370,8 +372,8 @@ TEST_F(RouterTest, BackpressureRejectsWith429) {
   RouterOptions opts;
   opts.pool = &pool;
   opts.max_in_flight = 1;
-  opts.enable_test_routes = true;
   Router router(&store, opts);
+  test::add_sleep_route(router);
 
   const std::uint64_t rejects0 = counter("service.rejects");
   // Occupy the single in-flight slot with a slow request...
@@ -402,8 +404,8 @@ TEST_F(RouterTest, DeadlineExpiryAnswers504) {
   ThreadPool pool(2);
   RouterOptions opts;
   opts.pool = &pool;
-  opts.enable_test_routes = true;
   Router router(&store, opts);
+  test::add_sleep_route(router);
 
   const std::uint64_t timeouts0 = counter("service.timeouts");
   const Response resp = router.handle(
@@ -459,9 +461,8 @@ std::string post_request(const std::string& path, const std::string& body) {
 
 TEST_F(HttpServerTest, ServesHealthOverRawTcpAndDrainsCleanly) {
   SessionStore store(SessionStoreOptions{});
-  RouterOptions ropts;
-  ropts.enable_test_routes = true;
-  Router router(&store, ropts);
+  Router router(&store, RouterOptions{});
+  test::add_sleep_route(router);
   HttpServer server(&router, HttpServerOptions{});
   server.start();
   ASSERT_NE(server.port(), 0);
@@ -490,9 +491,8 @@ TEST_F(HttpServerTest, ServesHealthOverRawTcpAndDrainsCleanly) {
 
 TEST_F(HttpServerTest, ShutdownDrainsInFlightRequests) {
   SessionStore store(SessionStoreOptions{});
-  RouterOptions ropts;
-  ropts.enable_test_routes = true;
-  Router router(&store, ropts);
+  Router router(&store, RouterOptions{});
+  test::add_sleep_route(router);
   HttpServer server(&router, HttpServerOptions{});
   server.start();
   std::future<int> rc =
@@ -513,9 +513,8 @@ TEST_F(HttpServerTest, ShutdownDrainsInFlightRequests) {
 
 TEST_F(HttpServerTest, AdversarialRequestsNeverKillTheDaemon) {
   SessionStore store(SessionStoreOptions{});
-  RouterOptions ropts;
-  ropts.enable_test_routes = true;
-  Router router(&store, ropts);
+  Router router(&store, RouterOptions{});
+  test::add_sleep_route(router);
   HttpServer server(&router, HttpServerOptions{});
   server.start();
   std::future<int> rc =
