@@ -395,10 +395,10 @@ int cmd_lint(const Args& args) {
                                  ? analysis::PassManager::default_passes()
                                  : analysis::PassManager::intraprocedural_passes();
   analysis::AnalysisResult result = pm.run(modules);
-  analysis::fold_parse_errors(parse_errors, &result.diagnostics);
+  result.set_parse_errors(parse_errors);
+  const std::vector<analysis::Diagnostic> diags = result.diagnostics();
 
-  std::fputs(analysis::diagnostics_to_text(result.diagnostics).c_str(),
-             stdout);
+  std::fputs(analysis::diagnostics_to_text(diags).c_str(), stdout);
   const std::size_t errors = result.count(analysis::Severity::kError);
   const std::size_t warnings = result.count(analysis::Severity::kWarning);
   std::printf("lint: %zu error(s), %zu warning(s) in %zu modules / %zu "
@@ -406,13 +406,11 @@ int cmd_lint(const Args& args) {
               errors, warnings, result.modules, result.subprograms);
 
   if (args.has("json")) {
-    write_file(args.get("json"),
-               analysis::diagnostics_to_json(result.diagnostics) + "\n");
+    write_file(args.get("json"), result.report() + "\n");
     std::printf("wrote JSON diagnostics to %s\n", args.get("json").c_str());
   }
   if (args.has("tsv")) {
-    write_file(args.get("tsv"),
-               analysis::diagnostics_to_tsv(result.diagnostics));
+    write_file(args.get("tsv"), analysis::diagnostics_to_tsv(diags));
     std::printf("wrote TSV diagnostics to %s\n", args.get("tsv").c_str());
   }
   if (args.has("summaries-out") && result.summaries != nullptr) {

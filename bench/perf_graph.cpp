@@ -56,11 +56,15 @@ class Harness {
  public:
   explicit Harness(int repeats) : repeats_(repeats) {}
 
-  /// Times `fn` `repeats` times and records the median. `setup` (optional)
-  /// runs untimed before every repetition — fixtures that the kernel
+  /// Times `fn` `repeats` times and records the median, after one untimed
+  /// warm-up call: a kernel's first call pays cold caches and page faults,
+  /// which a sub-millisecond median of three does not absorb. `setup`
+  /// (optional) runs untimed before every call — fixtures that the kernel
   /// mutates are rebuilt there.
   double run(const std::string& name, const std::function<void()>& fn,
              const std::function<void()>& setup = nullptr) {
+    if (setup) setup();
+    fn();
     std::vector<double> times;
     times.reserve(static_cast<std::size_t>(repeats_));
     for (int r = 0; r < repeats_; ++r) {

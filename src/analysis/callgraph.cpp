@@ -1,9 +1,11 @@
 #include "analysis/callgraph.hpp"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 
 #include "interp/intrinsics.hpp"
+#include "support/error.hpp"
 
 namespace rca::analysis {
 
@@ -25,10 +27,9 @@ bool is_builtin(const std::string& name) {
 /// Collects callee edges for one subprogram body.
 class EdgeCollector {
  public:
-  EdgeCollector(const CallGraph& cg, const ProgramSymbols::ModuleSyms* syms,
-                const Subprogram& sp, std::vector<std::size_t>* out,
-                bool* unknown)
-      : cg_(cg), syms_(syms), out_(out), unknown_(unknown) {
+  EdgeCollector(const ProgramSymbols::ModuleSyms* syms, const Subprogram& sp,
+                std::vector<std::size_t>* out, bool* unknown)
+      : syms_(syms), out_(out), unknown_(unknown) {
     for (const auto& p : sp.params) locals_.insert(p);
     for (const auto& d : sp.decls) locals_.insert(d.name);
     if (sp.is_function()) locals_.insert(sp.result_name);
@@ -100,11 +101,8 @@ class EdgeCollector {
         bool any = false;
         for (const ProcRef& c : pit->second) {
           if (functions_only && !c.sp->is_function()) continue;
-          const int idx = cg_.index_of(c.sp);
-          if (idx >= 0) {
-            out_->push_back(static_cast<std::size_t>(idx));
-            any = true;
-          }
+          out_->push_back(c.node);
+          any = true;
         }
         if (any) return;
       }
@@ -112,7 +110,6 @@ class EdgeCollector {
     *unknown_ = true;
   }
 
-  const CallGraph& cg_;
   const ProgramSymbols::ModuleSyms* syms_;
   std::vector<std::size_t>* out_;
   bool* unknown_;
@@ -128,7 +125,7 @@ void sort_unique(std::vector<std::size_t>& v) {
 /// come out in completion order, i.e. reverse topological order of the
 /// condensation.
 void tarjan(CallGraph& cg) {
-  const std::size_t n = cg.nodes.size();
+  const std::size_t n = cg.size();
   constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
   std::vector<std::size_t> idx(n, kUnvisited), low(n, 0);
   std::vector<bool> on_stack(n, false);
@@ -180,36 +177,39 @@ void tarjan(CallGraph& cg) {
   }
 }
 
-}  // namespace
+/// Node n's sorted, deduplicated callees and unknown-call flag.
+void collect_edges(const std::vector<const Module*>& modules,
+                   const ProgramSymbols& symbols, const CallGraph& cg,
+                   std::size_t n, std::vector<std::size_t>* callees,
+                   bool* unknown) {
+  const Module* m = modules[cg.module_of[n]];
+  callees->clear();
+  *unknown = false;
+  EdgeCollector(symbols.module(m->name), cg.subprogram(modules, n), callees,
+                unknown);
+  sort_unique(*callees);
+}
 
-CallGraph build_call_graph(const std::vector<const Module*>& modules,
-                           const ProgramSymbols& symbols) {
-  CallGraph cg;
-  for (const Module* m : modules) {
-    for (const Subprogram& sp : m->subprograms) {
-      cg.index.emplace(&sp, cg.nodes.size());
-      cg.nodes.push_back({m, &sp});
-    }
-  }
-  const std::size_t n = cg.nodes.size();
-  cg.callees.resize(n);
-  cg.callers.resize(n);
-  cg.has_unknown_call.assign(n, false);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const CallGraph::Node& node = cg.nodes[i];
-    const ProgramSymbols::ModuleSyms* syms =
-        symbols.module(node.module->name);
-    bool unknown = false;
-    EdgeCollector(cg, syms, *node.sp, &cg.callees[i], &unknown);
-    cg.has_unknown_call[i] = unknown;
-    sort_unique(cg.callees[i]);
-  }
+/// Everything derived from `callees`: callers, module-level reverse edges
+/// and the SCC condensation.
+void derive_topology(CallGraph& cg) {
+  const std::size_t n = cg.size();
+  cg.callers.assign(n, {});
   for (std::size_t u = 0; u < n; ++u) {
     for (std::size_t v : cg.callees[u]) cg.callers[v].push_back(u);
   }
   for (std::size_t v = 0; v < n; ++v) sort_unique(cg.callers[v]);
+  cg.module_callers.assign(cg.module_count(), {});
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v : cg.callees[u]) {
+      if (cg.module_of[u] != cg.module_of[v]) {
+        cg.module_callers[cg.module_of[v]].push_back(cg.module_of[u]);
+      }
+    }
+  }
+  for (auto& callers : cg.module_callers) sort_unique(callers);
 
+  cg.scc_count = 0;
   tarjan(cg);
   cg.scc_members.assign(cg.scc_count, {});
   for (std::size_t i = 0; i < n; ++i) {
@@ -225,6 +225,68 @@ CallGraph build_call_graph(const std::vector<const Module*>& modules,
     cg.scc_recursive[c] = std::binary_search(
         cg.callees[only].begin(), cg.callees[only].end(), only);
   }
+}
+
+}  // namespace
+
+CallGraph build_call_graph(const std::vector<const Module*>& modules,
+                           const ProgramSymbols& symbols) {
+  CallGraph cg;
+  cg.module_begin.reserve(modules.size() + 1);
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    cg.module_begin.push_back(cg.module_of.size());
+    cg.module_of.insert(cg.module_of.end(), modules[m]->subprograms.size(), m);
+  }
+  cg.module_begin.push_back(cg.module_of.size());
+  const std::size_t n = cg.size();
+  cg.callees.resize(n);
+  cg.has_unknown_call.assign(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    bool unknown = false;
+    collect_edges(modules, symbols, cg, i, &cg.callees[i], &unknown);
+    cg.has_unknown_call[i] = unknown;
+  }
+  derive_topology(cg);
+  return cg;
+}
+
+std::shared_ptr<const CallGraph> patch_call_graph(
+    std::shared_ptr<const CallGraph> base,
+    const std::vector<const Module*>& modules, const ProgramSymbols& symbols,
+    const std::vector<bool>& dirty) {
+  RCA_CHECK_MSG(base->module_count() == modules.size() &&
+                    dirty.size() == modules.size(),
+                "call graph patch over a different module sequence");
+  struct Fresh {
+    std::size_t node;
+    std::vector<std::size_t> callees;
+    bool unknown;
+  };
+  std::vector<Fresh> changed;
+  bool retopo = false;
+  std::vector<std::size_t> callees;
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    if (!dirty[m]) continue;
+    RCA_CHECK_MSG(base->module_begin[m + 1] - base->module_begin[m] ==
+                      modules[m]->subprograms.size(),
+                  "call graph patch over a different subprogram sequence");
+    for (std::size_t n = base->module_begin[m]; n < base->module_begin[m + 1];
+         ++n) {
+      bool unknown = false;
+      collect_edges(modules, symbols, *base, n, &callees, &unknown);
+      const bool new_edges = callees != base->callees[n];
+      if (!new_edges && unknown == base->has_unknown_call[n]) continue;
+      retopo = retopo || new_edges;
+      changed.push_back({n, callees, unknown});
+    }
+  }
+  if (changed.empty()) return base;
+  auto cg = std::make_shared<CallGraph>(*base);
+  for (Fresh& f : changed) {
+    cg->callees[f.node] = std::move(f.callees);
+    cg->has_unknown_call[f.node] = f.unknown;
+  }
+  if (retopo) derive_topology(*cg);
   return cg;
 }
 

@@ -57,40 +57,22 @@ std::string diagnostics_to_text(const std::vector<Diagnostic>& diags) {
   return out;
 }
 
-std::string diagnostics_to_json(const std::vector<Diagnostic>& diags) {
-  std::size_t errors = 0;
-  std::size_t warnings = 0;
-  std::size_t notes = 0;
+namespace {
+
+/// The records of `diags` as top-level JSON objects, comma-separated.
+std::string render_records(const std::vector<Diagnostic>& diags) {
   // The report runs to megabytes at cesm scale, where growing the buffer by
   // doubling costs more than the rendering itself: size it up front, from
   // the string fields plus a fixed allowance for keys, severity and numbers.
   constexpr std::size_t kFixedBytesPerRecord = 160;
-  std::size_t bytes = 128;
+  std::size_t bytes = 0;
   for (const Diagnostic& d : diags) {
-    if (d.severity == Severity::kError) ++errors;
-    else if (d.severity == Severity::kWarning) ++warnings;
-    else ++notes;
     bytes += kFixedBytesPerRecord + d.rule.size() + d.module.size() +
              d.subprogram.size() + d.name.size() + d.file.size() +
              d.message.size();
   }
-
   JsonWriter w;
   w.reserve(bytes);
-  w.begin_object();
-  w.key("schema");
-  w.string_value("rca.diagnostics.v1");
-  w.key("counts");
-  w.begin_object();
-  w.key("error");
-  w.integer(static_cast<long long>(errors));
-  w.key("warning");
-  w.integer(static_cast<long long>(warnings));
-  w.key("note");
-  w.integer(static_cast<long long>(notes));
-  w.end_object();
-  w.key("diagnostics");
-  w.begin_array();
   for (const Diagnostic& d : diags) {
     w.begin_object();
     w.key("rule");
@@ -115,9 +97,71 @@ std::string diagnostics_to_json(const std::vector<Diagnostic>& diags) {
     w.string_value(d.message);
     w.end_object();
   }
-  w.end_array();
-  w.end_object();
   return std::move(w).str();
+}
+
+using Counts = std::array<std::size_t, 3>;
+
+void count_into(const std::vector<Diagnostic>& diags, Counts* counts) {
+  for (const Diagnostic& d : diags) {
+    ++(*counts)[static_cast<std::size_t>(d.severity)];
+  }
+}
+
+/// Appends the document around rendered record runs to `out`: exactly the
+/// bytes a JsonWriter gives for {"schema", "counts", "diagnostics": [...]}.
+void append_report(const Counts& counts,
+                   const std::vector<const std::string*>& records,
+                   std::string* out) {
+  std::size_t bytes = 128;
+  for (const std::string* r : records) bytes += r->size() + 1;
+  out->reserve(out->size() + bytes);
+  *out += "{\"schema\":\"rca.diagnostics.v1\",\"counts\":{\"error\":";
+  *out += std::to_string(counts[static_cast<std::size_t>(Severity::kError)]);
+  *out += ",\"warning\":";
+  *out += std::to_string(counts[static_cast<std::size_t>(Severity::kWarning)]);
+  *out += ",\"note\":";
+  *out += std::to_string(counts[static_cast<std::size_t>(Severity::kNote)]);
+  *out += "},\"diagnostics\":[";
+  bool first = true;
+  for (const std::string* r : records) {
+    if (r->empty()) continue;
+    if (!first) out->push_back(',');
+    *out += *r;
+    first = false;
+  }
+  *out += "]}";
+}
+
+}  // namespace
+
+DiagnosticRun::DiagnosticRun(std::string module_name,
+                             std::vector<Diagnostic> diags)
+    : module(std::move(module_name)), diagnostics(std::move(diags)) {
+  std::sort(diagnostics.begin(), diagnostics.end(), diagnostic_less);
+  count_into(diagnostics, &counts);
+  json = render_records(diagnostics);
+}
+
+void append_diagnostics_report(const std::vector<const DiagnosticRun*>& runs,
+                               std::string* out) {
+  Counts counts{};
+  std::vector<const std::string*> records;
+  records.reserve(runs.size());
+  for (const DiagnosticRun* r : runs) {
+    for (std::size_t s = 0; s < counts.size(); ++s) counts[s] += r->counts[s];
+    records.push_back(&r->json);
+  }
+  append_report(counts, records, out);
+}
+
+std::string diagnostics_to_json(const std::vector<Diagnostic>& diags) {
+  Counts counts{};
+  count_into(diags, &counts);
+  const std::string records = render_records(diags);
+  std::string out;
+  append_report(counts, {&records}, &out);
+  return out;
 }
 
 std::string diagnostics_to_tsv(const std::vector<Diagnostic>& diags) {

@@ -12,6 +12,8 @@
 //   * TSV    — position-stable byte-exact table, pinned by the golden test.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +59,27 @@ std::string diagnostics_to_text(const std::vector<Diagnostic>& diags);
 
 /// Schema rca.diagnostics.v1: {"schema", "counts", "diagnostics": [...]}.
 std::string diagnostics_to_json(const std::vector<Diagnostic>& diags);
+
+/// One module's findings, immutable once built: sorted by diagnostic_less,
+/// rendered once as rca.diagnostics.v1 records and counted by severity. A
+/// relint shares the runs of every module it did not recompute, so a
+/// report is a header plus a concatenation of runs.
+struct DiagnosticRun {
+  std::string module;  // every record's module ("" for parse errors)
+  std::vector<Diagnostic> diagnostics;
+  std::string json;  // the records, comma-separated, no brackets
+  std::array<std::size_t, 3> counts{};  // indexed by Severity
+
+  /// Sorts `diags` (all of module `module`), renders and counts them.
+  DiagnosticRun(std::string module, std::vector<Diagnostic> diags);
+};
+
+/// Appends the rca.diagnostics.v1 document over `runs`, whose records must
+/// already be in diagnostic_less order run after run, to `out`: the header
+/// with the summed counts, then every run's records. Byte-identical to
+/// diagnostics_to_json over the concatenated records.
+void append_diagnostics_report(const std::vector<const DiagnosticRun*>& runs,
+                               std::string* out);
 
 /// Byte-stable TSV (header + one row per finding, no file paths) for
 /// golden-corpus pinning.

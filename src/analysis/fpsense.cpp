@@ -206,8 +206,7 @@ FpCallOracle summary_call_oracle(const ProgramSymbols::ModuleSyms* syms,
     if (pit == syms->procs.end()) return false;
     for (const ProcRef& c : pit->second) {
       if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
-      const ProcSummary* ps = summaries->find(c.sp);
-      if (ps != nullptr && ps->returns_real) return true;
+      if (summaries->proc(c.node).returns_real) return true;
     }
     return false;
   };
@@ -278,8 +277,10 @@ std::string fpsense_report_json(const std::vector<const Module*>& modules,
   w.key("fp_sensitive_procedures");
   w.begin_array();
   std::vector<const ProcSummary*> fp;
-  for (const ProcSummary& p : summaries.procs) {
-    if (p.fp_sensitive) fp.push_back(&p);
+  for (const auto& run : summaries.modules) {
+    for (const ProcSummary& p : *run) {
+      if (p.fp_sensitive) fp.push_back(&p);
+    }
   }
   std::sort(fp.begin(), fp.end(), [](const ProcSummary* a, const ProcSummary* b) {
     return a->module != b->module ? a->module < b->module : a->name < b->name;

@@ -1,9 +1,11 @@
 #include "analysis/passes.hpp"
 
 #include <algorithm>
-#include <set>
+#include <array>
+#include <optional>
 #include <tuple>
 
+#include "analysis/callgraph.hpp"
 #include "analysis/fpsense.hpp"
 #include "analysis/summaries.hpp"
 #include "obs/obs.hpp"
@@ -29,13 +31,16 @@ using lang::VarDecl;
 
 ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules,
                                const SubprogramFilter& keep) {
-  // Own entities first.
+  // Own entities first. Node ordinals count every subprogram, kept or not,
+  // so they are the call graph's node ids.
+  std::size_t node = 0;
   for (const Module* m : modules) {
     auto& syms = modules_[m->name];
     syms.ast = m;
     for (const auto& sp : m->subprograms) {
+      const std::size_t id = node++;
       if (keep && !keep(m->name, sp.name)) continue;
-      syms.procs[sp.name].push_back(ProcRef{m, &sp});
+      syms.procs[sp.name].push_back(ProcRef{m, &sp, id});
     }
     for (const auto& d : m->decls) {
       syms.vars[d.name] = {m, d.name};
@@ -333,9 +338,11 @@ void pass_shadowing(const ModuleAnalysis& ma, const ProgramSymbols& symbols,
                                                       : "local variable";
       auto vit = syms->vars.find(info.name);
       if (vit != syms->vars.end()) {
+        // By name: the tables may point into an earlier generation's AST
+        // of this very module.
         const Module* owner = vit->second.first;
         std::string msg =
-            owner == ma.module
+            owner->name == ma.module->name
                 ? strfmt("%s '%s' shadows a module variable", what,
                          info.name.c_str())
                 : strfmt("%s '%s' shadows a module variable imported from "
@@ -807,12 +814,77 @@ void pass_fp_sensitivity(const ModuleAnalysis& ma, const ProgramSymbols& symbols
 // PassManager.
 // ---------------------------------------------------------------------------
 
-std::size_t AnalysisResult::count(Severity s) const {
-  std::size_t n = 0;
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity == s) ++n;
+namespace {
+
+/// The runs in report order: `unowned` first, then the module runs by
+/// module name, same-named modules' runs merged into one.
+std::vector<std::shared_ptr<const DiagnosticRun>> report_runs(
+    const AnalysisResult& r) {
+  std::vector<std::shared_ptr<const DiagnosticRun>> out;
+  out.reserve(r.runs.size() + 1);
+  if (r.unowned) out.push_back(r.unowned);
+  if (r.order == nullptr) return out;
+  const std::vector<std::size_t>& order = *r.order;
+  for (std::size_t k = 0; k < order.size();) {
+    const std::string& name = r.runs[order[k]]->module;
+    std::size_t end = k + 1;
+    while (end < order.size() && r.runs[order[end]]->module == name) ++end;
+    if (end == k + 1) {
+      out.push_back(r.runs[order[k]]);
+    } else {
+      std::vector<Diagnostic> merged;
+      for (std::size_t j = k; j < end; ++j) {
+        const auto& diags = r.runs[order[j]]->diagnostics;
+        merged.insert(merged.end(), diags.begin(), diags.end());
+      }
+      out.push_back(std::make_shared<const DiagnosticRun>(name, std::move(merged)));
+    }
+    k = end;
   }
+  return out;
+}
+
+}  // namespace
+
+std::size_t AnalysisResult::count(Severity s) const {
+  const auto i = static_cast<std::size_t>(s);
+  std::size_t n = unowned ? unowned->counts[i] : 0;
+  for (const auto& run : runs) n += run->counts[i];
   return n;
+}
+
+std::vector<Diagnostic> AnalysisResult::diagnostics() const {
+  std::vector<Diagnostic> out;
+  for (const auto& run : report_runs(*this)) {
+    out.insert(out.end(), run->diagnostics.begin(), run->diagnostics.end());
+  }
+  return out;
+}
+
+void AnalysisResult::append_report(std::string* out) const {
+  obs::Span span("lint.render");
+  const auto ordered = report_runs(*this);
+  std::vector<const DiagnosticRun*> runs_in_order;
+  runs_in_order.reserve(ordered.size());
+  for (const auto& run : ordered) runs_in_order.push_back(run.get());
+  const std::size_t before = out->size();
+  append_diagnostics_report(runs_in_order, out);
+  span.attr("bytes", out->size() - before);
+}
+
+std::string AnalysisResult::report() const {
+  std::string out;
+  append_report(&out);
+  return out;
+}
+
+void AnalysisResult::set_parse_errors(
+    const std::vector<std::pair<std::string, std::string>>& parse_errors) {
+  std::vector<Diagnostic> diags;
+  fold_parse_errors(parse_errors, &diags);
+  unowned = diags.empty()
+                ? nullptr
+                : std::make_shared<const DiagnosticRun>("", std::move(diags));
 }
 
 void PassManager::add_pass(std::string id, PassFn fn) {
@@ -822,82 +894,98 @@ void PassManager::add_pass(std::string id, PassFn fn) {
 
 AnalysisResult PassManager::run(
     const std::vector<const Module*>& modules) const {
-  return run(modules, std::vector<bool>(modules.size(), true));
+  return analyze(modules, nullptr, nullptr,
+                 std::vector<bool>(modules.size(), true));
 }
 
 AnalysisResult PassManager::run(const std::vector<const Module*>& modules,
+                                const ProgramSymbols& symbols,
+                                const AnalysisResult& base,
                                 const std::vector<bool>& dirty) const {
-  return run(modules, dirty, nullptr);
+  RCA_CHECK_MSG(base.runs.size() == modules.size() &&
+                    (base.summaries != nullptr) == interprocedural_,
+                "relint base from another module sequence or rule set");
+  return analyze(modules, &symbols, &base, dirty);
 }
 
-AnalysisResult PassManager::run(const std::vector<const Module*>& modules,
-                                const std::vector<bool>& dirty,
-                                const ProgramSummaries* baseline) const {
+AnalysisResult PassManager::analyze(const std::vector<const Module*>& modules,
+                                    const ProgramSymbols* given,
+                                    const AnalysisResult* base,
+                                    const std::vector<bool>& dirty) const {
   RCA_CHECK_MSG(dirty.size() == modules.size(),
                 "dirty mask must parallel the module list");
   obs::Span span("lint");
-  ProgramSymbols symbols(modules);
+  std::optional<ProgramSymbols> built;
+  {
+    obs::Span sym_span("lint.symbols");
+    if (given == nullptr) built.emplace(modules);
+    sym_span.attr("carried", given != nullptr);
+  }
+  const ProgramSymbols& symbols = given != nullptr ? *given : *built;
 
-  // Interprocedural mode: compute (or incrementally refresh) the program
-  // summaries first, then widen the dirty set to the reverse caller cone of
-  // every module whose summary signature changed — a body patch can shift
-  // lint results anywhere a summary consumer lives.
+  // Interprocedural mode: build (or patch) the call graph, compute (or
+  // refresh) the program summaries, then widen the dirty set to the reverse
+  // caller cone of every module whose summaries changed — a body patch can
+  // shift lint results anywhere a summary consumer lives.
   std::shared_ptr<const ProgramSummaries> summaries;
   std::vector<bool> effective = dirty;
   if (interprocedural_) {
-    obs::Span sum_span("lint.summaries");
-    std::set<std::string> dirty_names;
-    if (baseline != nullptr) {
-      for (std::size_t i = 0; i < modules.size(); ++i) {
-        if (dirty[i]) dirty_names.insert(modules[i]->name);
-      }
+    std::shared_ptr<const CallGraph> cg;
+    {
+      obs::Span cg_span("lint.callgraph");
+      cg = base != nullptr
+               ? patch_call_graph(base->summaries->cg, modules, symbols, dirty)
+               : std::make_shared<const CallGraph>(
+                     build_call_graph(modules, symbols));
+      cg_span.attr("reused", base != nullptr && cg == base->summaries->cg);
     }
-    summaries = std::make_shared<ProgramSummaries>(
-        compute_summaries(modules, symbols, baseline,
-                          baseline != nullptr ? &dirty_names : nullptr));
-    if (baseline != nullptr) {
-      std::set<std::string> changed;
-      for (const auto& [mod, sig] : summaries->module_sigs) {
-        auto it = baseline->module_sigs.find(mod);
-        if (it == baseline->module_sigs.end() || it->second != sig) {
-          changed.insert(mod);
-        }
+    obs::Span sum_span("lint.summaries");
+    summaries = std::make_shared<const ProgramSummaries>(compute_summaries(
+        modules, symbols, std::move(cg),
+        base != nullptr ? base->summaries.get() : nullptr,
+        base != nullptr ? &dirty : nullptr));
+    if (base != nullptr) {
+      std::vector<bool> changed(modules.size(), false);
+      for (std::size_t m = 0; m < modules.size(); ++m) {
+        const auto& now = summaries->modules[m];
+        const auto& was = base->summaries->modules[m];
+        changed[m] = now != was && *now != *was;
       }
-      const std::set<std::string> cone = summary_cone(summaries->cg, changed);
+      const std::vector<bool> cone = summary_cone(*summaries->cg, changed);
+      std::size_t cone_modules = 0;
       std::size_t widened = 0;
-      for (std::size_t i = 0; i < modules.size(); ++i) {
-        if (!effective[i] && cone.count(modules[i]->name) > 0) {
-          effective[i] = true;
+      for (std::size_t m = 0; m < modules.size(); ++m) {
+        if (!cone[m]) continue;
+        ++cone_modules;
+        if (!effective[m]) {
+          effective[m] = true;
           ++widened;
         }
       }
-      obs::count("lint.summary.cone_modules", cone.size());
+      obs::count("lint.summary.cone_modules", cone_modules);
       obs::count("lint.summary.cone_widened", widened);
     }
-    obs::count("lint.summary.procs", summaries->procs.size());
+    obs::count("lint.summary.procs", summaries->size());
     obs::count("lint.summary.procs_recomputed", summaries->procs_recomputed);
     obs::count("lint.summary.procs_reused", summaries->procs_reused);
-    sum_span.attr("procs", summaries->procs.size());
+    sum_span.attr("procs", summaries->size());
   }
 
   std::vector<ModuleAnalysis> analyses;
   std::vector<PassContext> contexts;
-  analyses.reserve(modules.size());
-  contexts.reserve(modules.size());
   std::size_t subprograms = 0;
-  std::size_t analyzed = 0;
   std::size_t calls_resolved = 0;
   {
     obs::Span flow_span("lint.dataflow");
     for (std::size_t mi = 0; mi < modules.size(); ++mi) {
       const Module* m = modules[mi];
-      // Totals always cover the whole corpus so an incremental run merged
-      // with carried diagnostics reports the same counts as a full run.
+      // Totals always cover the whole corpus so a relint that carries runs
+      // reports the same counts as a full run.
       subprograms += m->subprograms.size();
       if (!effective[mi]) continue;
-      ++analyzed;
       ModuleAnalysis ma;
       ma.module = m;
+      ma.index = mi;
       DataflowContext ctx;
       const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
       if (syms != nullptr) ctx.module_vars = &syms->vars;
@@ -917,45 +1005,83 @@ AnalysisResult PassManager::run(const std::vector<const Module*>& modules,
     }
   }
 
-  AnalysisResult result;
-  result.modules = modules.size();
-  result.subprograms = subprograms;
-  result.summaries = summaries;
-  result.analyzed = std::move(effective);
+  std::vector<std::vector<Diagnostic>> found(analyses.size());
   obs::Registry& reg = obs::global();
   for (const Pass& p : passes_) {
     std::uint32_t sid = 0;
     if (reg.enabled()) sid = reg.begin_span("lint.pass." + p.id);
-    const std::size_t before = result.diagnostics.size();
+    std::size_t n = 0;
     for (std::size_t i = 0; i < analyses.size(); ++i) {
-      p.fn(analyses[i], symbols, contexts[i], &result.diagnostics);
+      const std::size_t before = found[i].size();
+      p.fn(analyses[i], symbols, contexts[i], &found[i]);
+      n += found[i].size() - before;
     }
-    const std::size_t found = result.diagnostics.size() - before;
     if (reg.enabled()) {
-      reg.counter_add("lint.rule." + p.id, found);
+      reg.counter_add("lint.rule." + p.id, n);
       if (sid != 0) {
         reg.span_attr(sid, "diagnostics",
-                      obs::AttrValue::of(static_cast<long long>(found)));
+                      obs::AttrValue::of(static_cast<long long>(n)));
         reg.end_span(sid);
       }
     }
   }
-  std::sort(result.diagnostics.begin(), result.diagnostics.end(),
-            diagnostic_less);
 
+  // One immutable run per re-analyzed module; every other module's run is
+  // the base's own.
+  AnalysisResult result;
+  result.modules = modules.size();
+  result.subprograms = subprograms;
+  result.summaries = summaries;
+  obs::Span merge_span("lint.merge");
+  result.runs.resize(modules.size());
+  std::array<std::size_t, 3> fresh{};
+  for (std::size_t i = 0; i < analyses.size(); ++i) {
+    auto run = std::make_shared<const DiagnosticRun>(analyses[i].module->name,
+                                                     std::move(found[i]));
+    for (std::size_t s = 0; s < fresh.size(); ++s) fresh[s] += run->counts[s];
+    result.runs[analyses[i].index] = std::move(run);
+  }
+  std::size_t carried = 0;
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    if (result.runs[m] != nullptr) continue;
+    result.runs[m] = base->runs[m];
+    ++carried;
+  }
+  if (base != nullptr) {
+    result.order = base->order;
+    obs::count("lint.modules_carried", carried);
+  } else {
+    auto order = std::make_shared<std::vector<std::size_t>>(modules.size());
+    for (std::size_t m = 0; m < order->size(); ++m) (*order)[m] = m;
+    std::stable_sort(order->begin(), order->end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return modules[a]->name < modules[b]->name;
+                     });
+    result.order = std::move(order);
+  }
+  result.analyzed = std::move(effective);
+  // Tear down the dataflow facts and freshly built tables here, so the
+  // time is charged to this span instead of to none of `lint`'s children.
+  analyses.clear();
+  contexts.clear();
+  found.clear();
+  built.reset();
+
+  const std::size_t errors = fresh[static_cast<std::size_t>(Severity::kError)];
+  const std::size_t warnings =
+      fresh[static_cast<std::size_t>(Severity::kWarning)];
+  const std::size_t fresh_total =
+      errors + warnings + fresh[static_cast<std::size_t>(Severity::kNote)];
   obs::count("lint.modules", modules.size());
   obs::count("lint.subprograms", subprograms);
-  if (analyzed < modules.size()) {
-    obs::count("lint.modules_skipped", modules.size() - analyzed);
-  }
   if (interprocedural_) {
     obs::count("lint.summary.calls_resolved", calls_resolved);
   }
-  obs::count("lint.diagnostics", result.diagnostics.size());
-  obs::count("lint.errors", result.count(Severity::kError));
-  obs::count("lint.warnings", result.count(Severity::kWarning));
+  obs::count("lint.diagnostics", fresh_total);
+  obs::count("lint.errors", errors);
+  obs::count("lint.warnings", warnings);
   span.attr("modules", modules.size());
-  span.attr("diagnostics", result.diagnostics.size());
+  span.attr("diagnostics", fresh_total);
   return result;
 }
 

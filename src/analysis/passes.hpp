@@ -4,8 +4,12 @@
 // results computed once up front (cfg.hpp / dataflow.hpp) and (b) the
 // program-wide symbol tables (ProgramSymbols, the same resolver the
 // metagraph builder uses). Passes append structured Diagnostic records;
-// the manager sorts them deterministically and feeds the `lint.*` counters
-// and per-pass spans in the observability registry.
+// the manager keeps each module's findings as one immutable DiagnosticRun
+// (sorted, rendered, counted — diagnostics.hpp) and feeds the `lint.*`
+// counters and spans in the observability registry. A relint of an
+// interface-preserving edit re-analyzes only what the edit can change and
+// shares every other module's run, call-graph topology and summaries with
+// its base (see PassManager::run).
 //
 // Default rules (interprocedural — call sites resolve through the mod/ref
 // summaries of summaries.hpp, so the dataflow rules see through the call
@@ -42,10 +46,17 @@
 
 namespace rca::analysis {
 
-/// One candidate procedure a name may resolve to.
+/// One candidate procedure a name may resolve to. `module` and `sp` point
+/// into the ASTs the tables were built over, which may be an earlier
+/// generation's with the same interfaces (meta::TxnState::tables): read
+/// only their interface content. `node` is the procedure's identity.
 struct ProcRef {
   const lang::Module* module = nullptr;
   const lang::Subprogram* sp = nullptr;
+  /// Program-wide ordinal of the subprogram — module order, then
+  /// subprogram order — which is its CallGraph node. Stable across any edit
+  /// that keeps the module sequence and every interface signature.
+  std::size_t node = 0;
 };
 
 /// Program-wide name resolution, one entry per module: own subprograms,
@@ -83,6 +94,7 @@ class ProgramSymbols {
 /// Dataflow results for every subprogram of one module, computed once and
 /// shared by all passes.
 struct ModuleAnalysis {
+  std::size_t index = 0;  // position in the module list
   const lang::Module* module = nullptr;
   std::vector<DataflowResult> subs;  // parallel to module->subprograms
 };
@@ -103,16 +115,32 @@ using PassFn = std::function<void(const ModuleAnalysis&, const ProgramSymbols&,
                                   std::vector<Diagnostic>*)>;
 
 struct AnalysisResult {
-  std::vector<Diagnostic> diagnostics;  // sorted by diagnostic_less
+  /// One run per module, parallel to the module list; a relint shares the
+  /// runs of every module it did not recompute with its base.
+  std::vector<std::shared_ptr<const DiagnosticRun>> runs;
+  /// Findings that belong to no module (parse errors); sorts first.
+  std::shared_ptr<const DiagnosticRun> unowned;
+  /// Module positions in report order (by module name), shared by every
+  /// relint of the same module sequence.
+  std::shared_ptr<const std::vector<std::size_t>> order;
   std::size_t modules = 0;
   std::size_t subprograms = 0;
   // Interprocedural runs: the program summaries (kept alive for callers
-  // that dump them) and the final per-module analysis mask after summary
-  // invalidation widened the input dirty set.
+  // that dump them and for the next relint) and the final per-module
+  // analysis mask after summary invalidation widened the input dirty set.
   std::shared_ptr<const ProgramSummaries> summaries;
   std::vector<bool> analyzed;
 
   std::size_t count(Severity s) const;
+  /// Every finding, sorted by diagnostic_less.
+  std::vector<Diagnostic> diagnostics() const;
+  /// The rca.diagnostics.v1 document, diagnostics_to_json(diagnostics()),
+  /// appended to `out` from the runs' rendered records (span `lint.render`).
+  void append_report(std::string* out) const;
+  std::string report() const;
+  /// Replaces `unowned` with one parse-error record per (path, message).
+  void set_parse_errors(
+      const std::vector<std::pair<std::string, std::string>>& parse_errors);
 };
 
 class PassManager {
@@ -120,31 +148,25 @@ class PassManager {
   void add_pass(std::string id, PassFn fn);
   const std::vector<std::string>& pass_ids() const { return ids_; }
 
-  /// Runs every pass over every module; diagnostics come back sorted.
+  /// Runs every pass over every module.
   AnalysisResult run(const std::vector<const lang::Module*>& modules) const;
 
-  /// Incremental variant: dataflow facts are computed and passes executed
-  /// only for modules whose `dirty` flag is set (parallel to `modules`);
-  /// program symbols still span the whole corpus, and the module/subprogram
-  /// totals still count everything. Clean modules contribute no diagnostics
-  /// here — the caller merges their previously computed diagnostics back in,
-  /// which is exact as long as no module's interface-level content changed
-  /// (each pass reads only its own module's bodies plus remote interface
-  /// info; see meta::interface_signature). In interprocedural mode a body
-  /// patch can also change lint results in the patched modules' reverse
-  /// caller cone: when `baseline` (the base generation's summaries) is
-  /// given, modules whose summary signature changed widen the dirty set by
-  /// their caller cone (`summary_cone`), and the widened mask comes back in
-  /// `AnalysisResult::analyzed` so the caller drops stale carried
-  /// diagnostics for exactly those modules. Only the
-  /// baseline's plain-data `procs` and `module_sigs` are read, never its
-  /// call graph, so it may outlive the ASTs it was computed from. Used by
-  /// the session patch path.
+  /// Relint of an edited program against `base`, the result of this
+  /// manager's run over the previous generation. Precondition: the edit
+  /// kept the module sequence, every module's subprogram sequence and every
+  /// interface signature (meta::interface_signature), and `symbols` are
+  /// tables for that interface — possibly built over the earlier
+  /// generation's ASTs. Only modules whose `dirty` flag is set (parallel to
+  /// `modules`) are re-analyzed, plus, interprocedurally, the reverse
+  /// caller cone of every module whose summaries changed (`summary_cone`);
+  /// `AnalysisResult::analyzed` is that widened mask. Everything else —
+  /// the call graph topology, the summaries and the diagnostic runs of the
+  /// other modules — is shared with `base`, which is read only through its
+  /// pointer-free parts, so `base`'s ASTs may already be gone. The result
+  /// equals run(modules).
   AnalysisResult run(const std::vector<const lang::Module*>& modules,
+                     const ProgramSymbols& symbols, const AnalysisResult& base,
                      const std::vector<bool>& dirty) const;
-  AnalysisResult run(const std::vector<const lang::Module*>& modules,
-                     const std::vector<bool>& dirty,
-                     const ProgramSummaries* baseline) const;
 
   /// Manager preloaded with the default interprocedural rules (ids as
   /// documented above).
@@ -158,6 +180,13 @@ class PassManager {
     std::string id;
     PassFn fn;
   };
+  /// Both runs: null `symbols` are built over `modules`; a null `base`
+  /// re-analyzes every module.
+  AnalysisResult analyze(const std::vector<const lang::Module*>& modules,
+                         const ProgramSymbols* symbols,
+                         const AnalysisResult* base,
+                         const std::vector<bool>& dirty) const;
+
   std::vector<Pass> passes_;
   std::vector<std::string> ids_;
   bool interprocedural_ = false;

@@ -1,16 +1,15 @@
 #include "analysis/summaries.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <string_view>
-#include <unordered_map>
+#include <optional>
+#include <set>
 #include <utility>
 
 #include "analysis/fpsense.hpp"
 #include "fault/fault.hpp"
 #include "interp/intrinsics.hpp"
 #include "lang/printer.hpp"
-#include "support/hash.hpp"
+#include "support/error.hpp"
 #include "support/json.hpp"
 
 namespace rca::analysis {
@@ -30,78 +29,30 @@ bool is_builtin(const std::string& name) {
   return name == "outfld" || name == "shr_rand_uniform";
 }
 
-// Length-prefixed FNV-1a 64, a local twin of meta::SnapshotKey — analysis
-// sits below meta in the layering, so it cannot reuse it.
-class SummarySig {
- public:
-  void add(const std::string& s) {
-    add_u64(s.size());
-    h_ = fnv1a64(s, h_);
-  }
-  void add_u64(std::uint64_t v) {
-    char le[8];
-    for (int i = 0; i < 8; ++i) le[i] = static_cast<char>(v >> (i * 8));
-    h_ = fnv1a64(std::string_view(le, sizeof le), h_);
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = kFnvOffsetBasis;
-};
-
-std::uint64_t pack_flags(const ProcSummary& p) {
-  std::uint64_t f = 0;
-  f |= p.is_function ? 1u : 0u;
-  f |= p.returns_real ? 2u : 0u;
-  f |= p.pure ? 4u : 0u;
-  f |= p.recursive ? 8u : 0u;
-  f |= p.calls_unknown ? 16u : 0u;
-  f |= p.fp_sensitive ? 32u : 0u;
-  return f;
-}
-
-std::uint64_t pack_flags(const DummySummary& d) {
-  std::uint64_t f = static_cast<std::uint64_t>(d.intent) << 8;
-  f |= d.may_read_incoming ? 1u : 0u;
-  f |= d.observes_incoming ? 2u : 0u;
-  f |= d.may_write ? 4u : 0u;
-  f |= d.definitely_writes ? 8u : 0u;
-  return f;
-}
-
-/// A procedure's (module, name) identity, as views into a ProcSummary.
-using ProcKey = std::pair<std::string_view, std::string_view>;
-
-struct ProcKeyHash {
-  std::size_t operator()(const ProcKey& k) const {
-    return static_cast<std::size_t>(
-        fnv1a64(k.second, fnv1a64("\x1f", fnv1a64(k.first))));
-  }
-};
-
 /// Candidates a call site can dispatch to: context- and arity-filtered.
-std::vector<const Subprogram*> dispatch_candidates(
+std::vector<const ProcRef*> dispatch_candidates(
     const ProgramSymbols::ModuleSyms* syms, const std::string& name,
     std::size_t nargs, bool function_context) {
-  std::vector<const Subprogram*> out;
+  std::vector<const ProcRef*> out;
   if (syms == nullptr || is_builtin(name)) return out;
   auto pit = syms->procs.find(name);
   if (pit == syms->procs.end()) return out;
   for (const ProcRef& c : pit->second) {
     if (c.sp->is_function() != function_context) continue;
     if (c.sp->params.size() != nargs) continue;
-    out.push_back(c.sp);
+    out.push_back(&c);
   }
   return out;
 }
 
 /// Merges candidate summaries into one sound per-argument effect.
-/// Nullopt when any candidate is missing, not yet computed, or recursive.
+/// Nullopt when any candidate is not yet computed (`computed`, per node,
+/// null once every summary is final) or recursive.
 std::optional<CallEffect> merge_effects(
-    const ProgramSymbols::ModuleSyms* syms, const CallGraph& cg,
-    const std::vector<ProcSummary>& procs, const std::vector<char>* computed,
-    const std::string& name, std::size_t nargs, bool function_context) {
-  const std::vector<const Subprogram*> cands =
+    const ProgramSymbols::ModuleSyms* syms, const ProgramSummaries& summaries,
+    const std::vector<char>* computed, const std::string& name,
+    std::size_t nargs, bool function_context) {
+  const std::vector<const ProcRef*> cands =
       dispatch_candidates(syms, name, nargs, function_context);
   if (cands.empty()) return std::nullopt;
   CallEffect eff;
@@ -112,13 +63,9 @@ std::optional<CallEffect> merge_effects(
     a.may_write = false;
     a.definitely_writes = true;
   }
-  for (const Subprogram* sp : cands) {
-    const int idx = cg.index_of(sp);
-    if (idx < 0) return std::nullopt;
-    if (computed != nullptr && !(*computed)[static_cast<std::size_t>(idx)]) {
-      return std::nullopt;
-    }
-    const ProcSummary& ps = procs[static_cast<std::size_t>(idx)];
+  for (const ProcRef* c : cands) {
+    if (computed != nullptr && !(*computed)[c->node]) return std::nullopt;
+    const ProcSummary& ps = summaries.proc(c->node);
     if (ps.recursive || ps.dummies.size() != nargs) return std::nullopt;
     for (std::size_t i = 0; i < nargs; ++i) {
       const DummySummary& d = ps.dummies[i];
@@ -239,9 +186,9 @@ std::string qualify(const Module* owner, const std::string& remote) {
 class GlobalsWalker {
  public:
   GlobalsWalker(const Subprogram& sp, const ProgramSymbols::ModuleSyms* syms,
-                const CallGraph& cg, const std::vector<ProcSummary>& procs,
+                const ProgramSummaries& summaries,
                 const std::vector<char>* computed)
-      : syms_(syms), cg_(cg), procs_(procs), computed_(computed), vars_(sp) {
+      : syms_(syms), summaries_(summaries), computed_(computed), vars_(sp) {
     for (const auto& st : sp.body) walk_stmt(*st);
   }
 
@@ -342,7 +289,7 @@ class GlobalsWalker {
       impure = true;  // outfld emits, shr_rand_uniform draws state
       return;
     }
-    const std::vector<const Subprogram*> cands =
+    const std::vector<const ProcRef*> cands =
         dispatch_candidates(syms_, name, args.size(), function_context);
     if (cands.empty()) {
       calls_unknown = true;
@@ -350,19 +297,13 @@ class GlobalsWalker {
       return;
     }
     bool any_resolved = false;
-    for (const Subprogram* sp : cands) {
-      const int idx = cg_.index_of(sp);
-      if (idx < 0) {
-        calls_unknown = true;
-        continue;
-      }
-      if (computed_ != nullptr &&
-          !(*computed_)[static_cast<std::size_t>(idx)]) {
+    for (const ProcRef* c : cands) {
+      if (computed_ != nullptr && !(*computed_)[c->node]) {
         // Same-SCC callee before its first round: contributes nothing yet;
         // later fixpoint rounds pick its effects up.
         continue;
       }
-      const ProcSummary& ps = procs_[static_cast<std::size_t>(idx)];
+      const ProcSummary& ps = summaries_.proc(c->node);
       if (ps.recursive) {
         calls_unknown = true;
         continue;
@@ -407,8 +348,7 @@ class GlobalsWalker {
   }
 
   const ProgramSymbols::ModuleSyms* syms_;
-  const CallGraph& cg_;
-  const std::vector<ProcSummary>& procs_;
+  const ProgramSummaries& summaries_;
   const std::vector<char>* computed_;
   VarTable vars_;
 };
@@ -421,13 +361,14 @@ bool result_is_real(const Subprogram& sp) {
   return false;
 }
 
-/// Summarizes one procedure against the already-computed callee summaries.
-ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
-                          const ProgramSymbols& symbols,
-                          const std::vector<ProcSummary>& procs,
+/// Summarizes node `idx` against the already-computed callee summaries.
+ProcSummary summarize_one(const std::vector<const Module*>& modules,
+                          std::size_t idx, const ProgramSymbols& symbols,
+                          const ProgramSummaries& summaries,
                           const std::vector<char>& computed) {
-  const Module* m = cg.nodes[idx].module;
-  const Subprogram& sp = *cg.nodes[idx].sp;
+  const CallGraph& cg = *summaries.cg;
+  const Module* m = modules[cg.module_of[idx]];
+  const Subprogram& sp = cg.subprogram(modules, idx);
   const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
 
   ProcSummary out;
@@ -440,7 +381,7 @@ ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
   if (syms != nullptr) ctx.module_vars = &syms->vars;
   ctx.call_effects = [&](const std::string& name, std::size_t nargs,
                          bool function_context) {
-    return merge_effects(syms, cg, procs, &computed, name, nargs,
+    return merge_effects(syms, summaries, &computed, name, nargs,
                          function_context);
   };
   const DataflowResult flow = analyze_dataflow(sp, ctx);
@@ -487,7 +428,7 @@ ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
     out.dummies.push_back(std::move(d));
   }
 
-  GlobalsWalker gw(sp, syms, cg, procs, &computed);
+  GlobalsWalker gw(sp, syms, summaries, &computed);
   out.globals_read.assign(gw.reads.begin(), gw.reads.end());
   out.globals_written.assign(gw.writes.begin(), gw.writes.end());
   out.calls_unknown = gw.calls_unknown;
@@ -495,14 +436,9 @@ ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
              !gw.calls_unknown;
 
   FpCallOracle oracle = [&](const std::string& name, std::size_t nargs) {
-    const std::vector<const Subprogram*> cands =
-        dispatch_candidates(syms, name, nargs, /*function_context=*/true);
-    for (const Subprogram* c : cands) {
-      const int ci = cg.index_of(c);
-      if (ci >= 0 && procs[static_cast<std::size_t>(ci)].returns_real) {
-        return true;
-      }
-      if (ci < 0 && result_is_real(*c)) return true;
+    for (const ProcRef* c :
+         dispatch_candidates(syms, name, nargs, /*function_context=*/true)) {
+      if (summaries.proc(c->node).returns_real) return true;
     }
     return false;
   };
@@ -513,85 +449,99 @@ ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
 
 }  // namespace
 
-std::set<std::string> summary_cone(const CallGraph& cg,
-                                   const std::set<std::string>& dirty) {
-  // Module-level reverse adjacency: an edge caller -> callee means the
-  // caller's module depends on the callee's module.
-  std::map<std::string, std::set<std::string>> called_from;
-  for (std::size_t u = 0; u < cg.nodes.size(); ++u) {
-    for (std::size_t v : cg.callees[u]) {
-      if (cg.nodes[u].module != cg.nodes[v].module) {
-        called_from[cg.nodes[v].module->name].insert(
-            cg.nodes[u].module->name);
-      }
-    }
+std::vector<bool> summary_cone(const CallGraph& cg,
+                               const std::vector<bool>& dirty) {
+  std::vector<bool> cone = dirty;
+  std::vector<std::size_t> work;
+  for (std::size_t m = 0; m < dirty.size(); ++m) {
+    if (dirty[m]) work.push_back(m);
   }
-  std::set<std::string> cone = dirty;
-  std::deque<std::string> work(dirty.begin(), dirty.end());
   while (!work.empty()) {
-    const std::string m = work.front();
-    work.pop_front();
-    auto it = called_from.find(m);
-    if (it == called_from.end()) continue;
-    for (const std::string& caller : it->second) {
-      if (cone.insert(caller).second) work.push_back(caller);
+    const std::size_t m = work.back();
+    work.pop_back();
+    for (std::size_t caller : cg.module_callers[m]) {
+      if (!cone[caller]) {
+        cone[caller] = true;
+        work.push_back(caller);
+      }
     }
   }
   return cone;
 }
 
-ProgramSummaries compute_summaries(
-    const std::vector<const Module*>& modules, const ProgramSymbols& symbols,
-    const ProgramSummaries* base, const std::set<std::string>* dirty_modules) {
+ProgramSummaries compute_summaries(const std::vector<const Module*>& modules,
+                                   const ProgramSymbols& symbols) {
+  return compute_summaries(
+      modules, symbols,
+      std::make_shared<const CallGraph>(build_call_graph(modules, symbols)));
+}
+
+ProgramSummaries compute_summaries(const std::vector<const Module*>& modules,
+                                   const ProgramSymbols& symbols,
+                                   std::shared_ptr<const CallGraph> cg,
+                                   const ProgramSummaries* base,
+                                   const std::vector<bool>* dirty) {
   RCA_FAULT_POINT("analysis.summary");
   ProgramSummaries out;
-  out.cg = build_call_graph(modules, symbols);
-  const CallGraph& cg = out.cg;
-  const std::size_t n = cg.nodes.size();
-  out.procs.resize(n);
+  out.cg = std::move(cg);
+  const CallGraph& g = *out.cg;
+  RCA_CHECK_MSG(g.module_count() == modules.size(),
+                "summaries over a different module sequence");
+  out.modules.resize(modules.size());
 
   // Outside the dirty modules' reverse caller cone nothing a body patch can
-  // change is visible, so the base summary is still exact. The base is
-  // matched by its plain-data (module, name) fields only: its call graph
-  // points into ASTs a patch may already have freed.
-  std::vector<char> reused(n, 0);
-  if (base != nullptr && dirty_modules != nullptr) {
-    const std::set<std::string> cone = summary_cone(cg, *dirty_modules);
-    std::unordered_map<ProcKey, const ProcSummary*, ProcKeyHash> base_procs;
-    base_procs.reserve(base->procs.size());
-    for (const ProcSummary& p : base->procs) {
-      base_procs.try_emplace(ProcKey{p.module, p.name}, &p);  // first wins
+  // change is visible, so the base's module runs are still exact and are
+  // shared; the runs inside it are recomputed into fresh storage.
+  const bool incremental = base != nullptr && dirty != nullptr;
+  const std::vector<bool> recompute =
+      incremental ? summary_cone(g, *dirty)
+                  : std::vector<bool>(modules.size(), true);
+  std::vector<char> computed(g.size(), 0);
+  std::vector<std::vector<ProcSummary>*> fresh(modules.size(), nullptr);
+  std::vector<std::size_t> sccs;
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    const std::size_t begin = g.module_begin[m];
+    const std::size_t end = g.module_begin[m + 1];
+    if (!recompute[m]) {
+      RCA_CHECK_MSG(base->modules[m]->size() == end - begin,
+                    "base summaries over a different subprogram sequence");
+      out.modules[m] = base->modules[m];
+      std::fill(computed.begin() + static_cast<std::ptrdiff_t>(begin),
+                computed.begin() + static_cast<std::ptrdiff_t>(end), 1);
+      continue;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& mod = cg.nodes[i].module->name;
-      if (cone.count(mod) > 0) continue;
-      auto it = base_procs.find(ProcKey{mod, cg.nodes[i].sp->name});
-      if (it != base_procs.end() &&
-          it->second->dummies.size() == cg.nodes[i].sp->params.size()) {
-        out.procs[i] = *it->second;
-        reused[i] = 1;
-        ++out.procs_reused;
-      }
+    auto run = std::make_shared<std::vector<ProcSummary>>(end - begin);
+    fresh[m] = run.get();
+    out.modules[m] = std::move(run);
+    if (incremental) {
+      for (std::size_t n = begin; n < end; ++n) sccs.push_back(g.scc_of[n]);
     }
   }
+  if (incremental) {
+    // A component holding a cone node lies wholly inside the cone (its
+    // members all reach that node), so the cone's components are exactly
+    // the ones to recompute, in ascending (bottom-up) order.
+    std::sort(sccs.begin(), sccs.end());
+    sccs.erase(std::unique(sccs.begin(), sccs.end()), sccs.end());
+  } else {
+    sccs.resize(g.scc_count);
+    for (std::size_t c = 0; c < g.scc_count; ++c) sccs[c] = c;
+  }
 
-  std::vector<char> computed = reused;
+  auto slot = [&](std::size_t n) -> ProcSummary& {
+    const std::size_t m = g.module_of[n];
+    return (*fresh[m])[n - g.module_begin[m]];
+  };
   constexpr int kMaxRounds = 8;
-  for (std::size_t scc = 0; scc < cg.scc_count; ++scc) {
-    const std::vector<std::size_t>& members = cg.scc_members[scc];
-    bool all_reused = true;
-    for (std::size_t idx : members) {
-      if (!reused[idx]) all_reused = false;
-    }
-    if (all_reused) continue;
-    const bool rec = cg.scc_recursive[scc];
+  for (std::size_t scc : sccs) {
+    const std::vector<std::size_t>& members = g.scc_members[scc];
+    const bool rec = g.scc_recursive[scc];
     for (int round = 0; round < kMaxRounds; ++round) {
       bool changed = false;
       for (std::size_t idx : members) {
-        if (reused[idx]) continue;
-        ProcSummary s = summarize_one(cg, idx, symbols, out.procs, computed);
-        if (!computed[idx] || !(s == out.procs[idx])) {
-          out.procs[idx] = std::move(s);
+        ProcSummary s = summarize_one(modules, idx, symbols, out, computed);
+        if (!computed[idx] || !(s == slot(idx))) {
+          slot(idx) = std::move(s);
           changed = true;
         }
         computed[idx] = 1;
@@ -599,40 +549,13 @@ ProgramSummaries compute_summaries(
       if (!rec || !changed) break;
     }
     for (std::size_t idx : members) {
-      if (reused[idx]) continue;
       // Recursive components fall back to the conservative model at every
       // consumer; the fixpoint above still refines globals and purity.
-      if (rec) out.procs[idx].recursive = true;
+      if (rec) slot(idx).recursive = true;
       ++out.procs_recomputed;
     }
   }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string& mod = cg.nodes[i].module->name;
-    auto [it, fresh] = out.module_sigs.try_emplace(mod, 0);
-    SummarySig sig;
-    if (fresh) sig.add("rca-summary-sig-v1");
-    sig.add_u64(it->second);
-    const ProcSummary& p = out.procs[i];
-    sig.add(p.name);
-    sig.add_u64(pack_flags(p));
-    sig.add_u64(p.dummies.size());
-    for (const DummySummary& d : p.dummies) {
-      sig.add(d.name);
-      sig.add_u64(pack_flags(d));
-    }
-    for (const std::string& g : p.globals_read) sig.add(g);
-    sig.add_u64(p.globals_read.size());
-    for (const std::string& g : p.globals_written) sig.add(g);
-    sig.add_u64(p.globals_written.size());
-    it->second = sig.digest();
-  }
-  // Modules with no subprograms still need a stable signature.
-  for (const Module* m : modules) {
-    SummarySig sig;
-    sig.add("rca-summary-sig-v1");
-    out.module_sigs.try_emplace(m->name, sig.digest());
-  }
+  if (incremental) out.procs_reused = g.size() - out.procs_recomputed;
   return out;
 }
 
@@ -643,8 +566,8 @@ CallEffectFn make_call_effects(const ProgramSymbols& symbols,
   if (syms == nullptr) return nullptr;
   return [syms, &summaries](const std::string& name, std::size_t nargs,
                             bool function_context) {
-    return merge_effects(syms, summaries.cg, summaries.procs,
-                         /*computed=*/nullptr, name, nargs, function_context);
+    return merge_effects(syms, summaries, /*computed=*/nullptr, name, nargs,
+                         function_context);
   };
 }
 
@@ -669,16 +592,17 @@ const char* intent_name(Intent intent) {
 }  // namespace
 
 std::string summaries_to_json(const ProgramSummaries& s) {
-  // Sort by (module, name, declaration line) — node order already is module
-  // order, but a deterministic dump should not depend on it.
-  std::vector<std::size_t> order(s.procs.size());
+  // Sort by (module, name), then node (declaration) order — node order
+  // already is module order, but a deterministic dump should not depend on
+  // it.
+  std::vector<std::size_t> order(s.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const ProcSummary& pa = s.procs[a];
-    const ProcSummary& pb = s.procs[b];
+    const ProcSummary& pa = s.proc(a);
+    const ProcSummary& pb = s.proc(b);
     if (pa.module != pb.module) return pa.module < pb.module;
     if (pa.name != pb.name) return pa.name < pb.name;
-    return s.cg.nodes[a].sp->line < s.cg.nodes[b].sp->line;
+    return a < b;
   });
 
   JsonWriter w;
@@ -688,7 +612,7 @@ std::string summaries_to_json(const ProgramSummaries& s) {
   w.key("procedures");
   w.begin_array();
   for (std::size_t i : order) {
-    const ProcSummary& p = s.procs[i];
+    const ProcSummary& p = s.proc(i);
     w.begin_object();
     w.key("module");
     w.string_value(p.module);

@@ -11,19 +11,17 @@
 // then marked `recursive`, which makes every consumer fall back to the
 // conservative blanket model, exactly as the intraprocedural analysis would.
 //
-// Incremental relint: `compute_summaries` with a base generation's summaries
-// plus a dirty module set recomputes only procedures inside the dirty
-// modules' reverse caller cone (`summary_cone`), reusing the base's
-// summaries elsewhere. It reads only the base's plain-data `procs` and
-// `module_sigs`, never its call graph, so the base's ASTs may already be
-// gone.
+// Summaries are stored per module, each module's run immutable and held by
+// shared_ptr, and identified by call-graph node (ProcRef::node) — never by
+// AST pointer. Incremental relint: `compute_summaries` with a base
+// generation's summaries plus a dirty module mask recomputes only the
+// procedures inside the dirty modules' reverse caller cone (`summary_cone`)
+// and shares the base's module runs everywhere else. It may read the base's
+// call graph and summaries, which hold no AST pointers, so the base's ASTs
+// may already be gone.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -75,37 +73,42 @@ struct ProcSummary {
 };
 
 struct ProgramSummaries {
-  // Points into the ASTs the summaries were computed from; only valid while
-  // they are. `procs` and `module_sigs` are plain data.
-  CallGraph cg;
-  std::vector<ProcSummary> procs;  // parallel to cg.nodes
-  // Per-module hash over that module's procedure summaries; a changed sig
-  // is what widens lint invalidation to the module's reverse caller cone.
-  std::map<std::string, std::uint64_t> module_sigs;
+  std::shared_ptr<const CallGraph> cg;
+  /// One run per module (parallel to the module list): its procedures'
+  /// summaries in subprogram order, shared across generations.
+  std::vector<std::shared_ptr<const std::vector<ProcSummary>>> modules;
   std::size_t procs_recomputed = 0;
   std::size_t procs_reused = 0;
 
-  const ProcSummary* find(const lang::Subprogram* sp) const {
-    const int i = cg.index_of(sp);
-    return i < 0 ? nullptr : &procs[static_cast<std::size_t>(i)];
+  std::size_t size() const { return cg->size(); }
+  const ProcSummary& proc(std::size_t node) const {
+    const std::size_t m = cg->module_of[node];
+    return (*modules[m])[node - cg->module_begin[m]];
   }
 };
 
-/// Computes summaries bottom-up over the SCC condensation. With a base
-/// generation's summaries and a dirty module set, procedures outside
-/// `summary_cone(cg, dirty)` are reused from `base` (matched by module and
-/// name) instead of recomputed. Only `base->procs` is read.
+/// Computes summaries bottom-up over the SCC condensation of a fresh call
+/// graph.
 ProgramSummaries compute_summaries(
     const std::vector<const lang::Module*>& modules,
-    const ProgramSymbols& symbols, const ProgramSummaries* base = nullptr,
-    const std::set<std::string>* dirty_modules = nullptr);
+    const ProgramSymbols& symbols);
 
-/// The reverse caller cone of `dirty` at module granularity (reflexive):
-/// every module containing a procedure that transitively calls into a dirty
-/// module. Exactly the set whose summaries — and lint results — a body-only
-/// patch can change.
-std::set<std::string> summary_cone(const CallGraph& cg,
-                                   const std::set<std::string>& dirty);
+/// The same over `cg` (built or patched over `modules`). With a base
+/// generation's summaries and a dirty module mask (parallel to `modules`),
+/// only the modules in `summary_cone(*cg, *dirty)` are recomputed; every
+/// other module shares its run with `base`.
+ProgramSummaries compute_summaries(
+    const std::vector<const lang::Module*>& modules,
+    const ProgramSymbols& symbols, std::shared_ptr<const CallGraph> cg,
+    const ProgramSummaries* base = nullptr,
+    const std::vector<bool>* dirty = nullptr);
+
+/// The reverse caller cone of `dirty` at module granularity (reflexive;
+/// masks parallel to the module list): every module containing a
+/// procedure that transitively calls into a dirty module. Exactly the set
+/// whose summaries — and lint results — a body-only patch can change.
+std::vector<bool> summary_cone(const CallGraph& cg,
+                               const std::vector<bool>& dirty);
 
 /// Call-effect resolver for dataflow over one module: merges the summaries
 /// of every candidate a name resolves to (generic interfaces included).

@@ -137,8 +137,7 @@ std::vector<interp::WatchKey> scenario_planted_sites(
       if (pit == syms->procs.end()) return false;
       for (const analysis::ProcRef& c : pit->second) {
         if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
-        const analysis::ProcSummary* ps = summaries.find(c.sp);
-        if (ps != nullptr && ps->returns_real) return true;
+        if (summaries.proc(c.node).returns_real) return true;
       }
       return false;
     };

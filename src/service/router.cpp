@@ -606,9 +606,7 @@ Response Router::handle_patch(const JsonValue& body) {
 Response Router::handle_lint(const JsonValue& body) {
   std::shared_ptr<const Session> session = resolve_session(body);
   const analysis::AnalysisResult& result = session->lint();
-  const std::string& report = session->lint_report();
   JsonWriter w;
-  w.reserve(report.size() + 512);  // the header fields, then the report
   w.begin_object();
   write_session_header(w, *session);
   w.key("errors");
@@ -625,9 +623,9 @@ Response Router::handle_lint(const JsonValue& body) {
   w.key("interprocedural");
   w.boolean(true);
   w.key("report");
-  // The session's cached rca.diagnostics.v1 document, copied once into
-  // the body.
-  w.raw_value(report);
+  // The rca.diagnostics.v1 document, assembled from the lint result's
+  // pre-rendered per-module runs straight into the body.
+  w.raw_value([&result](std::string* out) { result.append_report(out); });
   w.end_object();
   return Response{200, std::move(w).str() + "\n"};
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
-#include <ranges>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -138,58 +137,25 @@ const analysis::AnalysisResult& Session::lint() const {
   ensure_parsed(parse_pool_);
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (lint_) return *lint_;
-  analysis::PassManager pm = analysis::PassManager::default_passes();
-  auto result = std::make_shared<analysis::AnalysisResult>();
+  const analysis::PassManager pm = analysis::PassManager::default_passes();
+  analysis::AnalysisResult result;
   if (lint_seed_ && lint_seed_->dirty.size() == modules_.size()) {
-    // Incremental: run dataflow + passes only for modules whose files
-    // changed, then merge in the diagnostics the base already computed for
-    // the clean ones. Exact because the seed is only installed when the
-    // patch's transaction saw every interface signature unchanged — and,
-    // interprocedurally, because the base's summary baseline widens the
-    // dirty set by the caller cone of every module whose summary signature
-    // changed (result->analyzed is the widened mask; carried diagnostics of
-    // widened modules are dropped in favor of their fresh recomputation).
-    const LintSeed& seed = *lint_seed_;
-    *result = pm.run(modules_, seed.dirty, seed.base->summaries.get());
-    std::unordered_set<std::string> widened;
-    for (std::size_t i = 0; i < modules_.size(); ++i) {
-      if (i < result->analyzed.size() && result->analyzed[i] &&
-          !seed.dirty[i]) {
-        widened.insert(modules_[i]->name);
-      }
-    }
-    auto carried = seed.base->diagnostics |
-                   std::views::filter([&](const analysis::Diagnostic& d) {
-                     return d.rule != analysis::kParseErrorRule &&  // re-folded
-                            seed.stale_files.count(d.file) == 0 &&
-                            widened.count(d.module) == 0;
-                   });
-    // Both inputs are sorted by diagnostic_less, a total order over every
-    // rendered field, so the merge gives the bytes a full sort would.
-    std::vector<analysis::Diagnostic> fresh = std::move(result->diagnostics);
-    result->diagnostics.clear();
-    result->diagnostics.reserve(fresh.size() + seed.base->diagnostics.size());
-    std::merge(std::make_move_iterator(fresh.begin()),
-               std::make_move_iterator(fresh.end()), carried.begin(),
-               carried.end(), std::back_inserter(result->diagnostics),
-               analysis::diagnostic_less);
+    // Incremental: re-analyze only the modules whose files changed (plus
+    // the caller cone of any module whose summaries changed) and share
+    // everything else with the base's result. Exact because the seed is
+    // only installed when the patch's transaction saw every interface
+    // signature unchanged — which is also what lets the transaction's
+    // carried symbol tables stand for this generation's.
+    result = pm.run(modules_, txn_state_->tables->symbols, *lint_seed_->base,
+                    lint_seed_->dirty);
     obs::count("service.patch.lint_reuse");
   } else {
-    *result = pm.run(modules_);
+    result = pm.run(modules_);
   }
-  analysis::fold_parse_errors(parse_errors_, &result->diagnostics);
-  lint_ = std::move(result);
+  result.set_parse_errors(parse_errors_);
+  lint_ = std::make_shared<const analysis::AnalysisResult>(std::move(result));
   lint_seed_.reset();  // drops this session's hold on the base's lint
   return *lint_;
-}
-
-const std::string& Session::lint_report() const {
-  const analysis::AnalysisResult& result = lint();
-  std::lock_guard<std::mutex> lock(report_mu_);
-  if (!lint_report_) {
-    lint_report_ = analysis::diagnostics_to_json(result.diagnostics);
-  }
-  return *lint_report_;
 }
 
 // ---------------------------------------------------------------------------
@@ -621,13 +587,13 @@ meta::TxnStats SessionStore::build_graph(
 
   // Seed an incremental lint when fragment reuse was sound (same condition:
   // every interface signature unchanged) and the base has lint results. The
-  // seed holds the base's result by reference; lint() filters and merges.
-  if (base != nullptr && !txn.stats.full_rewalk) {
+  // seed holds the base's result by reference; lint() relints against it.
+  if (base != nullptr && !txn.stats.full_rewalk &&
+      session.txn_state_ != nullptr && session.txn_state_->tables != nullptr) {
     if (auto base_lint = base->cached_lint()) {
       Session::LintSeed seed;
       seed.base = std::move(base_lint);
       for (const meta::TxnInput& in : inputs) seed.dirty.push_back(in.dirty);
-      seed.stale_files = stale;
       session.lint_seed_ = std::move(seed);
     }
   }

@@ -131,12 +131,10 @@ class Session {
   std::vector<std::string> skipped_modules() const;
 
   /// Lint result over the session's modules, computed once and cached.
-  /// Forces a parse when the session was warm-started from a snapshot.
+  /// Forces a parse when the session was warm-started from a snapshot. Its
+  /// per-module runs carry their rendered records, so /v1/lint assembles
+  /// the report from them (AnalysisResult::append_report).
   const analysis::AnalysisResult& lint() const;
-
-  /// lint()'s diagnostics as an rca.diagnostics.v1 document, rendered once
-  /// on first use and cached; /v1/lint splices it into every response.
-  const std::string& lint_report() const;
 
  private:
   friend class SessionStore;
@@ -157,18 +155,20 @@ class Session {
   std::shared_ptr<const analysis::AnalysisResult> cached_lint() const;
 
   /// Seed for an incremental lint of a patched session: the base session's
-  /// lint result, carried by reference, plus what the patch made stale.
-  /// lint() recomputes the dirty modules and merges in the base's
-  /// diagnostics for the rest, then drops the seed. Only set when the
+  /// lint result, carried by reference, plus the modules the patch made
+  /// dirty. lint() passes both to PassManager's relint, which re-analyzes
+  /// the dirty modules and their summary cone and shares the base's call
+  /// graph, summaries and per-module diagnostic runs for the rest; it reads
+  /// only the base result's pointer-free parts, never the base's ASTs, and
+  /// resolves names through this session's carried symbol tables
+  /// (meta::TxnState::tables). Then lint() drops the seed. Only set when the
   /// transaction did not escalate to a full re-walk — the same
-  /// interface-stability condition that makes per-module pass reuse exact.
+  /// interface-stability condition that makes the carried tables and
+  /// per-module reuse exact.
   struct LintSeed {
     std::shared_ptr<const analysis::AnalysisResult> base;
     /// Modules whose files changed (parallel to modules_).
     std::vector<bool> dirty;
-    /// Paths the patch changed or removed; their carried diagnostics are
-    /// dropped (recomputed or gone).
-    std::unordered_set<std::string> stale_files;
   };
 
   std::string key_;
@@ -191,10 +191,6 @@ class Session {
   mutable std::vector<std::pair<std::string, std::string>> parse_errors_;
   mutable std::shared_ptr<const analysis::AnalysisResult> lint_;
   mutable std::optional<LintSeed> lint_seed_;
-  // The rendered lint report. Its own mutex, so a render never holds
-  // lazy_mu_ (which skipped_modules() takes under the store's lock).
-  mutable std::mutex report_mu_;
-  mutable std::optional<std::string> lint_report_;
   mutable ThreadPool* parse_pool_ = nullptr;  // set by the store
 };
 

@@ -114,13 +114,15 @@ SliceResult backward_slice_nodes(const meta::Metagraph& mg,
 
 std::function<bool(const std::string&)> impure_module_filter(
     const analysis::ProgramSummaries& summaries) {
-  // Captured by value in shared sets so the filter outlives the summaries'
-  // AST pointers (SliceOptions may be stored).
+  // Captured by value in shared sets so the filter outlives the summaries
+  // (SliceOptions may be stored).
   auto with_procs = std::make_shared<std::unordered_set<std::string>>();
   auto impure = std::make_shared<std::unordered_set<std::string>>();
-  for (const analysis::ProcSummary& p : summaries.procs) {
-    with_procs->insert(p.module);
-    if (!p.pure) impure->insert(p.module);
+  for (const auto& run : summaries.modules) {
+    for (const analysis::ProcSummary& p : *run) {
+      with_procs->insert(p.module);
+      if (!p.pure) impure->insert(p.module);
+    }
   }
   return [with_procs, impure](const std::string& m) {
     return with_procs->count(m) == 0 || impure->count(m) != 0;

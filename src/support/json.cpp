@@ -151,6 +151,12 @@ void JsonWriter::raw_value(std::string_view json) {
   after_value();
 }
 
+void JsonWriter::raw_value(const std::function<void(std::string*)>& emit) {
+  before_value();
+  emit(&out_);
+  after_value();
+}
+
 void JsonWriter::check_balanced() const {
   if (!stack_.empty()) {
     throw Error("JsonWriter: unbalanced containers at str()");

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -41,6 +42,9 @@ class JsonWriter {
   /// diagnostics report embedded inside a service response). The caller is
   /// responsible for `json` being well-formed.
   void raw_value(std::string_view json);
+  /// The same for a document written piecewise: `emit` appends it to the
+  /// output buffer, so a large one is never copied twice.
+  void raw_value(const std::function<void(std::string*)>& emit);
   /// Reserves output capacity, so a caller splicing a large raw_value
   /// grows the buffer once instead of copying it on every doubling.
   void reserve(std::size_t bytes) { out_.reserve(bytes); }

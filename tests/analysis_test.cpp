@@ -41,7 +41,7 @@ struct Parsed {
 std::vector<Diagnostic> lint(const Parsed& p) {
   std::vector<const lang::Module*> mods;
   for (const auto& m : p.file.modules) mods.push_back(&m);
-  return PassManager::default_passes().run(mods).diagnostics;
+  return PassManager::default_passes().run(mods).diagnostics();
 }
 
 std::vector<Diagnostic> by_rule(const std::vector<Diagnostic>& diags,
@@ -554,12 +554,12 @@ TEST(Golden, CorpusIsLintCleanAndTsvPinned) {
   ASSERT_EQ(fx.modules.size(), 3u);
   const AnalysisResult result =
       PassManager::intraprocedural_passes().run(fx.modules);
-  EXPECT_TRUE(result.diagnostics.empty())
-      << diagnostics_to_text(result.diagnostics);
+  EXPECT_TRUE(result.diagnostics().empty())
+      << diagnostics_to_text(result.diagnostics());
   const std::string expected =
       read_file(fs::path(RCA_GOLDEN_DIR) / "expected_lint.tsv");
   ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(diagnostics_to_tsv(result.diagnostics), expected)
+  EXPECT_EQ(diagnostics_to_tsv(result.diagnostics()), expected)
       << "lint output on the golden corpus changed; if intentional, "
          "regenerate with\n  rca-tool lint --src tests/golden "
          "--no-interprocedural --tsv tests/golden/expected_lint.tsv";
@@ -573,27 +573,26 @@ TEST(Golden, InterprocModeAddsOnlyNotesAndResolvesCalls) {
   const GoldenFixture fx = parse_golden();
   const AnalysisResult result = PassManager::default_passes().run(fx.modules);
   EXPECT_EQ(result.count(Severity::kError), 0u)
-      << diagnostics_to_text(result.diagnostics);
+      << diagnostics_to_text(result.diagnostics());
   EXPECT_EQ(result.count(Severity::kWarning), 0u)
-      << diagnostics_to_text(result.diagnostics);
+      << diagnostics_to_text(result.diagnostics());
   ASSERT_NE(result.summaries, nullptr);
   // The golden corpus has resolvable calls (accumulate, blend): the
   // summaries know the interface candidates, so the blanket may-def model is
   // strictly reduced (counter lint.summary.calls_resolved > 0 — pinned via
   // the obs registry in the CLI smoke test; here we check the summary).
-  const lang::Module* physics = nullptr;
-  for (const lang::Module* m : fx.modules) {
-    if (m->name == "gold_physics") physics = m;
-  }
+  const ProgramSymbols symbols(fx.modules);
+  const ProgramSymbols::ModuleSyms* physics = symbols.module("gold_physics");
   ASSERT_NE(physics, nullptr);
-  const ProcSummary* blend =
-      result.summaries->find(physics->find_subprogram("blend_linear"));
-  ASSERT_NE(blend, nullptr);
-  EXPECT_TRUE(blend->pure);
+  ASSERT_EQ(physics->procs.count("blend_linear"), 1u);
+  const ProcSummary& blend =
+      result.summaries->proc(physics->procs.at("blend_linear").front().node);
+  EXPECT_EQ(blend.name, "blend_linear");
+  EXPECT_TRUE(blend.pure);
   const std::string expected =
       read_file(fs::path(RCA_GOLDEN_DIR) / "expected_lint_interproc.tsv");
   ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(diagnostics_to_tsv(result.diagnostics), expected)
+  EXPECT_EQ(diagnostics_to_tsv(result.diagnostics()), expected)
       << "interprocedural lint output on the golden corpus changed; if "
          "intentional, regenerate with\n  rca-tool lint --src tests/golden "
          "--tsv tests/golden/expected_lint_interproc.tsv";

@@ -22,12 +22,14 @@
 #include <latch>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
+#include "analysis/summaries.hpp"
 #include "fault/fault.hpp"
 #include "meta/serialize.hpp"
 #include "meta/snapshot_cache.hpp"
@@ -578,13 +580,13 @@ TEST(IncrementalLint, SeededLintMatchesFullRunByteForByte) {
     auto ref = fresh.get_or_build(config, truth);
     const analysis::AnalysisResult& full = ref->lint();
 
-    EXPECT_EQ(analysis::diagnostics_to_tsv(incremental.diagnostics),
-              analysis::diagnostics_to_tsv(full.diagnostics))
+    EXPECT_EQ(analysis::diagnostics_to_tsv(incremental.diagnostics()),
+              analysis::diagnostics_to_tsv(full.diagnostics()))
         << "step " << step;
     // The TSV omits file and end_line; the JSON report and the whole
     // /v1/lint body (the session's cached report) carry every field.
-    EXPECT_EQ(analysis::diagnostics_to_json(incremental.diagnostics),
-              analysis::diagnostics_to_json(full.diagnostics))
+    EXPECT_EQ(analysis::diagnostics_to_json(incremental.diagnostics()),
+              analysis::diagnostics_to_json(full.diagnostics()))
         << "step " << step;
     EXPECT_EQ(incremental.modules, full.modules);
     EXPECT_EQ(incremental.subprograms, full.subprograms);
@@ -642,6 +644,222 @@ TEST(IncrementalLint, ConcurrentFirstLintCallsOnAPatchedSessionAgree) {
   fresh.get_or_build(config, truth);
   service::Router fresh_router(&fresh, service::RouterOptions{});
   EXPECT_EQ(answers[0].body, fresh_router.handle(lint).body);
+}
+
+/// Enables the global obs registry for one test body, starting empty.
+struct ObsScope {
+  ObsScope() {
+    obs::global().set_enabled(true);
+    obs::global().reset();
+  }
+  ~ObsScope() { obs::global().set_enabled(false); }
+};
+
+/// A corpus as session sources plus its build configuration.
+struct CorpusSources {
+  SourceList sources;
+  SessionConfig config;
+};
+
+CorpusSources corpus_sources(const model::CorpusSpec& spec) {
+  model::GeneratedCorpus corpus = model::generate_corpus(spec);
+  CorpusSources out;
+  for (auto& f : corpus.files) {
+    out.sources.emplace_back(f.path, std::move(f.text));
+  }
+  std::sort(out.sources.begin(), out.sources.end());
+  out.config.build_list = corpus.compiled_modules;
+  return out;
+}
+
+std::string lint_body(service::Router& router, const std::string& key) {
+  const service::Response r =
+      router.handle({"POST", "/v1/lint", "{\"session\": \"" + key + "\"}"});
+  EXPECT_EQ(r.status, 200) << r.body;
+  return r.body;
+}
+
+/// The /v1/lint body of a cold session over `sources`, in a store of its own.
+std::string cold_lint_body(const SessionConfig& config,
+                           const SourceList& sources) {
+  SessionStore fresh(SessionStoreOptions{});
+  service::Router router(&fresh, service::RouterOptions{});
+  return lint_body(router, fresh.get_or_build(config, sources)->key());
+}
+
+/// Replaces the first line that starts (after indentation) with `prefix`,
+/// searching from the line that starts with `anchor`. Keeps the line count,
+/// so no interface-visible line number moves.
+void replace_line_after(std::string* text, const std::string& anchor,
+                        const std::string& prefix,
+                        const std::string& replacement) {
+  std::vector<std::string> lines = split_lines(*text);
+  bool seen = false;
+  for (std::string& line : lines) {
+    const std::string t = trimmed(line);
+    if (!seen) {
+      seen = t.rfind(anchor, 0) == 0;
+    } else if (t.rfind(prefix, 0) == 0) {
+      line = replacement;
+      *text = join_lines(lines);
+      return;
+    }
+  }
+  FAIL() << "no '" << prefix << "' line after '" << anchor << "'";
+}
+
+// At cesm scale a chain of interface-preserving edits answers /v1/lint with
+// a cold session's bytes after every step: a body rewrite; a pair of calls
+// that forms a new recursive component, so the call graph's topology and
+// SCCs change; a dropped global write, so a summary changes and the relint
+// widens to the module's callers; and an edit relinted after its base
+// session was evicted, so the base's own AST of the dirty module is freed.
+TEST(IncrementalLint, ChainedEditsMatchColdLintAtCesmScale) {
+  ObsScope obs_on;
+  CorpusSources corpus = corpus_sources(model::cesm_scale_spec());
+  SourceList& truth = corpus.sources;
+  const SessionConfig& config = corpus.config;
+  auto source_of = [&truth](const std::string& module) -> std::string& {
+    for (auto& [path, text] : truth) {
+      if (path.ends_with("/" + module + ".F90")) return text;
+    }
+    throw Error("no source for module " + module);
+  };
+  // Two aux modules of the build configuration: `a` has two helper
+  // subroutines to make recursive, `b` writes a module variable of another
+  // module from its main routine, which cam_driver calls.
+  std::string a, b;
+  for (const std::string& m : config.build_list) {
+    if (m.rfind("aux_", 0) != 0) continue;
+    const std::string& text = source_of(m);
+    if (a.empty() &&
+        text.find("subroutine " + m + "_extra1(") != std::string::npos) {
+      a = m;
+    } else if (b.empty() && text.find("aer_wrk(i) = aer_wrk(i) + wrk0") !=
+                                std::string::npos) {
+      b = m;
+    }
+  }
+  ASSERT_FALSE(a.empty());
+  ASSERT_FALSE(b.empty());
+
+  // Budget 1: every insert evicts all but the new session and a pinned one.
+  SessionStoreOptions opts;
+  opts.max_bytes = 1;
+  SessionStore store(opts);
+  service::Router router(&store, service::RouterOptions{});
+  std::string key = store.get_or_build(config, truth)->key();
+  lint_body(router, key);  // seeds the first relint
+
+  SplitMix64 rng(2525);
+  for (int step = 0; step < 4; ++step) {
+    const std::string base_key = key;
+    const auto base_cg = store.lookup(base_key)->lint().summaries->cg;
+    const std::string edited = step == 2 ? b : a;
+    std::string& text = source_of(edited);
+    if (step == 1) {
+      replace_line_after(&text, "subroutine " + a + "_extra0(", "acc = acc *",
+                         "    call " + a + "_extra1(acc, acc)");
+      replace_line_after(&text, "subroutine " + a + "_extra1(", "acc = acc *",
+                         "    call " + a + "_extra0(acc, acc)");
+    } else if (step == 2) {
+      replace_line_after(&text, "subroutine " + b + "_main(",
+                         "aer_wrk(i) = aer_wrk(i) + wrk0",
+                         "      wrk1 = aer_wrk(i) + wrk0");
+    } else {
+      text = edit_rewrite_in_place(text, &rng, step);
+    }
+    SessionStore::PatchEdit edit;
+    edit.upserts.emplace_back(
+        std::find_if(truth.begin(), truth.end(),
+                     [&](const auto& e) { return &e.second == &text; })
+            ->first,
+        text);
+    const SessionStore::PatchResult r = store.patch(base_key, edit);
+    ASSERT_FALSE(r.rolled_back) << "step " << step;
+    ASSERT_FALSE(r.full_rewalk) << "step " << step;
+    key = r.session->key();
+    if (step == 3) {
+      // Evict the base (the head is pinned, so it stays) and drop every
+      // handle on it: its copy of `a`, parsed at step 1, is freed before
+      // the relint that is seeded from its lint result.
+      store.pin(key);
+      store.get_or_build(SessionConfig{}, small_corpus(53));
+      store.unpin(key);
+      ASSERT_EQ(store.lookup(base_key), nullptr);
+    }
+
+    const double reused = obs::global().counter("service.patch.lint_reuse");
+    const double widened = obs::global().counter("lint.summary.cone_widened");
+    EXPECT_EQ(lint_body(router, key), cold_lint_body(config, truth))
+        << "step " << step;
+    EXPECT_EQ(obs::global().counter("service.patch.lint_reuse"), reused + 1)
+        << "step " << step << " did not relint from its base";
+    const auto cg = store.lookup(key)->lint().summaries->cg;
+    if (step == 1) {
+      EXPECT_NE(cg, base_cg);
+      EXPECT_LT(cg->scc_count, base_cg->scc_count);
+    } else {
+      EXPECT_EQ(cg, base_cg) << "step " << step;
+    }
+    if (step == 2) {
+      EXPECT_GT(obs::global().counter("lint.summary.cone_widened"), widened);
+    }
+  }
+}
+
+/// Checks the most recent `lint` span: its direct children — symbols, call
+/// graph, summaries, dataflow, the passes and the merge — cover at least 95%
+/// of it.
+void expect_lint_children_cover_it(const char* what) {
+  const std::vector<obs::SpanRecord> spans = obs::global().spans();
+  const auto lint =
+      std::find_if(spans.rbegin(), spans.rend(),
+                   [](const obs::SpanRecord& s) { return s.name == "lint"; });
+  ASSERT_NE(lint, spans.rend()) << what;
+  double children_us = 0.0;
+  std::set<std::string> names;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.parent != lint->id) continue;
+    children_us += span.duration_us;
+    names.insert(span.name);
+  }
+  for (const char* child : {"lint.symbols", "lint.callgraph", "lint.summaries",
+                            "lint.dataflow", "lint.merge",
+                            "lint.pass.use-before-def"}) {
+    EXPECT_EQ(names.count(child), 1u) << what << ": " << child;
+  }
+  EXPECT_GE(children_us, 0.95 * lint->duration_us)
+      << what << ": " << children_us << " of " << lint->duration_us << " us";
+}
+
+// A cold lint and a relint seeded from it account for their time: the
+// children of each `lint` span add up to it.
+TEST(IncrementalLint, LintChildSpansAddUpOnColdAndSeededLints) {
+  ObsScope obs_on;
+  CorpusSources corpus = corpus_sources(model::cesm_scale_spec());
+  SessionStore store(SessionStoreOptions{});
+  auto base = store.get_or_build(corpus.config, corpus.sources);
+  base->lint();
+  expect_lint_children_cover_it("cold lint");
+
+  // A body edit of a compiled aux module, whose cone reaches cam_driver.
+  const std::vector<std::string>& build_list = corpus.config.build_list;
+  ASSERT_NE(std::find(build_list.begin(), build_list.end(), "aux_cam_000"),
+            build_list.end());
+  const auto victim = std::find_if(
+      corpus.sources.begin(), corpus.sources.end(),
+      [](const auto& e) { return e.first.ends_with("/aux_cam_000.F90"); });
+  ASSERT_NE(victim, corpus.sources.end());
+  SplitMix64 rng(99);
+  victim->second = edit_rewrite_in_place(victim->second, &rng, 0);
+  SessionStore::PatchEdit edit;
+  edit.upserts.emplace_back(victim->first, victim->second);
+  const SessionStore::PatchResult r = store.patch(base->key(), edit);
+  ASSERT_FALSE(r.full_rewalk);
+  r.session->lint();
+  expect_lint_children_cover_it("seeded lint");
+  EXPECT_GT(obs::global().counter("lint.modules_carried"), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,20 @@
 namespace rca::analysis {
 namespace {
 
+/// Call-graph node of mod::name in `mods`: its program-wide subprogram
+/// ordinal (ProcRef::node).
+int node_of(const std::vector<const lang::Module*>& mods,
+            const std::string& mod, const std::string& name) {
+  int n = 0;
+  for (const lang::Module* m : mods) {
+    for (const lang::Subprogram& sp : m->subprograms) {
+      if (m->name == mod && sp.name == name) return n;
+      ++n;
+    }
+  }
+  return -1;
+}
+
 /// Owns the parsed file so Module pointers stay valid for the test body.
 struct Parsed {
   lang::SourceFile file;
@@ -54,7 +68,7 @@ std::vector<Diagnostic> run_rules(const Parsed& p, bool interprocedural) {
   return (interprocedural ? PassManager::default_passes()
                           : PassManager::intraprocedural_passes())
       .run(mods)
-      .diagnostics;
+      .diagnostics();
 }
 
 std::vector<Diagnostic> by_rule(const std::vector<Diagnostic>& diags,
@@ -68,9 +82,9 @@ std::vector<Diagnostic> by_rule(const std::vector<Diagnostic>& diags,
 
 const ProcSummary& summary_of(const ProgramSummaries& s, const Parsed& p,
                               const std::string& mod, const std::string& name) {
-  const ProcSummary* ps = s.find(&p.sub(mod, name));
-  EXPECT_NE(ps, nullptr) << mod << "::" << name;
-  return *ps;
+  const int n = node_of(p.modules(), mod, name);
+  EXPECT_GE(n, 0) << mod << "::" << name;
+  return s.proc(static_cast<std::size_t>(n));
 }
 
 // ---------------------------------------------------------------------------
@@ -106,11 +120,11 @@ TEST(CallGraph, EdgesResolveAndSccIdsAreReverseTopological) {
   const auto mods = p.modules();
   const ProgramSymbols symbols(mods);
   const CallGraph cg = build_call_graph(mods, symbols);
-  ASSERT_EQ(cg.nodes.size(), 3u);
+  ASSERT_EQ(cg.size(), 3u);
 
-  const int leaf = cg.index_of(&p.sub("bottom", "leaf"));
-  const int relay = cg.index_of(&p.sub("middle", "relay"));
-  const int drive = cg.index_of(&p.sub("top", "drive"));
+  const int leaf = node_of(mods, "bottom", "leaf");
+  const int relay = node_of(mods, "middle", "relay");
+  const int drive = node_of(mods, "top", "drive");
   ASSERT_GE(leaf, 0);
   ASSERT_GE(relay, 0);
   ASSERT_GE(drive, 0);
@@ -132,7 +146,7 @@ TEST(CallGraph, EdgesResolveAndSccIdsAreReverseTopological) {
   for (std::size_t c = 0; c < cg.scc_count; ++c) {
     EXPECT_FALSE(cg.scc_recursive[c]);
   }
-  for (std::size_t n = 0; n < cg.nodes.size(); ++n) {
+  for (std::size_t n = 0; n < cg.size(); ++n) {
     EXPECT_FALSE(cg.has_unknown_call[n]);
   }
 }
@@ -155,8 +169,8 @@ end module m
   const auto mods = p.modules();
   const ProgramSymbols symbols(mods);
   const CallGraph cg = build_call_graph(mods, symbols);
-  const int ping = cg.index_of(&p.sub("m", "ping"));
-  const int pong = cg.index_of(&p.sub("m", "pong"));
+  const int ping = node_of(mods, "m", "ping");
+  const int pong = node_of(mods, "m", "pong");
   ASSERT_GE(ping, 0);
   ASSERT_GE(pong, 0);
   EXPECT_EQ(cg.scc_of[static_cast<std::size_t>(ping)],
@@ -176,7 +190,7 @@ end module m
   const auto mods = p.modules();
   const ProgramSymbols symbols(mods);
   const CallGraph cg = build_call_graph(mods, symbols);
-  const int s = cg.index_of(&p.sub("m", "s"));
+  const int s = node_of(mods, "m", "s");
   ASSERT_GE(s, 0);
   EXPECT_TRUE(cg.has_unknown_call[static_cast<std::size_t>(s)]);
 }
@@ -537,7 +551,7 @@ TEST(FpSense, DefaultCorpusLintReportRepeatsNoRecord) {
     for (const lang::Module& m : f.modules) mods.push_back(&m);
   }
   const std::vector<Diagnostic> diags =
-      PassManager::default_passes().run(mods).diagnostics;
+      PassManager::default_passes().run(mods).diagnostics();
   ASSERT_FALSE(by_rule(diags, "fp-sensitivity").empty());
   const std::string tsv = diagnostics_to_tsv(diags);
   std::size_t records = 0;
@@ -580,7 +594,7 @@ end module client
   auto check = [&p](const std::vector<const lang::Module*>& mods) {
     const ProgramSymbols symbols(mods);
     const CallGraph cg = build_call_graph(mods, symbols);
-    const int go = cg.index_of(&p.sub("client", "go"));
+    const int go = node_of(mods, "client", "go");
     ASSERT_GE(go, 0);
     EXPECT_FALSE(cg.has_unknown_call[static_cast<std::size_t>(go)])
         << "re-exported `act` must resolve through hub";
@@ -660,11 +674,13 @@ TEST(Incremental, SummaryConeIsReflexiveReverseCallerClosure) {
   const auto mods = p.modules();
   const ProgramSymbols symbols(mods);
   const CallGraph cg = build_call_graph(mods, symbols);
-  EXPECT_EQ(summary_cone(cg, {"bottom"}),
-            (std::set<std::string>{"bottom", "middle", "top"}));
-  EXPECT_EQ(summary_cone(cg, {"middle"}),
-            (std::set<std::string>{"middle", "top"}));
-  EXPECT_EQ(summary_cone(cg, {"top"}), (std::set<std::string>{"top"}));
+  // Modules in order: bottom, middle, top.
+  EXPECT_EQ(summary_cone(cg, {true, false, false}),
+            (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(summary_cone(cg, {false, true, false}),
+            (std::vector<bool>{false, true, true}));
+  EXPECT_EQ(summary_cone(cg, {false, false, true}),
+            (std::vector<bool>{false, false, true}));
 }
 
 TEST(Incremental, BaselineReusesSummariesOutsideTheCone) {
@@ -674,15 +690,19 @@ TEST(Incremental, BaselineReusesSummariesOutsideTheCone) {
   const ProgramSummaries full = compute_summaries(mods, symbols);
   EXPECT_EQ(full.procs_recomputed, 3u);
 
-  const std::set<std::string> dirty{"middle"};
-  const ProgramSummaries incr = compute_summaries(mods, symbols, &full, &dirty);
+  const std::vector<bool> dirty{false, true, false};  // middle
+  const ProgramSummaries incr =
+      compute_summaries(mods, symbols, full.cg, &full, &dirty);
   // bottom is outside the cone of {middle}: reused. middle + top recomputed.
   EXPECT_EQ(incr.procs_reused, 1u);
   EXPECT_EQ(incr.procs_recomputed, 2u);
-  for (std::size_t i = 0; i < full.procs.size(); ++i) {
-    EXPECT_TRUE(full.procs[i] == incr.procs[i]) << full.procs[i].name;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_TRUE(full.proc(i) == incr.proc(i)) << full.proc(i).name;
   }
-  EXPECT_EQ(full.module_sigs, incr.module_sigs);
+  // The reused module shares the base's run; the recomputed ones are fresh.
+  EXPECT_EQ(incr.modules[0], full.modules[0]);
+  EXPECT_NE(incr.modules[1], full.modules[1]);
+  EXPECT_NE(incr.modules[2], full.modules[2]);
 }
 
 TEST(Incremental, BodyPatchWidensDirtySetToCallerConeAndMatchesFullRun) {
@@ -729,7 +749,8 @@ end module top
   dirty[0] = true;  // bottom only — the edited module
   obs::Registry& reg = obs::global();
   reg.set_enabled(true);
-  const AnalysisResult incr = pm.run(mods2, dirty, before.summaries.get());
+  const AnalysisResult incr =
+      pm.run(mods2, ProgramSymbols(mods2), before, dirty);
   const double widened = reg.counter("lint.summary.cone_widened");
   reg.set_enabled(false);
 
@@ -741,11 +762,9 @@ end module top
   EXPECT_TRUE(incr.analyzed[2]);
   // ...and the diagnostics equal a from-scratch interprocedural run.
   const AnalysisResult full = pm.run(mods2);
-  ASSERT_EQ(incr.diagnostics.size(), full.diagnostics.size());
-  for (std::size_t i = 0; i < full.diagnostics.size(); ++i) {
-    EXPECT_EQ(diagnostics_to_tsv(incr.diagnostics),
-              diagnostics_to_tsv(full.diagnostics));
-  }
+  EXPECT_EQ(diagnostics_to_tsv(incr.diagnostics()),
+            diagnostics_to_tsv(full.diagnostics()));
+  EXPECT_EQ(incr.report(), full.report());
 }
 
 }  // namespace

@@ -209,7 +209,7 @@ TEST_F(SessionStoreTest, UnparsableFileIsSkippedAndLintedAsParseError) {
   EXPECT_EQ(session->skipped_modules(),
             std::vector<std::string>{"mem/zz_broken.f90"});
   std::size_t parse_errors = 0;
-  for (const analysis::Diagnostic& d : session->lint().diagnostics) {
+  for (const analysis::Diagnostic& d : session->lint().diagnostics()) {
     if (d.rule != analysis::kParseErrorRule) continue;
     ++parse_errors;
     EXPECT_EQ(d.file, "mem/zz_broken.f90");
